@@ -81,7 +81,7 @@ impl SimBackend {
             capacity,
         ));
         // The sanitize layer keys (sanitizer, registry epoch) on top of the
-        // prefix key, so budget its table at `SAN_VARIANTS ×` the prefix
+        // (program, compiler, opt) cell, so budget its table at `SAN_VARIANTS ×` the prefix
         // budget — the same ratio the session sizes its own layer by.
         let san_store = std::sync::Arc::new(ubfuzz_store::SanitizedStore::open_budgeted(
             dir.as_ref(),
@@ -289,7 +289,8 @@ mod tests {
         let cold = SimBackend::with_store(&dir);
         let out_cold = cold.compile_program(&p, &req).unwrap();
         assert_eq!(cold.session().stats().misses, 1);
-        assert_eq!(cold.prefix_store().expect("store attached").telemetry().persisted(), 1);
+        // The -O2 prefix and the Lowered entry it started from.
+        assert_eq!(cold.prefix_store().expect("store attached").telemetry().persisted(), 2);
         assert_eq!(
             cold.sanitized_store().expect("san store attached").telemetry().persisted(),
             1,
@@ -298,7 +299,7 @@ mod tests {
         drop(cold);
 
         let warm = SimBackend::with_store(&dir);
-        assert_eq!(warm.session().preloaded(), 1, "reopen preloads the persisted prefix");
+        assert_eq!(warm.session().preloaded(), 2, "reopen preloads the persisted prefixes");
         assert_eq!(warm.session().san_preloaded(), 1, "and the persisted sanitize entry");
         let out_warm = warm.compile_program(&p, &req).unwrap();
         assert_eq!(out_cold.module(), out_warm.module(), "store is invisible to outputs");

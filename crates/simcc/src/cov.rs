@@ -20,11 +20,12 @@
 //! attached to, which recovers the lock and reports the event instead of
 //! propagating the panic to every later unit.
 
+use crate::relock;
 use crate::target::Vendor;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Coverage point kinds, mirroring Gcov's LC/FC/BC columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -216,18 +217,6 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, CovDelta) {
         _ => CovDelta::new(),
     });
     (value, delta)
-}
-
-/// Locks a collector mutex, recovering the guard when a panicking holder
-/// poisoned it — the same degrade-never-abort contract as the store's
-/// `relock` helpers (which live below this crate in the dependency order,
-/// hence the local copy). Recoveries are counted so the campaign can report
-/// the event instead of losing it.
-fn relock<'a, T>(m: &'a Mutex<T>, recoveries: &AtomicUsize) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| {
-        recoveries.fetch_add(1, Ordering::Relaxed);
-        e.into_inner()
-    })
 }
 
 #[derive(Debug, Default)]

@@ -355,8 +355,15 @@ impl Op {
         )
     }
 
-    /// Operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
+    /// Calls `f` on every register this instruction reads, in operand
+    /// order (immediates are skipped). Allocation-free, unlike collecting
+    /// the operands, which matters on the DCE hot path.
+    pub fn for_each_reg(&self, mut f: impl FnMut(RegId)) {
+        let mut visit = |o: &Operand| {
+            if let Operand::Reg(r) = o {
+                f(*r);
+            }
+        };
         match self {
             Op::Const(_)
             | Op::AddrLocal(_)
@@ -364,25 +371,32 @@ impl Op {
             | Op::LifetimeStart(_)
             | Op::LifetimeEnd(_)
             | Op::AsanPoisonScope(_)
-            | Op::AsanUnpoisonScope(_) => vec![],
-            Op::Bin { a, b, .. } => vec![*a, *b],
-            Op::Un { a, .. } | Op::Cast { a, .. } => vec![*a],
-            Op::PtrAdd { base, offset, .. } => vec![*base, *offset],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, val, .. } => vec![*addr, *val],
-            Op::MemCopy { dst, src, .. } => vec![*dst, *src],
-            Op::Call { args, .. } => args.clone(),
-            Op::Malloc { size } => vec![*size],
-            Op::Free { addr } => vec![*addr],
-            Op::Print { val } => vec![*val],
-            Op::AsanCheck { addr, .. } => vec![*addr],
-            Op::UbsanCheckArith { a, b, .. } => vec![*a, *b],
-            Op::UbsanCheckNeg { a, .. } => vec![*a],
-            Op::UbsanCheckShift { amount, .. } => vec![*amount],
-            Op::UbsanCheckDiv { a, divisor, .. } => vec![*a, *divisor],
-            Op::UbsanCheckNull { addr } => vec![*addr],
-            Op::UbsanCheckBound { idx, .. } => vec![*idx],
-            Op::MsanCheck { val, .. } => vec![*val],
+            | Op::AsanUnpoisonScope(_) => {}
+            Op::Bin { a, b, .. }
+            | Op::UbsanCheckArith { a, b, .. }
+            | Op::UbsanCheckDiv { a, divisor: b, .. } => {
+                visit(a);
+                visit(b);
+            }
+            Op::PtrAdd { base: a, offset: b, .. }
+            | Op::Store { addr: a, val: b, .. }
+            | Op::MemCopy { dst: a, src: b, .. } => {
+                visit(a);
+                visit(b);
+            }
+            Op::Un { a, .. }
+            | Op::Cast { a, .. }
+            | Op::UbsanCheckNeg { a, .. }
+            | Op::Load { addr: a, .. }
+            | Op::Malloc { size: a }
+            | Op::Free { addr: a }
+            | Op::Print { val: a }
+            | Op::AsanCheck { addr: a, .. }
+            | Op::UbsanCheckShift { amount: a, .. }
+            | Op::UbsanCheckNull { addr: a }
+            | Op::UbsanCheckBound { idx: a, .. }
+            | Op::MsanCheck { val: a, .. } => visit(a),
+            Op::Call { args, .. } => args.iter().for_each(visit),
         }
     }
 
@@ -676,7 +690,23 @@ mod tests {
             Operand::Reg(1) => Operand::Imm(42),
             other => other,
         });
-        assert_eq!(op.operands(), vec![Operand::Imm(42), Operand::Reg(2)]);
+        assert_eq!(
+            op,
+            Op::Bin { op: BinKind::Add, a: Operand::Imm(42), b: Operand::Reg(2), ty: IntType::INT }
+        );
+    }
+
+    #[test]
+    fn for_each_reg_visits_registers_in_operand_order() {
+        let mut regs = Vec::new();
+        Op::Store { addr: Operand::Reg(4), val: Operand::Reg(9), size: 4 }
+            .for_each_reg(|r| regs.push(r));
+        Op::Bin { op: BinKind::Sub, a: Operand::Imm(1), b: Operand::Reg(3), ty: IntType::INT }
+            .for_each_reg(|r| regs.push(r));
+        Op::Call { callee: "f".into(), args: vec![Operand::Reg(7), Operand::Imm(0), Operand::Reg(5)] }
+            .for_each_reg(|r| regs.push(r));
+        Op::Const(8).for_each_reg(|r| regs.push(r));
+        assert_eq!(regs, vec![4, 9, 3, 7, 5]);
     }
 
     #[test]

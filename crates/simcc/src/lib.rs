@@ -53,6 +53,23 @@ pub mod san;
 pub mod session;
 pub mod target;
 
+/// Locks a mutex, recovering the guard when a panicking holder poisoned it
+/// — the same degrade-never-abort contract as the store's `relock` helpers
+/// (which live below this crate in the dependency order, hence the local
+/// copy). Everything these mutexes guard is a cache or an aggregate of
+/// deterministic results, so a recovered guard is still correct.
+/// Recoveries are counted so the caller can report the event instead of
+/// losing it.
+pub(crate) fn relock<'a, T>(
+    m: &'a std::sync::Mutex<T>,
+    recoveries: &std::sync::atomic::AtomicUsize,
+) -> std::sync::MutexGuard<'a, T> {
+    m.lock().unwrap_or_else(|e| {
+        recoveries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        e.into_inner()
+    })
+}
+
 pub use cov::{Collector, CovDelta, CovPoint};
 pub use defects::{BugStatus, Defect, DefectCategory, DefectRegistry, DEFECTS};
 pub use ir::{Module, Sanitizer};

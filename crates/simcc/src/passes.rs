@@ -68,19 +68,22 @@ pub fn fold_un(op: UnKind, a: i64, ty: IntType) -> i64 {
 }
 
 /// Constant folding + copy propagation to fixpoint within each function.
+///
+/// The register → constant map is built once per function and extended as
+/// folds mint new constants; registers have a single definition, so an
+/// entry never goes stale.
 pub fn constfold(m: &mut Module) -> bool {
     let mut changed = false;
     for f in &mut m.funcs {
-        loop {
-            // reg → constant value
-            let mut consts: HashMap<RegId, i64> = HashMap::new();
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let (Some(d), Op::Const(v)) = (i.dst, &i.op) {
-                        consts.insert(d, *v);
-                    }
+        let mut consts: HashMap<RegId, i64> = HashMap::new();
+        for b in &f.blocks {
+            for i in &b.instrs {
+                if let (Some(d), Op::Const(v)) = (i.dst, &i.op) {
+                    consts.insert(d, *v);
                 }
             }
+        }
+        loop {
             let mut round = false;
             for b in &mut f.blocks {
                 for i in &mut b.instrs {
@@ -107,6 +110,9 @@ pub fn constfold(m: &mut Module) -> bool {
                         if !matches!(i.op, Op::Const(_)) {
                             i.op = Op::Const(v);
                             round = true;
+                            if let Some(d) = i.dst {
+                                consts.insert(d, v);
+                            }
                         }
                     }
                 }
@@ -141,49 +147,79 @@ pub fn constfold(m: &mut Module) -> bool {
     changed
 }
 
+/// The register a terminator reads, if any.
+fn term_reg(t: &Term) -> Option<RegId> {
+    match t {
+        Term::Br { cond: Operand::Reg(r), .. } | Term::Ret(Some(Operand::Reg(r))) => Some(*r),
+        _ => None,
+    }
+}
+
 /// Dead code elimination. `remove_loads` is true only in the early (pre-
 /// sanitizer) pipeline: once checks are attached to accesses, loads stay.
+///
+/// Counts every register's uses once, then sweeps the function backwards —
+/// deleting each removable instruction whose result has no uses left and
+/// releasing the uses of its operands — until a sweep deletes nothing.
+/// Deletion only ever lowers use counts, so this removes exactly what
+/// repeated "collect the used registers, drop unused definitions" rounds
+/// would, at the cost of one linear sweep per round instead of a rebuilt
+/// set.
 pub fn dce(m: &mut Module, remove_loads: bool) -> bool {
+    let removable = |i: &Instr| match &i.op {
+        Op::Load { .. } => remove_loads,
+        op => !op.has_side_effect(),
+    };
     let mut changed = false;
+    let (mut uses, mut dead, mut starts) = (Vec::new(), Vec::new(), Vec::new());
     for f in &mut m.funcs {
+        uses.clear();
+        uses.resize(f.next_reg as usize, 0u32);
+        starts.clear();
+        let mut total = 0;
+        for b in &f.blocks {
+            starts.push(total);
+            total += b.instrs.len();
+            for i in &b.instrs {
+                i.op.for_each_reg(|r| uses[r as usize] += 1);
+            }
+            if let Some(r) = b.term.as_ref().and_then(term_reg) {
+                uses[r as usize] += 1;
+            }
+        }
+        dead.clear();
+        dead.resize(total, false);
+        let mut removed = false;
         loop {
-            let mut used: HashSet<RegId> = HashSet::new();
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    for o in i.op.operands() {
-                        if let Operand::Reg(r) = o {
-                            used.insert(r);
-                        }
+            let mut swept = false;
+            for (b, &start) in f.blocks.iter().zip(&starts).rev() {
+                for (k, i) in b.instrs.iter().enumerate().rev() {
+                    if dead[start + k]
+                        || !removable(i)
+                        || i.dst.is_some_and(|d| uses[d as usize] > 0)
+                    {
+                        continue;
                     }
-                }
-                match &b.term {
-                    Some(Term::Br { cond: Operand::Reg(r), .. }) => {
-                        used.insert(*r);
-                    }
-                    Some(Term::Ret(Some(Operand::Reg(r)))) => {
-                        used.insert(*r);
-                    }
-                    _ => {}
+                    dead[start + k] = true;
+                    i.op.for_each_reg(|r| uses[r as usize] -= 1);
+                    swept = true;
                 }
             }
-            let mut removed = false;
-            for b in &mut f.blocks {
-                let before = b.instrs.len();
-                b.instrs.retain(|i| {
-                    let removable = match &i.op {
-                        Op::Load { .. } => remove_loads,
-                        op => !op.has_side_effect(),
-                    };
-                    !(removable && i.dst.is_none_or(|d| !used.contains(&d)))
-                });
-                if b.instrs.len() != before {
-                    removed = true;
-                }
-            }
-            if !removed {
+            if !swept {
                 break;
             }
-            changed = true;
+            removed = true;
+        }
+        if !removed {
+            continue;
+        }
+        changed = true;
+        for (b, &start) in f.blocks.iter_mut().zip(&starts) {
+            let mut k = start;
+            b.instrs.retain(|_| {
+                k += 1;
+                !dead[k - 1]
+            });
         }
     }
     changed
@@ -363,15 +399,11 @@ pub fn dead_slot_elim(m: &mut Module) -> bool {
                             }
                         }
                     }
-                    other => {
-                        for o in other.operands() {
-                            if let Operand::Reg(r) = o {
-                                if let Some(&s) = addr_regs.get(&r) {
-                                    escaped.insert(s);
-                                }
-                            }
+                    other => other.for_each_reg(|r| {
+                        if let Some(&s) = addr_regs.get(&r) {
+                            escaped.insert(s);
                         }
-                    }
+                    }),
                 }
             }
             if let Some(Term::Br { cond: Operand::Reg(r), .. }) = &b.term {

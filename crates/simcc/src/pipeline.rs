@@ -8,11 +8,15 @@
 //!
 //! The pipeline is exposed as four explicit stages — [`lower_stage`],
 //! [`early_opt_stage`], [`sanitize_stage`], [`late_opt_stage`] — because the
-//! first two depend only on `(program, vendor, version, opt)`, not on the
-//! sanitizer or the defect world. That *sanitizer-independent prefix*
-//! ([`compile_prefix`]) is what [`crate::session::CompileSession`] memoizes
-//! so the campaign's per-program sanitizer matrix lowers and pre-optimizes
-//! each `(compiler, opt)` cell once instead of once per sanitizer.
+//! first two depend on neither the sanitizer nor the defect world. Lowering
+//! reads only the program, and early-opt reads only the cell's
+//! [`PrefixClass`]: nothing at `-O0`, the level at `-O1`/`-Os`, and the
+//! vendor plus an unroll threshold at `-O2`/`-O3`. So the
+//! *sanitizer-independent prefix* ([`compile_prefix`]) is a function of
+//! `(program, PrefixClass)` plus the [`BuildInfo`] stamp, and
+//! [`crate::session::CompileSession`] memoizes it under exactly that key:
+//! each program is lowered once, and each class is optimized once for all
+//! the compilers, levels and sanitizers that share it.
 //! [`compile`] composes the stages and is byte-for-byte the old single-shot
 //! pipeline.
 
@@ -101,9 +105,9 @@ pub fn lower_stage(
 }
 
 /// Stages 1+2 — the sanitizer-independent compilation prefix: frontend plus
-/// the pre-sanitizer optimization pipeline. Depends only on
-/// `(program, vendor, version, opt)`, which is exactly the cache key
-/// [`crate::session::CompileSession`] memoizes it under.
+/// the pre-sanitizer optimization pipeline. Apart from the [`BuildInfo`]
+/// stamp it depends only on `(program, prefix_class(compiler, opt))`, the
+/// key [`crate::session::CompileSession`] memoizes it under.
 pub fn compile_prefix(
     program: &Program,
     compiler: CompilerId,
@@ -160,9 +164,37 @@ fn unroll_threshold(compiler: CompilerId, opt: OptLevel) -> i64 {
     }
 }
 
-/// Stage 2 — the pre-sanitizer optimization pipeline. Reads only the vendor,
-/// version and level; the sanitizer choice must not influence it or the
-/// cached prefix would diverge from the single-shot pipeline.
+/// Everything [`early_opt_stage`] reads of a `(compiler, opt)` cell. Cells
+/// of one class get byte-identical prefixes up to the [`BuildInfo`] stamp,
+/// so the class (not the compiler version) keys the prefix cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PrefixClass {
+    /// `-O0`: the lowered module, untouched.
+    Lowered,
+    /// `-O1`: the constfold/DCE/CFG fixpoint.
+    Basic,
+    /// `-Os`: the fixpoint around memory optimizations.
+    Size,
+    /// `-O2`/`-O3`: the vendor's pass order at an unroll threshold.
+    Full(Vendor, i64),
+}
+
+/// The [`PrefixClass`] of a cell — the only way [`early_opt_stage`] sees
+/// its compiler and level.
+pub fn prefix_class(compiler: CompilerId, opt: OptLevel) -> PrefixClass {
+    match opt {
+        OptLevel::O0 => PrefixClass::Lowered,
+        OptLevel::O1 => PrefixClass::Basic,
+        OptLevel::Os => PrefixClass::Size,
+        OptLevel::O2 | OptLevel::O3 => {
+            PrefixClass::Full(compiler.vendor, unroll_threshold(compiler, opt))
+        }
+    }
+}
+
+/// Stage 2 — the pre-sanitizer optimization pipeline. Reads the cell only
+/// through [`prefix_class`]; the sanitizer choice must not influence it or
+/// the cached prefix would diverge from the single-shot pipeline.
 pub fn early_opt_stage(m: &mut Module, compiler: CompilerId, opt: OptLevel) {
     let basic = |m: &mut Module, loads: bool| {
         for _ in 0..3 {
@@ -175,21 +207,20 @@ pub fn early_opt_stage(m: &mut Module, compiler: CompilerId, opt: OptLevel) {
             }
         }
     };
-    match opt {
-        OptLevel::O0 => {}
-        OptLevel::O1 => {
+    match prefix_class(compiler, opt) {
+        PrefixClass::Lowered => {}
+        PrefixClass::Basic => {
             basic(m, true);
         }
-        OptLevel::Os => {
+        PrefixClass::Size => {
             basic(m, true);
             passes::memopt(m);
             passes::dead_slot_elim(m);
             basic(m, true);
         }
-        OptLevel::O2 | OptLevel::O3 => {
+        PrefixClass::Full(vendor, threshold) => {
             basic(m, true);
-            let threshold = unroll_threshold(compiler, opt);
-            match compiler.vendor {
+            match vendor {
                 Vendor::Gcc => {
                     // GCC: unroll, then inline, then scalar cleanup.
                     passes::unroll(m, threshold);
@@ -322,6 +353,27 @@ mod tests {
         )
         .unwrap();
         assert!(m2.san.applied_defects.is_empty());
+    }
+
+    #[test]
+    fn prefix_classes_follow_what_early_opt_reads() {
+        let gcc = |version| CompilerId { vendor: Vendor::Gcc, version };
+        let llvm = |version| CompilerId { vendor: Vendor::Llvm, version };
+        // -O0/-O1/-Os ignore the compiler entirely.
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::Os] {
+            assert_eq!(prefix_class(gcc(5), opt), prefix_class(llvm(18), opt));
+        }
+        // -O2/-O3 read the vendor and the unroll threshold, not the version.
+        assert_eq!(prefix_class(gcc(10), OptLevel::O2), prefix_class(gcc(14), OptLevel::O2));
+        assert_ne!(prefix_class(gcc(9), OptLevel::O2), prefix_class(gcc(10), OptLevel::O2));
+        assert_eq!(prefix_class(llvm(5), OptLevel::O2), prefix_class(llvm(18), OptLevel::O2));
+        assert_ne!(prefix_class(llvm(11), OptLevel::O3), prefix_class(llvm(12), OptLevel::O3));
+        assert_ne!(prefix_class(gcc(14), OptLevel::O3), prefix_class(llvm(18), OptLevel::O3));
+        let dev_classes: std::collections::HashSet<_> = Vendor::ALL
+            .into_iter()
+            .flat_map(|v| OptLevel::ALL.map(|opt| prefix_class(CompilerId::dev(v), opt)))
+            .collect();
+        assert_eq!(dev_classes.len(), 7, "3 shared classes + 2 per vendor at -O2/-O3");
     }
 
     #[test]

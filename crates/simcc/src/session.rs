@@ -4,11 +4,14 @@
 //! The campaign's cost model is dominated by compiler invocations: each UB
 //! program is compiled across a vendor × level × sanitizer matrix, but the
 //! `lower → early-opts` prefix of every one of those invocations depends
-//! only on `(program, vendor, version, opt)` — see
-//! [`crate::pipeline::compile_prefix`]. A [`CompileSession`] caches that
-//! prefix so the matrix re-lowers and re-optimizes each `(compiler, opt)`
-//! cell once, then replays only the sanitizer pass and the (short) late
-//! cleanup per sanitizer.
+//! only on `(program, PrefixClass)` plus the [`BuildInfo`] stamp — see
+//! [`crate::pipeline::prefix_class`]. A [`CompileSession`] caches that
+//! prefix under `(program, class)` and re-stamps the requesting cell's
+//! build identity on every hit. A program is therefore lowered once (its
+//! [`PrefixClass::Lowered`] entry seeds every other class) and
+//! pre-optimized once per class, however many compiler versions and levels
+//! share the class; each sanitizer then replays only the sanitizer pass and
+//! the (short) late cleanup.
 //!
 //! Correctness does not depend on the cache: every stage is a deterministic
 //! function, so `sanitize + late-opts` over a cloned cached prefix is
@@ -19,12 +22,16 @@
 
 use crate::ir::{Module, Sanitizer};
 use crate::lower::CompileError;
-use crate::pipeline::{check_supported, compile_prefix, late_opt_stage, sanitize_stage, CompileConfig};
-use crate::target::{CompilerId, OptLevel};
+use crate::pipeline::{
+    check_supported, compile_prefix, early_opt_stage, late_opt_stage, lower_stage, prefix_class,
+    sanitize_stage, CompileConfig, PrefixClass,
+};
+use crate::relock;
+use crate::target::{BuildInfo, CompilerId, OptLevel};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use ubfuzz_minic::{pretty, Program};
 use ubfuzz_obs::{self as obs, Stage};
@@ -132,8 +139,7 @@ impl std::ops::Sub for SessionStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PrefixKey {
     hash: u64,
-    compiler: CompilerId,
-    opt: OptLevel,
+    class: PrefixClass,
 }
 
 /// One persisted prefix-cache entry: the full key (hash + verifying source)
@@ -202,23 +208,29 @@ pub trait PrefixBacking: Send + Sync + std::fmt::Debug {
     fn load(&self) -> Vec<PersistedPrefix>;
 
     /// Offers a freshly computed prefix for persistence. Called after each
-    /// miss, outside the cache lock; implementations are expected to
-    /// dedup re-offers (epoch eviction can recompute a persisted entry).
+    /// miss, outside the cache lock — for the missed class, and first for
+    /// the program's [`PrefixClass::Lowered`] entry when the miss lowered
+    /// it; implementations are expected to dedup re-offers (epoch eviction
+    /// can recompute a persisted entry).
     fn persist(&self, entry: PrefixEntryRef<'_>);
 
     /// Observes a cache hit on `(hash, compiler, opt)` — recency feedback
     /// for backings with a byte budget (least-recently-hit eviction).
-    /// Default: ignored.
+    /// `(compiler, opt)` is the requesting cell, which may differ from the
+    /// cell that computed the entry; a backing keyed by [`PrefixClass`]
+    /// maps every cell of a class to the same record. Default: ignored.
     fn note_hit(&self, hash: u64, compiler: CompilerId, opt: OptLevel) {
         let _ = (hash, compiler, opt);
     }
 }
 
-/// The sanitize-stage cache key: a prefix key extended by the sanitizer,
-/// the defect-registry epoch and the partial-sanitization site-subset
-/// fingerprint (the sanitizer pass reads all three). `subset_fp` is 0 for
-/// [`crate::partition::SanPolicy::Full`], so full-policy keys are unchanged;
-/// distinct policies get distinct fingerprints and can never alias.
+/// The sanitize-stage cache key: the full `(program, compiler, opt)` cell
+/// (the sanitizer pass reads the version, which early-opt does not)
+/// extended by the sanitizer, the defect-registry epoch and the
+/// partial-sanitization site-subset fingerprint (the pass reads all
+/// three). `subset_fp` is 0 for [`crate::partition::SanPolicy::Full`], so
+/// full-policy keys are unchanged; distinct policies get distinct
+/// fingerprints and can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SanKey {
     hash: u64,
@@ -319,17 +331,62 @@ pub trait SanitizedBacking: Send + Sync + std::fmt::Debug {
 /// disambiguates the (astronomically unlikely) fingerprint collision.
 type PrefixBucket = Vec<(String, Module)>;
 
+/// Looks up `fp`'s entry in `key`'s bucket, cloning it out of the lock.
+fn cached<K: Eq + Hash>(
+    cache: &Mutex<HashMap<K, PrefixBucket>>,
+    recoveries: &AtomicUsize,
+    key: &K,
+    fp: &ProgramFingerprint,
+) -> Option<Module> {
+    relock(cache, recoveries)
+        .get(key)
+        .and_then(|entries| entries.iter().find(|(src, _)| *src == fp.source))
+        .map(|(_, module)| module.clone())
+}
+
+/// Inserts `fp`'s entries under their keys with one lock and one capacity
+/// check, epoch-evicting first when they would not all fit — so a miss
+/// that adds two keys never clears the map between its own inserts.
+/// Re-checks each bucket: two workers can race the same cold key, and the
+/// loser must not push a duplicate entry.
+fn insert<K: Eq + Hash + Copy>(
+    cache: &Mutex<HashMap<K, PrefixBucket>>,
+    recoveries: &AtomicUsize,
+    capacity: usize,
+    entries: &[(K, &Module)],
+    fp: &ProgramFingerprint,
+) {
+    let mut map = relock(cache, recoveries);
+    if map.len() + entries.len() > capacity {
+        map.clear();
+    }
+    for &(key, module) in entries {
+        let bucket = map.entry(key).or_default();
+        if !bucket.iter().any(|(src, _)| *src == fp.source) {
+            bucket.push((fp.source.clone(), module.clone()));
+        }
+    }
+}
+
 /// A shared compilation session with a memoized pipeline prefix.
 ///
 /// Thread-safe; a disabled session ([`CompileSession::disabled`]) degrades to
 /// plain [`crate::pipeline::compile`] and records no telemetry, which is what
 /// cache-ablation comparisons toggle.
+///
+/// Lowering reads only the program, so an enabled session lowers each
+/// program once: a miss on any class but [`PrefixClass::Lowered`] starts
+/// from a clone of the program's `Lowered` entry (lowering, caching and
+/// persisting it first if absent — an internal fetch, not a counted
+/// lookup) and runs only the early-opt stage. Every cache lock recovers from poisoning (a compile
+/// that panicked elsewhere): the maps only ever hold deterministic stage
+/// outputs, so a recovered entry is still correct.
 #[derive(Debug)]
 pub struct CompileSession {
     /// `None` disables caching entirely.
     cache: Option<Mutex<HashMap<PrefixKey, PrefixBucket>>>,
-    /// The sanitize-stage layer: `(prefix key, sanitizer, registry epoch)
-    /// → post-sanitize module`. Enabled exactly when `cache` is.
+    /// The sanitize-stage layer: `(cell, sanitizer, registry epoch, site
+    /// subset) → post-sanitize module`. Enabled exactly when `cache` is.
     san_cache: Option<Mutex<HashMap<SanKey, PrefixBucket>>>,
     /// Key budget (≈ entry budget: buckets exceed one entry only on a
     /// fingerprint collision); exceeding it clears the map wholesale (epoch
@@ -337,7 +394,7 @@ pub struct CompileSession {
     /// weight).
     capacity: usize,
     /// Sanitize-layer key budget: up to [`CompileSession::SAN_VARIANTS`]
-    /// sanitizer variants per prefix key, same epoch-eviction policy.
+    /// sanitizer variants per cell, same epoch-eviction policy.
     san_capacity: usize,
     /// Cross-invocation persistence, when attached
     /// ([`CompileSession::with_backing`]).
@@ -352,6 +409,8 @@ pub struct CompileSession {
     misses: AtomicU64,
     san_hits: AtomicU64,
     san_misses: AtomicU64,
+    /// Cache locks recovered after a panicking holder poisoned them.
+    lock_recoveries: AtomicUsize,
 }
 
 impl Default for CompileSession {
@@ -366,8 +425,9 @@ impl CompileSession {
     /// realistic worker count.
     pub const DEFAULT_CAPACITY: usize = 2048;
 
-    /// Sanitizer variants per prefix key (ASan/UBSan/MSan) — the factor
-    /// between a prefix key budget and the sanitize-layer key budget.
+    /// Sanitizer variants per `(compiler, opt)` cell (ASan/UBSan/MSan) —
+    /// the factor between a prefix key budget and the sanitize-layer key
+    /// budget (a prefix class covers at least one cell).
     pub const SAN_VARIANTS: usize = 3;
 
     /// An enabled session with the default capacity.
@@ -392,16 +452,19 @@ impl CompileSession {
             misses: AtomicU64::new(0),
             san_hits: AtomicU64::new(0),
             san_misses: AtomicU64::new(0),
+            lock_recoveries: AtomicUsize::new(0),
         }
     }
 
     /// An enabled session warmed from (and persisting to) `backing`.
     ///
-    /// Entries the backing loads are pre-populated into the cache — leaving
-    /// at least a quarter of `capacity` free, so a backing grown to (or
-    /// beyond) this session's budget cannot put the map at the epoch-evict
-    /// threshold where the very first new-key miss would wipe the warm
-    /// entries wholesale — and every subsequent miss is offered back
+    /// Entries the backing loads are pre-populated into the cache under
+    /// their [`PrefixClass`] (per-cell entries of one class collapse into
+    /// one) — leaving a quarter of `capacity`, and at least the two keys
+    /// one miss can add, free, so a backing
+    /// grown to (or beyond) this session's budget cannot put the map at the
+    /// epoch-evict threshold where the very first new-key miss would wipe
+    /// the warm entries wholesale — and every subsequent miss is offered back
     /// through [`PrefixBacking::persist`]. Lookups served from preloaded
     /// entries count as ordinary hits: a second invocation whose capacity
     /// covers the store reports zero misses.
@@ -429,7 +492,7 @@ impl CompileSession {
                 break;
             }
             let key =
-                PrefixKey { hash: entry.hash, compiler: entry.compiler, opt: entry.opt };
+                PrefixKey { hash: entry.hash, class: prefix_class(entry.compiler, entry.opt) };
             let bucket: &mut PrefixBucket = map.entry(key).or_default();
             if !bucket.iter().any(|(src, _)| *src == entry.source) {
                 bucket.push((entry.source, entry.module));
@@ -484,6 +547,7 @@ impl CompileSession {
             misses: AtomicU64::new(0),
             san_hits: AtomicU64::new(0),
             san_misses: AtomicU64::new(0),
+            lock_recoveries: AtomicUsize::new(0),
         }
     }
 
@@ -498,12 +562,13 @@ impl CompileSession {
     }
 
     /// How many backing entries a session of `capacity` will pre-populate
-    /// (capacity minus a quarter of headroom — see
-    /// [`CompileSession::with_backing`]). Public so backings that pay per
-    /// loaded entry (on-disk stores decoding modules) can stop early.
+    /// (capacity minus a quarter of headroom, and at least the two keys a
+    /// non-`Lowered` miss adds — see [`CompileSession::with_backing`]).
+    /// Public so backings that pay per loaded entry (on-disk stores
+    /// decoding modules) can stop early.
     pub fn preload_budget(capacity: usize) -> usize {
         let capacity = capacity.max(1);
-        capacity.saturating_sub((capacity / 4).max(1)).max(1)
+        capacity.saturating_sub((capacity / 4).max(2)).max(1)
     }
 
     /// The smallest session capacity whose [`CompileSession::preload_budget`]
@@ -593,7 +658,7 @@ impl CompileSession {
     }
 
     /// The memoized sanitize stage: post-sanitize module by
-    /// `(prefix key, sanitizer, registry epoch)`. Only called with the
+    /// `(cell, sanitizer, registry epoch, site subset)`. Only called with the
     /// cache enabled and a sanitizer configured.
     fn sanitized(
         &self,
@@ -611,42 +676,30 @@ impl CompileSession {
             registry_fp: cfg.registry.fingerprint(),
             subset_fp: cfg.san_policy.subset_fingerprint(),
         };
-        if let Some(entries) = cache.lock().expect("sanitize cache lock").get(&key) {
-            if let Some((_, module)) = entries.iter().find(|(src, _)| *src == fp.source) {
-                self.san_hits.fetch_add(1, Ordering::Relaxed);
-                obs::count("san_hits", 1);
-                let module = module.clone();
-                // Recency feedback outside the lock (byte-budgeted
-                // backings rank eviction by last hit).
-                if let Some(backing) = &self.san_backing {
-                    backing.note_hit(SanitizedEntryRef {
-                        hash: key.hash,
-                        compiler: key.compiler,
-                        opt: key.opt,
-                        sanitizer,
-                        registry_fp: key.registry_fp,
-                        subset_fp: key.subset_fp,
-                        source: &fp.source,
-                        module: &module,
-                    });
-                }
-                return Ok(module);
+        if let Some(module) = cached(cache, &self.lock_recoveries, &key, fp) {
+            self.san_hits.fetch_add(1, Ordering::Relaxed);
+            obs::count("san_hits", 1);
+            // Recency feedback outside the lock (byte-budgeted backings
+            // rank eviction by last hit).
+            if let Some(backing) = &self.san_backing {
+                backing.note_hit(SanitizedEntryRef {
+                    hash: key.hash,
+                    compiler: key.compiler,
+                    opt: key.opt,
+                    sanitizer,
+                    registry_fp: key.registry_fp,
+                    subset_fp: key.subset_fp,
+                    source: &fp.source,
+                    module: &module,
+                });
             }
+            return Ok(module);
         }
         self.san_misses.fetch_add(1, Ordering::Relaxed);
         obs::count("san_misses", 1);
         let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
         obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
-        {
-            let mut map = cache.lock().expect("sanitize cache lock");
-            if map.len() >= self.san_capacity {
-                map.clear();
-            }
-            let bucket = map.entry(key).or_default();
-            if !bucket.iter().any(|(src, _)| *src == fp.source) {
-                bucket.push((fp.source.clone(), module.clone()));
-            }
-        }
+        insert(cache, &self.lock_recoveries, self.san_capacity, &[(key, &module)], fp);
         if let Some(backing) = &self.san_backing {
             backing.persist(SanitizedEntryRef {
                 hash: key.hash,
@@ -662,7 +715,8 @@ impl CompileSession {
         Ok(module)
     }
 
-    /// The memoized `lower → early-opts` prefix.
+    /// The memoized `lower → early-opts` prefix, keyed by the cell's
+    /// [`PrefixClass`] and stamped with the cell's [`BuildInfo`].
     fn prefix(
         &self,
         fp: &ProgramFingerprint,
@@ -673,41 +727,61 @@ impl CompileSession {
         let Some(cache) = &self.cache else {
             return obs::time(Stage::PrefixCompile, 0, || compile_prefix(program, compiler, opt));
         };
-        let key = PrefixKey { hash: fp.hash, compiler, opt };
-        let cached = cache
-            .lock()
-            .expect("prefix cache lock")
-            .get(&key)
-            .and_then(|entries| entries.iter().find(|(src, _)| *src == fp.source))
-            .map(|(_, module)| module.clone());
-        if let Some(module) = cached {
+        let build = BuildInfo { compiler, opt };
+        let key = PrefixKey { hash: fp.hash, class: prefix_class(compiler, opt) };
+        if let Some(mut module) = cached(cache, &self.lock_recoveries, &key, fp) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::count("prefix_hits", 1);
-            // Recency feedback, outside the cache lock.
+            // Recency feedback, outside the cache lock. The requesting
+            // cell has the key's class, so it names the same record as the
+            // cell that computed the entry.
             if let Some(backing) = &self.backing {
                 backing.note_hit(fp.hash, compiler, opt);
             }
+            module.build = Some(build);
             return Ok(module);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::count("prefix_misses", 1);
-        let module = obs::time(Stage::PrefixCompile, 0, || compile_prefix(program, compiler, opt))?;
-        {
-            let mut map = cache.lock().expect("prefix cache lock");
-            if map.len() >= self.capacity {
-                map.clear();
+        // Lowering reads only the program, so a miss on any other class
+        // starts from a clone of the program's Lowered entry, lowering it
+        // first (stamped -O0, as its own cell would) when absent. That fetch
+        // is not a counted lookup and opens no span of its own.
+        let lowered_key = PrefixKey { hash: fp.hash, class: PrefixClass::Lowered };
+        let (module, fresh_lowered) = obs::time(Stage::PrefixCompile, 0, || {
+            if key.class == PrefixClass::Lowered {
+                return Ok((lower_stage(program, compiler, opt)?, None));
             }
-            // Re-check under the insert lock: two workers can race the same
-            // cold key, and the loser must not push a duplicate entry.
-            let bucket = map.entry(key).or_default();
-            if !bucket.iter().any(|(src, _)| *src == fp.source) {
-                bucket.push((fp.source.clone(), module.clone()));
-            }
-        }
+            let (mut module, fresh) = match cached(cache, &self.lock_recoveries, &lowered_key, fp)
+            {
+                Some(module) => (module, None),
+                None => {
+                    let lowered = lower_stage(program, compiler, OptLevel::O0)?;
+                    (lowered.clone(), Some(lowered))
+                }
+            };
+            module.build = Some(build);
+            early_opt_stage(&mut module, compiler, opt);
+            Ok((module, fresh))
+        })?;
+        let mut entries = vec![(key, &module)];
+        entries.extend(fresh_lowered.as_ref().map(|lowered| (lowered_key, lowered)));
+        insert(cache, &self.lock_recoveries, self.capacity, &entries, fp);
         // Persist outside the cache lock: the backing does file I/O and
         // must not serialize other workers' lookups behind it. Borrowed
-        // fields: the miss path pays no clone beyond the cache insert.
+        // fields: the miss path pays no clone beyond the cache insert. A
+        // freshly lowered entry is persisted too, so a later invocation
+        // serves the program's -O0 cells without a miss.
         if let Some(backing) = &self.backing {
+            if let Some(lowered) = &fresh_lowered {
+                backing.persist(PrefixEntryRef {
+                    hash: fp.hash,
+                    compiler,
+                    opt: OptLevel::O0,
+                    source: &fp.source,
+                    module: lowered,
+                });
+            }
             backing.persist(PrefixEntryRef {
                 hash: fp.hash,
                 compiler,
@@ -736,6 +810,37 @@ mod tests {
         .unwrap()
     }
 
+    /// Compiles every level × sanitizer cell of `compiler` through
+    /// `session`, checking each against the single-shot pipeline.
+    fn check_compiler_matrix(
+        session: &CompileSession,
+        fp: &ProgramFingerprint,
+        p: &Program,
+        reg: &DefectRegistry,
+        compiler: CompilerId,
+    ) {
+        for opt in OptLevel::ALL {
+            for sanitizer in
+                [None, Some(Sanitizer::Asan), Some(Sanitizer::Ubsan), Some(Sanitizer::Msan)]
+            {
+                let cfg = CompileConfig {
+                    compiler,
+                    opt,
+                    sanitizer,
+                    registry: reg,
+                    san_policy: crate::partition::SanPolicy::Full,
+                };
+                let direct = compile(p, &cfg);
+                let cached = session.compile_fp(fp, p, &cfg);
+                match (direct, cached) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{compiler} {opt} {sanitizer:?}"),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!("outcome mismatch: {a:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn cached_compile_matches_uncached_across_matrix() {
         let p = program();
@@ -743,33 +848,15 @@ mod tests {
         let session = CompileSession::new();
         let fp = CompileSession::fingerprint(&p);
         for vendor in Vendor::ALL {
-            for opt in OptLevel::ALL {
-                for sanitizer in
-                    [None, Some(Sanitizer::Asan), Some(Sanitizer::Ubsan), Some(Sanitizer::Msan)]
-                {
-                    let cfg = CompileConfig {
-                        compiler: CompilerId::dev(vendor),
-                        opt,
-                        sanitizer,
-                        registry: &reg,
-                        san_policy: crate::partition::SanPolicy::Full,
-                    };
-                    let direct = compile(&p, &cfg);
-                    let cached = session.compile_fp(&fp, &p, &cfg);
-                    match (direct, cached) {
-                        (Ok(a), Ok(b)) => assert_eq!(a, b, "{vendor} {opt} {sanitizer:?}"),
-                        (Err(_), Err(_)) => {}
-                        (a, b) => panic!("outcome mismatch: {a:?} vs {b:?}"),
-                    }
-                }
-            }
+            check_compiler_matrix(&session, &fp, &p, &reg, CompilerId::dev(vendor));
         }
         let stats = session.stats();
-        // 2 vendors × 5 levels distinct prefixes, each first missed by its
-        // `None`-sanitizer cell; every sanitizer cell is a sanitize-layer
-        // miss that then *hits* the resident prefix (GCC×MSan never gets
-        // past check_supported).
-        assert_eq!(stats.misses, 10, "{stats:?}");
+        // The dev heads' 2 vendors × 5 levels fall into 7 prefix classes
+        // (-O0, -O1 and -Os are shared across vendors), each first missed
+        // by one cell; every sanitizer cell is a sanitize-layer miss that
+        // then *hits* the resident prefix (GCC×MSan never gets past
+        // check_supported).
+        assert_eq!(stats.misses, 7, "{stats:?}");
         assert!(stats.hits > 0, "{stats:?}");
         assert!(stats.reuse_ratio() > 0.5, "{stats:?}");
         assert_eq!(stats.san_misses, 25, "every sanitizer cell is distinct: {stats:?}");
@@ -781,6 +868,15 @@ mod tests {
         let replay = session.stats();
         assert_eq!(replay.san_hits, 1, "{replay:?}");
         assert_eq!(replay.hits, stats.hits, "sanitize hit skips the prefix layer");
+        // Every stable version shares the heads' classes except GCC < 10 at
+        // -O2 (unroll threshold 4) and LLVM < 12 at -O3 (threshold 12):
+        // exactly two more misses, and every re-stamped hit stays identical.
+        for vendor in Vendor::ALL {
+            for version in vendor.stable_versions() {
+                check_compiler_matrix(&session, &fp, &p, &reg, CompilerId { vendor, version });
+            }
+        }
+        assert_eq!(session.stats().misses, 9, "{:?}", session.stats());
     }
 
     #[test]
@@ -832,11 +928,12 @@ mod tests {
 
     #[test]
     fn epoch_eviction_forgets_old_prefixes_and_accounts_for_it() {
-        // Capacity 2: the third distinct prefix key triggers a wholesale
-        // epoch clear, so the first program must miss again on replay while
-        // a post-clear resident still hits.
+        // Each -O1 miss caches two keys (the program's Lowered entry and
+        // its Basic entry), so capacity 4 holds two programs: the third
+        // program triggers a wholesale epoch clear, so the first program
+        // must miss again on replay while a post-clear resident still hits.
         let reg = DefectRegistry::full();
-        let session = CompileSession::with_capacity(2);
+        let session = CompileSession::with_capacity(4);
         let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
         let a = parse("int main(void) { return 0; }").unwrap();
         let b = parse("int main(void) { return 1; }").unwrap();
@@ -946,7 +1043,8 @@ mod tests {
             SessionStats { hits: 0, misses: 1, san_hits: 0, san_misses: 1 }
         );
         assert_eq!(san.entries.lock().unwrap().len(), 1);
-        assert_eq!(prefix.entries.lock().unwrap().len(), 1);
+        // The -O2 prefix and the Lowered entry it started from.
+        assert_eq!(prefix.entries.lock().unwrap().len(), 2);
 
         // Warm: the sanitized module preloads, the compile is a pure
         // sanitize-layer hit, and the prefix layer is never consulted.
@@ -1052,12 +1150,14 @@ mod tests {
         // Sanitized compile with no sanitize backing: the san layer misses
         // once and falls through to the prefix layer, which also misses.
         assert_eq!(first.stats(), SessionStats { hits: 0, misses: 1, san_hits: 0, san_misses: 1 });
-        assert_eq!(backing.entries.lock().unwrap().len(), 1);
+        // The miss persists its -O2 prefix and the Lowered entry it
+        // started from.
+        assert_eq!(backing.entries.lock().unwrap().len(), 2);
 
         // Second "invocation": the backing pre-populates the cache, so the
         // same compile is a pure prefix hit and output is unchanged.
         let second = CompileSession::with_backing(64, backing.clone());
-        assert_eq!(second.preloaded(), 1);
+        assert_eq!(second.preloaded(), 2);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out_first);
         assert_eq!(second.stats(), SessionStats { hits: 1, misses: 0, san_hits: 0, san_misses: 1 });
 
@@ -1067,7 +1167,7 @@ mod tests {
             let q = parse(src).unwrap();
             second.compile(&q, &cfg).unwrap();
         }
-        assert_eq!(backing.entries.lock().unwrap().len(), 3);
+        assert_eq!(backing.entries.lock().unwrap().len(), 6);
         let tiny = CompileSession::with_backing(2, backing.clone());
         assert_eq!(tiny.preloaded(), 1, "preload leaves eviction headroom");
         assert_eq!(tiny.compile(&p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
@@ -1088,6 +1188,9 @@ mod tests {
     fn preload_headroom_survives_the_first_new_key_miss() {
         // A store grown to the session's capacity must not be wiped by the
         // first miss: preloading stops below the epoch-evict threshold.
+        // Each -O1 program persists two entries (Lowered, then Basic) and a
+        // new program's -O1 miss adds both keys at once, so the headroom
+        // must hold two keys at every capacity.
         let reg = DefectRegistry::full();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O1, None, &reg);
         let backing = std::sync::Arc::new(MemBacking::default());
@@ -1099,22 +1202,77 @@ mod tests {
             warmup.compile(p, &cfg).unwrap();
         }
         drop(warmup);
+        let store = backing.entries.lock().unwrap().clone();
+        assert_eq!(store.len(), 8, "a Lowered and a Basic entry per program");
 
-        // Capacity exactly the store size: preload leaves headroom, so a
-        // new program's miss inserts without clearing the warm entries.
-        let session = CompileSession::with_backing(4, backing);
-        assert_eq!(session.preloaded(), 3);
-        let fresh = parse("int main(void) { return 40 + 2; }").unwrap();
-        session.compile(&fresh, &cfg).unwrap();
-        assert_eq!(session.stats(), SessionStats { hits: 0, misses: 1, ..Default::default() });
-        for p in &warm_programs[..3] {
-            session.compile(p, &cfg).unwrap();
+        // From the smallest capacity that preloads a whole program up to
+        // exactly the store size: preload leaves headroom, so a new
+        // program's miss inserts without clearing the warm entries.
+        for capacity in 4..=store.len() {
+            let backing = MemBacking { entries: Mutex::new(store.clone()) };
+            let session = CompileSession::with_backing(capacity, std::sync::Arc::new(backing));
+            let preloaded = CompileSession::preload_budget(capacity);
+            assert_eq!(session.preloaded(), preloaded, "capacity {capacity}");
+            let fresh = parse("int main(void) { return 40 + 2; }").unwrap();
+            session.compile(&fresh, &cfg).unwrap();
+            assert_eq!(session.stats(), SessionStats { hits: 0, misses: 1, ..Default::default() });
+            let warm = preloaded / 2;
+            for p in &warm_programs[..warm] {
+                session.compile(p, &cfg).unwrap();
+            }
+            assert_eq!(
+                session.stats(),
+                SessionStats { hits: warm as u64, misses: 1, ..Default::default() },
+                "capacity {capacity}: preloaded entries must survive the first miss"
+            );
         }
-        assert_eq!(
-            session.stats(),
-            SessionStats { hits: 3, misses: 1, ..Default::default() },
-            "preloaded entries must survive the first miss"
-        );
+    }
+
+    #[test]
+    fn lowering_runs_once_per_program_and_hits_restamp_the_build() {
+        let reg = DefectRegistry::full();
+        let p = program();
+        let session = CompileSession::new();
+        let fp = CompileSession::fingerprint(&p);
+        // -O1 first: its miss lowers the program and caches the Lowered
+        // entry internally, so the later -O0 lookup is a counted hit.
+        let o1 = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
+        let o0 = CompileConfig::dev(Vendor::Llvm, OptLevel::O0, None, &reg);
+        assert_eq!(session.compile_fp(&fp, &p, &o1).unwrap(), compile(&p, &o1).unwrap());
+        assert_eq!(session.stats(), SessionStats { hits: 0, misses: 1, ..Default::default() });
+        let m = session.compile_fp(&fp, &p, &o0).unwrap();
+        assert_eq!(session.stats(), SessionStats { hits: 1, misses: 1, ..Default::default() });
+        assert_eq!(m, compile(&p, &o0).unwrap());
+        assert_eq!(m.build, Some(BuildInfo { compiler: o0.compiler, opt: OptLevel::O0 }));
+        // A stable version in the same class hits and carries its own stamp.
+        let old = CompileConfig { compiler: CompilerId { vendor: Vendor::Llvm, version: 7 }, ..o1 };
+        let m = session.compile_fp(&fp, &p, &old).unwrap();
+        assert_eq!(session.stats().hits, 2);
+        assert_eq!(m, compile(&p, &old).unwrap());
+        assert_eq!(m.build, Some(BuildInfo { compiler: old.compiler, opt: OptLevel::O1 }));
+    }
+
+    #[test]
+    fn poisoned_cache_lock_recovers_with_the_uncached_result() {
+        let reg = DefectRegistry::full();
+        let p = program();
+        let session = CompileSession::new();
+        let fp = CompileSession::fingerprint(&p);
+        let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, None, &reg);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = session.cache.as_ref().unwrap().lock().unwrap();
+                panic!("compile panicked while holding the prefix cache lock");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(session.cache.as_ref().unwrap().is_poisoned());
+        assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
+        assert!(session.lock_recoveries.load(Ordering::Relaxed) > 0, "the recovery is counted");
+        // The recovered cache keeps serving.
+        assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
+        assert_eq!(session.stats(), SessionStats { hits: 1, misses: 1, ..Default::default() });
     }
 
     #[test]

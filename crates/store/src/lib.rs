@@ -10,8 +10,8 @@
 //!
 //! | table | file | granularity | consumer |
 //! |---|---|---|---|
-//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, vendor, version, opt) → Module` | `CompileSession::with_backings` |
-//! | [`SanitizedStore`] | `sanitized.bin` | prefix key + `(sanitizer, registry epoch) → Module` | `CompileSession::with_backings` |
+//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | `CompileSession::with_backings` |
+//! | [`SanitizedStore`] | `sanitized.bin` | `(fingerprint, vendor, version, opt)` + `(sanitizer, registry epoch) → Module` | `CompileSession::with_backings` |
 //! | [`CampaignLog`] | `campaign.bin` | `(campaign fingerprint, unit index) → outcome` | `ParallelCampaign` resume |
 //! | [`BugCorpus`] | `corpus.bin` | attribution key → bug + provenance | campaign reporting |
 //! | [`FrontierStore`] | `frontier.bin` | covered `(vendor, file, point)` set | guided-generation steering |

@@ -1,6 +1,13 @@
-//! The persistent prefix cache: `(program fingerprint, vendor, version,
-//! opt) → serialized post-early-opts Module`, amortizing staged compilation
-//! across *invocations*.
+//! The persistent prefix cache: `(program fingerprint, PrefixClass) →
+//! serialized post-early-opts Module`, amortizing staged compilation across
+//! *invocations*.
+//!
+//! Each record still carries the `(compiler, opt)` cell that computed it
+//! (the module's build stamp), but dedup, residency and recency are keyed
+//! by the cell's [`PrefixClass`] — what the early-opt stage actually reads
+//! — so one class is persisted and refreshed once. Per-cell records of one
+//! class, written by stores from before the prefix key was a class, load
+//! as a single entry; the session re-stamps it for every cell it serves.
 //!
 //! The file is an append-only record log (see [`crate::wire`]): opening
 //! streams it with one reusable buffer, validates the header and every
@@ -24,14 +31,15 @@ use crate::{relock_noting, CompactStats, LogState, StoreTelemetry};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use ubfuzz_simcc::pipeline::{prefix_class, PrefixClass};
 use ubfuzz_simcc::session::{PersistedPrefix, PrefixBacking, PrefixEntryRef};
 use ubfuzz_simcc::target::{CompilerId, OptLevel};
 
 /// File name of the prefix table inside a store directory.
 pub const PREFIX_FILE: &str = "prefix.bin";
 
-/// A resident-on-disk key.
-type PrefixKey = (u64, CompilerId, OptLevel);
+/// A resident-on-disk key: fingerprint hash and prefix class.
+type PrefixKey = (u64, PrefixClass);
 
 #[derive(Debug)]
 struct PrefixInner {
@@ -77,7 +85,8 @@ fn dec_entry(payload: &[u8]) -> Result<PersistedPrefix, wire::WireError> {
 /// the expensive module decode — what beyond-budget records pay at open.
 fn dec_key(payload: &[u8]) -> Result<PrefixKey, wire::WireError> {
     let mut d = Dec::new(payload);
-    Ok((d.u64()?, dec_compiler(&mut d)?, dec_opt(&mut d)?))
+    let hash = d.u64()?;
+    Ok((hash, prefix_class(dec_compiler(&mut d)?, dec_opt(&mut d)?)))
 }
 
 impl PrefixStore {
@@ -126,31 +135,24 @@ impl PrefixStore {
                 while let Some((payload_off, payload_len)) =
                     wire::read_record_at(&mut file, file_len, pos, &mut buf)
                 {
-                    // Within the budget, decode the full entry; beyond it
-                    // the session would drop the entry anyway, so decode
-                    // only its dedup key. A checksum-valid record that
-                    // fails either decode means the *writer* disagreed
-                    // with us (e.g. a foreign defect id) — stop trusting
-                    // the rest.
-                    let key = if loaded.len() < budget {
-                        match dec_entry(&buf) {
-                            Ok(entry) => {
-                                let key = (entry.hash, entry.compiler, entry.opt);
-                                loaded.push(entry);
-                                key
-                            }
-                            Err(e) => {
-                                telemetry.record_corruption(format!("prefix record: {e}"));
-                                break;
-                            }
+                    // Decode the dedup key; within the budget, decode the
+                    // full entry of a class not seen yet (beyond it the
+                    // session would drop the entry anyway, and a repeated
+                    // class is a per-cell record of an already loaded
+                    // entry). A checksum-valid record that fails either
+                    // decode means the *writer* disagreed with us (e.g. a
+                    // foreign defect id) — stop trusting the rest.
+                    let decoded = dec_key(&buf).and_then(|key| {
+                        if !resident.contains(&key) && loaded.len() < budget {
+                            loaded.push(dec_entry(&buf)?);
                         }
-                    } else {
-                        match dec_key(&buf) {
-                            Ok(key) => key,
-                            Err(e) => {
-                                telemetry.record_corruption(format!("prefix record: {e}"));
-                                break;
-                            }
+                        Ok(key)
+                    });
+                    let key = match decoded {
+                        Ok(key) => key,
+                        Err(e) => {
+                            telemetry.record_corruption(format!("prefix record: {e}"));
+                            break;
                         }
                     };
                     resident.insert(key);
@@ -266,7 +268,7 @@ impl PrefixBacking for PrefixStore {
 
     fn persist(&self, entry: PrefixEntryRef<'_>) {
         let mut inner = relock_noting(&self.inner, &self.telemetry, "prefix store lock");
-        let key = (entry.hash, entry.compiler, entry.opt);
+        let key = (entry.hash, prefix_class(entry.compiler, entry.opt));
         if inner.log.resident.contains(&key) {
             return; // already on disk (epoch-evicted recomputation)
         }
@@ -277,7 +279,7 @@ impl PrefixBacking for PrefixStore {
     fn note_hit(&self, hash: u64, compiler: CompilerId, opt: OptLevel) {
         relock_noting(&self.inner, &self.telemetry, "prefix store lock")
             .log
-            .note_hit((hash, compiler, opt));
+            .note_hit((hash, prefix_class(compiler, opt)));
     }
 }
 
@@ -313,10 +315,11 @@ mod tests {
         assert_eq!(first.stats().misses, 1);
         drop(first);
 
+        // The -O1 prefix and the Lowered entry it started from.
         let store = Arc::new(PrefixStore::open(&dir));
-        assert_eq!(store.telemetry().loaded(), 1);
+        assert_eq!(store.telemetry().loaded(), 2);
         let second = CompileSession::with_backing(64, store);
-        assert_eq!(second.preloaded(), 1);
+        assert_eq!(second.preloaded(), 2);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out);
         assert_eq!(second.stats().misses, 0, "warm store serves the prefix");
         let _ = std::fs::remove_dir_all(&dir);
@@ -351,9 +354,10 @@ mod tests {
             persisted_before,
             "beyond-budget keys still dedup appends"
         );
-        // And the file still holds exactly the 4 original entries.
+        // And the file still holds exactly the 8 original entries (each
+        // program's -O2 prefix and the Lowered entry it started from).
         drop(session);
-        assert_eq!(PrefixStore::open(&dir).telemetry().loaded(), 4);
+        assert_eq!(PrefixStore::open(&dir).telemetry().loaded(), 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -392,7 +396,9 @@ mod tests {
         let store = Arc::new(PrefixStore::open(&dir));
         let session = CompileSession::with_backing(64, store.clone());
         let outs: Vec<_> = programs.iter().map(|p| session.compile(p, &cfg).unwrap()).collect();
-        // Hit the oldest entry so recency, not file order, decides survival.
+        // Hit the oldest prefix so recency, not file order, decides
+        // survival. Each program wrote two records: its Lowered entry, then
+        // its -O2 prefix.
         session.compile(&programs[0], &cfg).unwrap();
         let full = store.size_bytes();
         let header = wire::HEADER_LEN as u64;
@@ -400,24 +406,26 @@ mod tests {
         let stats = store.compact(budget);
         assert_eq!(stats.before_bytes, full);
         assert!(stats.after_bytes <= budget, "{stats:?} vs budget {budget}");
-        assert_eq!((stats.kept, stats.evicted), (2, 2), "{stats:?}");
+        assert_eq!((stats.kept, stats.evicted), (4, 4), "{stats:?}");
         assert_eq!(store.size_bytes(), stats.after_bytes);
         drop(session);
         drop(store);
 
-        // Reopen: the hit entry (0) and the newest unhit entry (3) survive
-        // and re-hit; the evicted keys re-miss, byte-identically, and
-        // re-persist (they left the resident set).
+        // Reopen: the hit prefix (0) and the newest unhit records (3's
+        // pair, 2's prefix) survive and re-hit; program 1's evicted prefix
+        // re-misses, byte-identically, and re-persists together with its
+        // evicted Lowered entry (both left the resident set). Programs 0
+        // and 2 hit, so their evicted Lowered entries stay evicted.
         let store = Arc::new(PrefixStore::open(&dir));
-        assert_eq!(store.telemetry().loaded(), 2);
+        assert_eq!(store.telemetry().loaded(), 4);
         let session = CompileSession::with_backing(64, store.clone());
         for (p, out) in programs.iter().zip(&outs) {
             assert_eq!(&session.compile(p, &cfg).unwrap(), out, "identical after compaction");
         }
-        assert_eq!(session.stats().hits, 2, "resident keys re-hit");
-        assert_eq!(session.stats().misses, 2, "evicted keys re-miss");
+        assert_eq!(session.stats().hits, 3, "resident keys re-hit");
+        assert_eq!(session.stats().misses, 1, "evicted keys re-miss");
         drop(session);
-        assert_eq!(PrefixStore::open(&dir).telemetry().loaded(), 4, "evicted keys re-persisted");
+        assert_eq!(PrefixStore::open(&dir).telemetry().loaded(), 6, "evicted keys re-persisted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -436,15 +444,17 @@ mod tests {
         drop(warm);
 
         // A fresh open with no hits: file order is the only recency signal,
-        // so compaction keeps the newest records — deterministically.
+        // so compaction keeps the newest records — deterministically. Each
+        // program wrote two (its Lowered entry, then its -O1 prefix), so a
+        // third of the file keeps the newest program's pair.
         let store = PrefixStore::open_budgeted(&dir, 0);
         let full = store.size_bytes();
         let header = wire::HEADER_LEN as u64;
         let stats = store.compact((full - header) / 3 + header);
-        assert_eq!((stats.kept, stats.evicted), (1, 2), "{stats:?}");
+        assert_eq!((stats.kept, stats.evicted), (2, 4), "{stats:?}");
         drop(store);
         let survivors = Arc::new(PrefixStore::open(&dir));
-        assert_eq!(survivors.telemetry().loaded(), 1);
+        assert_eq!(survivors.telemetry().loaded(), 2);
         let session = CompileSession::with_backing(64, survivors);
         session.compile(&programs[2], &cfg).unwrap();
         assert_eq!(session.stats().hits, 1, "newest record survives");
@@ -469,13 +479,83 @@ mod tests {
         let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
         let session = CompileSession::with_backing(16, store.clone());
         session.compile(&parse("int main(void) { return 7; }").unwrap(), &cfg).unwrap();
-        assert_eq!(store.telemetry().persisted(), 1);
+        // The -O1 prefix and the Lowered entry it started from.
+        assert_eq!(store.telemetry().persisted(), 2);
         // ...and the recovery must be observable.
         assert!(
             store.telemetry().events().iter().any(|e| e.contains("poisoned lock recovered")),
             "{:?}",
             store.telemetry().events()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn per_cell_records_of_one_class_load_as_one_entry_and_serve_both_cells() {
+        // Stores written before the prefix key was a class hold one record
+        // per (compiler, opt) cell. Build such a file for one program: a
+        // GCC and an LLVM -O1 record (both class Basic), each preceded by
+        // its own cell's Lowered record (both class Lowered).
+        let (dir, other) = (tmp_dir("class"), tmp_dir("class-llvm"));
+        let reg = DefectRegistry::full();
+        let p = parse("int g; int main(void) { int a = 3; g = a * 2 + 1; return g; }").unwrap();
+        let gcc = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
+        let llvm = CompileConfig::dev(Vendor::Llvm, OptLevel::O1, None, &reg);
+        for (dir, cfg) in [(&dir, &gcc), (&other, &llvm)] {
+            let session = CompileSession::with_backing(64, Arc::new(PrefixStore::open(dir)));
+            session.compile(&p, cfg).unwrap();
+            assert_eq!(session.stats().misses, 1);
+        }
+        let mut bytes = std::fs::read(dir.join(PREFIX_FILE)).unwrap();
+        let llvm_bytes = std::fs::read(other.join(PREFIX_FILE)).unwrap();
+        bytes.extend_from_slice(&llvm_bytes[wire::HEADER_LEN..]);
+        std::fs::write(dir.join(PREFIX_FILE), &bytes).unwrap();
+
+        let store = Arc::new(PrefixStore::open(&dir));
+        assert_eq!(store.telemetry().loaded(), 2, "four per-cell records, two classes");
+        assert!(store.telemetry().events().is_empty(), "{:?}", store.telemetry().events());
+        let session = CompileSession::with_backing(64, store.clone());
+        assert_eq!(session.preloaded(), 2);
+        let (gcc_o0, llvm_o0) = (
+            CompileConfig { opt: OptLevel::O0, ..gcc },
+            CompileConfig { opt: OptLevel::O0, ..llvm },
+        );
+        for cfg in [&gcc, &llvm, &gcc_o0, &llvm_o0] {
+            let m = session.compile(&p, cfg).unwrap();
+            assert_eq!(m, ubfuzz_simcc::compile(&p, cfg).unwrap(), "{} {}", cfg.compiler, cfg.opt);
+            assert_eq!(m.build.map(|b| b.compiler), Some(cfg.compiler), "own BuildInfo");
+        }
+        assert_eq!(session.stats().hits, 4);
+        assert_eq!(session.stats().misses, 0);
+        assert_eq!(store.telemetry().persisted(), 0, "nothing re-appended");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
+    }
+
+    #[test]
+    fn lowered_entry_persists_when_a_higher_level_compiles_first() {
+        // -O1 before -O0: the -O1 miss lowers the program, so the -O0
+        // lookup that follows is a hit. The store must still hold the
+        // Lowered entry, or the next invocation would miss it.
+        let dir = tmp_dir("lowered-first");
+        let reg = DefectRegistry::full();
+        let p = parse("int g; int main(void) { int a = 3; g = a * 2 + 1; return g; }").unwrap();
+        let o1 = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
+        let o0 = CompileConfig::dev(Vendor::Llvm, OptLevel::O0, None, &reg);
+        let first = CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)));
+        for cfg in [&o1, &o0] {
+            first.compile(&p, cfg).unwrap();
+        }
+        assert_eq!((first.stats().hits, first.stats().misses), (1, 1));
+        drop(first);
+
+        let second = CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)));
+        assert_eq!(second.preloaded(), 2);
+        for cfg in [&o0, &o1] {
+            let m = second.compile(&p, cfg).unwrap();
+            assert_eq!(m, ubfuzz_simcc::compile(&p, cfg).unwrap(), "{}", cfg.opt);
+        }
+        assert_eq!((second.stats().hits, second.stats().misses), (2, 0), "fully warm");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

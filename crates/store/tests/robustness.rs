@@ -120,15 +120,16 @@ proptest! {
     fn truncated_prefix_store_cold_starts_gracefully(cut_back in 1usize..64) {
         let dir = tmp_dir("trunc");
         let registry = DefectRegistry::full();
-        let session = CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)));
+        let store = Arc::new(PrefixStore::open(&dir));
+        let session = CompileSession::with_backing(64, store.clone());
         let opts = SeedOptions { max_helpers: 0, max_stmts: 3, ..SeedOptions::default() };
         for seed in 0..3u64 {
             let p = generate_seed(seed, &opts);
             let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &registry);
             session.compile(&p, &cfg).unwrap();
         }
-        let persisted = session.stats().misses as usize;
-        drop(session);
+        let persisted = store.telemetry().persisted() as usize;
+        drop((session, store));
 
         let path = dir.join("prefix.bin");
         let bytes = std::fs::read(&path).unwrap();
