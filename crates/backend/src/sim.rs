@@ -54,9 +54,9 @@ impl SimBackend {
 
     /// A backend whose prefix cache persists in the store directory `dir`
     /// (cross-invocation cache persistence, step 2): prefixes persisted by
-    /// previous invocations are preloaded, and every fresh miss is flushed
-    /// back. The default session capacity applies; campaign-scale callers
-    /// should size it with [`SimBackend::with_store_capacity`].
+    /// previous invocations are fetched on demand, and every fresh miss is
+    /// flushed back. The default session capacity applies; campaign-scale
+    /// callers should size it with [`SimBackend::with_store_capacity`].
     ///
     /// Opening never fails — a corrupt, version-skewed or unwritable store
     /// degrades to a cold in-memory session, observable through
@@ -65,31 +65,22 @@ impl SimBackend {
         SimBackend::with_store_capacity(dir, CompileSession::DEFAULT_CAPACITY)
     }
 
-    /// [`SimBackend::with_store`] with an explicit key budget (use
-    /// `CampaignConfig::prefix_key_bound()` for campaign-scale runs): up to
-    /// `capacity` store entries preload — the session's eviction headroom
-    /// is composed *on top* of the budget, so a store holding exactly the
-    /// campaign's key count still warm-starts with zero misses — and the
-    /// store decodes modules only up to that budget, so opening over a
-    /// store grown far beyond it stays cheap.
+    /// [`SimBackend::with_store`] with an explicit key budget for the
+    /// session's in-memory maps (use `CampaignConfig::prefix_key_bound()`
+    /// for campaign-scale runs). The budget bounds only what this process
+    /// computes: both store tables open as an index of every record, and a
+    /// lookup that misses in memory fetches and decodes its one record, so
+    /// a store of any size warm-starts with zero misses and open cost is
+    /// one checksum scan.
     pub fn with_store_capacity(
         dir: impl AsRef<std::path::Path>,
         capacity: usize,
     ) -> SimBackend {
-        let store = std::sync::Arc::new(ubfuzz_store::PrefixStore::open_budgeted(
-            dir.as_ref(),
-            capacity,
-        ));
-        // The sanitize layer keys (sanitizer, registry epoch) on top of the
-        // (program, compiler, opt) cell, so budget its table at `SAN_VARIANTS ×` the prefix
-        // budget — the same ratio the session sizes its own layer by.
-        let san_store = std::sync::Arc::new(ubfuzz_store::SanitizedStore::open_budgeted(
-            dir.as_ref(),
-            capacity.saturating_mul(CompileSession::SAN_VARIANTS),
-        ));
+        let store = std::sync::Arc::new(ubfuzz_store::PrefixStore::open(dir.as_ref()));
+        let san_store = std::sync::Arc::new(ubfuzz_store::SanitizedStore::open(dir.as_ref()));
         SimBackend {
             session: CompileSession::with_backings(
-                CompileSession::capacity_for_preload(capacity),
+                capacity,
                 store.clone(),
                 Some(san_store.clone()),
             ),
@@ -299,8 +290,10 @@ mod tests {
         drop(cold);
 
         let warm = SimBackend::with_store(&dir);
-        assert_eq!(warm.session().preloaded(), 2, "reopen preloads the persisted prefixes");
-        assert_eq!(warm.session().san_preloaded(), 1, "and the persisted sanitize entry");
+        let prefix = warm.prefix_store().expect("store attached");
+        assert_eq!(prefix.telemetry().loaded(), 2, "reopen indexes the persisted prefixes");
+        let sanitized = warm.sanitized_store().expect("san store attached");
+        assert_eq!(sanitized.telemetry().loaded(), 1, "and the persisted sanitize entry");
         let out_warm = warm.compile_program(&p, &req).unwrap();
         assert_eq!(out_cold.module(), out_warm.module(), "store is invisible to outputs");
         // The replay is served by the sanitize layer: the prefix layer is

@@ -118,8 +118,8 @@ fn emit_bench_json() {
     // recompile, resident ones still hit, and the results stay identical
     // either way (the budget only trades disk for recompilation).
     let (store_before, store_after) = {
-        let prefix = ubfuzz::store::PrefixStore::open_budgeted(&dir, 0);
-        let sanitized = ubfuzz::store::SanitizedStore::open_budgeted(&dir, 0);
+        let prefix = ubfuzz::store::PrefixStore::open(&dir);
+        let sanitized = ubfuzz::store::SanitizedStore::open(&dir);
         let before = prefix.size_bytes() + sanitized.size_bytes();
         let frontier = ubfuzz::store::FrontierStore::open(&dir).size_bytes();
         let (ps, ss) = ubfuzz_bench::compact_stores(&prefix, &sanitized, frontier, before / 2);

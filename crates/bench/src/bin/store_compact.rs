@@ -3,9 +3,9 @@
 //!
 //! Compacts `prefix.bin` and `sanitized.bin` under `DIR` down to a combined
 //! byte budget without running a campaign — the offline counterpart of
-//! passing `--store-budget` to `make_tables`/`make_figures`. Neither table
-//! is decoded beyond its dedup keys (`open_budgeted(_, 0)`), so compacting
-//! a large store is cheap. With no hit-recency on record (nothing ran),
+//! passing `--store-budget` to `make_tables`/`make_figures`. Opening a
+//! table indexes its keys without decoding any module, so compacting a
+//! large store is cheap. With no hit-recency on record (nothing ran),
 //! eviction deterministically keeps the newest tail of each log.
 //!
 //! Flag misuse exits with status 2, exactly like the two benchmark
@@ -43,8 +43,8 @@ fn main() {
         std::process::exit(2);
     };
     let _obs = obs::attach(Arc::new(StderrEvents));
-    let prefix = PrefixStore::open_budgeted(dir, 0);
-    let sanitized = SanitizedStore::open_budgeted(dir, 0);
+    let prefix = PrefixStore::open(dir);
+    let sanitized = SanitizedStore::open(dir);
     // The frontier is not compactable, but its on-disk bytes count against
     // the directory budget the caller asked for.
     let frontier = FrontierStore::open(dir).size_bytes();

@@ -56,7 +56,8 @@ fn second_invocation_over_a_store_has_zero_prefix_misses() {
 
     // "Next invocation": a fresh backend over the same directory.
     let second_backend = Arc::new(SimBackend::with_store_capacity(&dir, capacity));
-    assert!(second_backend.session().preloaded() > 0, "store preloads prefixes");
+    let indexed = second_backend.prefix_store().expect("store attached").telemetry().loaded();
+    assert!(indexed > 0, "store indexes prefixes");
     let second = ParallelCampaign::new(cfg.clone())
         .with_backend(second_backend.clone() as Arc<dyn CompilerBackend>)
         .with_shards(2)

@@ -58,14 +58,16 @@ pub mod target;
 /// (which live below this crate in the dependency order, hence the local
 /// copy). Everything these mutexes guard is a cache or an aggregate of
 /// deterministic results, so a recovered guard is still correct.
-/// Recoveries are counted so the caller can report the event instead of
-/// losing it.
+/// A recovery clears the poison, so each poisoning counts once: in the
+/// caller's counter and as the `lock_recoveries` telemetry counter.
 pub(crate) fn relock<'a, T>(
     m: &'a std::sync::Mutex<T>,
     recoveries: &std::sync::atomic::AtomicUsize,
 ) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| {
         recoveries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ubfuzz_obs::count("lock_recoveries", 1);
+        m.clear_poison();
         e.into_inner()
     })
 }

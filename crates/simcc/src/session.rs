@@ -192,20 +192,21 @@ pub struct PrefixEntryRef<'a> {
 /// A persistence sink/source behind the in-memory prefix cache.
 ///
 /// The session stays the single in-process cache; a backing makes it warm
-/// across *invocations*: entries a previous process persisted are loaded
-/// once when the session is built, and every fresh miss is offered back for
-/// persistence. Implementations live outside this crate (the `ubfuzz-store`
-/// on-disk store); the contract here is deliberately minimal so the session
-/// never learns about files, formats or recovery.
+/// across *invocations*: every in-memory miss first asks the backing for an
+/// entry a previous process persisted, and every fresh computation is
+/// offered back for persistence. Implementations live outside this crate
+/// (the `ubfuzz-store` on-disk store); the contract here is deliberately
+/// minimal so the session never learns about files, formats or recovery.
 ///
-/// Correctness note: a backing can only pre-populate or re-observe entries
-/// of the deterministic `compile_prefix` function, so — like the cache
-/// itself — it can change *when* a prefix is computed, never what a compile
-/// returns.
+/// Correctness note: a backing can only serve or re-observe entries of the
+/// deterministic `compile_prefix` function, so — like the cache itself — it
+/// can change *when* a prefix is computed, never what a compile returns.
 pub trait PrefixBacking: Send + Sync + std::fmt::Debug {
-    /// Entries persisted by previous invocations. Called once, when the
-    /// session attaches the backing.
-    fn load(&self) -> Vec<PersistedPrefix>;
+    /// The persisted entry of `(hash, compiler, opt)`'s [`PrefixClass`], if
+    /// any — possibly computed by another cell of the class; the session
+    /// checks its source and re-stamps it. Called on each in-memory miss,
+    /// outside the cache lock; `None` on anything the backing cannot serve.
+    fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix>;
 
     /// Offers a freshly computed prefix for persistence. Called after each
     /// miss, outside the cache lock — for the missed class, and first for
@@ -232,13 +233,19 @@ pub trait PrefixBacking: Send + Sync + std::fmt::Debug {
 /// full-policy keys are unchanged; distinct policies get distinct
 /// fingerprints and can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SanKey {
-    hash: u64,
-    compiler: CompilerId,
-    opt: OptLevel,
-    sanitizer: Sanitizer,
-    registry_fp: u64,
-    subset_fp: u64,
+pub struct SanKey {
+    /// Fingerprint hash of the canonical source.
+    pub hash: u64,
+    /// Compiler identity.
+    pub compiler: CompilerId,
+    /// Optimization level.
+    pub opt: OptLevel,
+    /// The sanitizer.
+    pub sanitizer: Sanitizer,
+    /// Fingerprint of the defect-registry epoch.
+    pub registry_fp: u64,
+    /// Site-subset fingerprint of the partial-sanitization policy.
+    pub subset_fp: u64,
 }
 
 /// One persisted sanitize-stage entry: the full key (hash + verifying
@@ -307,13 +314,28 @@ pub struct SanitizedEntryRef<'a> {
     pub module: &'a Module,
 }
 
+impl SanitizedEntryRef<'_> {
+    /// The entry's cache key.
+    pub fn key(&self) -> SanKey {
+        SanKey {
+            hash: self.hash,
+            compiler: self.compiler,
+            opt: self.opt,
+            sanitizer: self.sanitizer,
+            registry_fp: self.registry_fp,
+            subset_fp: self.subset_fp,
+        }
+    }
+}
+
 /// A persistence sink/source behind the in-memory sanitize-stage cache —
 /// the [`PrefixBacking`] contract, one stage later. Same correctness
 /// argument: `sanitize_stage` is deterministic in the key, so a backing
 /// changes *when* the sanitizer pass runs, never what a compile returns.
 pub trait SanitizedBacking: Send + Sync + std::fmt::Debug {
-    /// Entries persisted by previous invocations. Called once, at attach.
-    fn load(&self) -> Vec<PersistedSanitized>;
+    /// The persisted entry of `key`, if any; the session checks its
+    /// source. Called on each in-memory miss, outside the cache lock.
+    fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized>;
 
     /// Offers a freshly sanitized module for persistence. Called after
     /// each sanitize-layer miss, outside the cache lock; implementations
@@ -322,8 +344,8 @@ pub trait SanitizedBacking: Send + Sync + std::fmt::Debug {
 
     /// Observes a sanitize-layer cache hit — recency feedback for byte-
     /// budgeted backings. Default: ignored.
-    fn note_hit(&self, entry: SanitizedEntryRef<'_>) {
-        let _ = entry;
+    fn note_hit(&self, key: &SanKey) {
+        let _ = key;
     }
 }
 
@@ -376,11 +398,12 @@ fn insert<K: Eq + Hash + Copy>(
 ///
 /// Lowering reads only the program, so an enabled session lowers each
 /// program once: a miss on any class but [`PrefixClass::Lowered`] starts
-/// from a clone of the program's `Lowered` entry (lowering, caching and
-/// persisting it first if absent — an internal fetch, not a counted
-/// lookup) and runs only the early-opt stage. Every cache lock recovers from poisoning (a compile
-/// that panicked elsewhere): the maps only ever hold deterministic stage
-/// outputs, so a recovered entry is still correct.
+/// from a clone of the program's `Lowered` entry (fetching it from the
+/// backing, or lowering, caching and persisting it, when absent — an
+/// internal fetch, not a counted lookup) and runs only the early-opt stage.
+/// Every cache lock recovers from poisoning (a compile that panicked
+/// elsewhere): the maps only ever hold deterministic stage outputs, so a
+/// recovered entry is still correct.
 #[derive(Debug)]
 pub struct CompileSession {
     /// `None` disables caching entirely.
@@ -401,10 +424,6 @@ pub struct CompileSession {
     backing: Option<std::sync::Arc<dyn PrefixBacking>>,
     /// Sanitize-layer persistence ([`CompileSession::with_backings`]).
     san_backing: Option<std::sync::Arc<dyn SanitizedBacking>>,
-    /// Entries pre-populated from the backing at construction.
-    preloaded: usize,
-    /// Sanitize-layer entries pre-populated at construction.
-    san_preloaded: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     san_hits: AtomicU64,
@@ -446,8 +465,6 @@ impl CompileSession {
             san_capacity: capacity.saturating_mul(CompileSession::SAN_VARIANTS),
             backing: None,
             san_backing: None,
-            preloaded: 0,
-            san_preloaded: 0,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             san_hits: AtomicU64::new(0),
@@ -458,16 +475,12 @@ impl CompileSession {
 
     /// An enabled session warmed from (and persisting to) `backing`.
     ///
-    /// Entries the backing loads are pre-populated into the cache under
-    /// their [`PrefixClass`] (per-cell entries of one class collapse into
-    /// one) — leaving a quarter of `capacity`, and at least the two keys
-    /// one miss can add, free, so a backing
-    /// grown to (or beyond) this session's budget cannot put the map at the
-    /// epoch-evict threshold where the very first new-key miss would wipe
-    /// the warm entries wholesale — and every subsequent miss is offered back
-    /// through [`PrefixBacking::persist`]. Lookups served from preloaded
-    /// entries count as ordinary hits: a second invocation whose capacity
-    /// covers the store reports zero misses.
+    /// Every in-memory miss asks [`PrefixBacking::fetch`] before computing;
+    /// a fetched entry counts as an ordinary hit, so a second invocation
+    /// over a complete backing reports zero misses. Fetched entries are not
+    /// inserted into the map — memory holds what this process computed, the
+    /// backing serves what earlier processes computed — and every fresh
+    /// computation is offered back through [`PrefixBacking::persist`].
     pub fn with_backing(
         capacity: usize,
         backing: std::sync::Arc<dyn PrefixBacking>,
@@ -476,59 +489,17 @@ impl CompileSession {
     }
 
     /// [`CompileSession::with_backing`] plus an optional sanitize-stage
-    /// backing, warmed and persisted with the same headroom discipline
-    /// (the sanitize layer's budget is `SAN_VARIANTS ×` the prefix one).
+    /// backing, consulted and persisted the same way.
     pub fn with_backings(
         capacity: usize,
         backing: std::sync::Arc<dyn PrefixBacking>,
         san_backing: Option<std::sync::Arc<dyn SanitizedBacking>>,
     ) -> CompileSession {
-        let mut session = CompileSession::with_capacity(capacity);
-        let preload_budget = CompileSession::preload_budget(session.capacity);
-        let mut map = HashMap::new();
-        let mut loaded = 0usize;
-        for entry in backing.load() {
-            if loaded >= preload_budget {
-                break;
-            }
-            let key =
-                PrefixKey { hash: entry.hash, class: prefix_class(entry.compiler, entry.opt) };
-            let bucket: &mut PrefixBucket = map.entry(key).or_default();
-            if !bucket.iter().any(|(src, _)| *src == entry.source) {
-                bucket.push((entry.source, entry.module));
-                loaded += 1;
-            }
+        CompileSession {
+            backing: Some(backing),
+            san_backing,
+            ..CompileSession::with_capacity(capacity)
         }
-        session.cache = Some(Mutex::new(map));
-        session.preloaded = loaded;
-        session.backing = Some(backing);
-        if let Some(san_backing) = san_backing {
-            let san_budget = CompileSession::preload_budget(session.san_capacity);
-            let mut san_map = HashMap::new();
-            let mut san_loaded = 0usize;
-            for entry in san_backing.load() {
-                if san_loaded >= san_budget {
-                    break;
-                }
-                let key = SanKey {
-                    hash: entry.hash,
-                    compiler: entry.compiler,
-                    opt: entry.opt,
-                    sanitizer: entry.sanitizer,
-                    registry_fp: entry.registry_fp,
-                    subset_fp: entry.subset_fp,
-                };
-                let bucket: &mut PrefixBucket = san_map.entry(key).or_default();
-                if !bucket.iter().any(|(src, _)| *src == entry.source) {
-                    bucket.push((entry.source, entry.module));
-                    san_loaded += 1;
-                }
-            }
-            session.san_cache = Some(Mutex::new(san_map));
-            session.san_preloaded = san_loaded;
-            session.san_backing = Some(san_backing);
-        }
-        session
     }
 
     /// A pass-through session: every compile runs the full pipeline and no
@@ -541,46 +512,12 @@ impl CompileSession {
             san_capacity: 0,
             backing: None,
             san_backing: None,
-            preloaded: 0,
-            san_preloaded: 0,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             san_hits: AtomicU64::new(0),
             san_misses: AtomicU64::new(0),
             lock_recoveries: AtomicUsize::new(0),
         }
-    }
-
-    /// How many entries the backing pre-populated (0 without a backing).
-    pub fn preloaded(&self) -> usize {
-        self.preloaded
-    }
-
-    /// How many sanitize-stage entries the backing pre-populated.
-    pub fn san_preloaded(&self) -> usize {
-        self.san_preloaded
-    }
-
-    /// How many backing entries a session of `capacity` will pre-populate
-    /// (capacity minus a quarter of headroom, and at least the two keys a
-    /// non-`Lowered` miss adds — see [`CompileSession::with_backing`]).
-    /// Public so backings that pay per loaded entry (on-disk stores
-    /// decoding modules) can stop early.
-    pub fn preload_budget(capacity: usize) -> usize {
-        let capacity = capacity.max(1);
-        capacity.saturating_sub((capacity / 4).max(2)).max(1)
-    }
-
-    /// The smallest session capacity whose [`CompileSession::preload_budget`]
-    /// covers `entries` — how a caller that wants *all* of a store's
-    /// entries warm composes the eviction headroom on top of its key bound
-    /// instead of ceding a quarter of it.
-    pub fn capacity_for_preload(entries: usize) -> usize {
-        let mut capacity = entries.max(1).saturating_mul(4).div_ceil(3);
-        while CompileSession::preload_budget(capacity) < entries {
-            capacity += 1;
-        }
-        capacity
     }
 
     /// Whether caching is enabled.
@@ -676,22 +613,19 @@ impl CompileSession {
             registry_fp: cfg.registry.fingerprint(),
             subset_fp: cfg.san_policy.subset_fingerprint(),
         };
-        if let Some(module) = cached(cache, &self.lock_recoveries, &key, fp) {
+        let hit = cached(cache, &self.lock_recoveries, &key, fp).or_else(|| {
+            let entry = self.san_backing.as_ref()?.fetch(&key)?;
+            (entry.source == fp.source)
+                .then_some(entry.module)
+                .inspect(|_| obs::count("san_store_hits", 1))
+        });
+        if let Some(module) = hit {
             self.san_hits.fetch_add(1, Ordering::Relaxed);
             obs::count("san_hits", 1);
             // Recency feedback outside the lock (byte-budgeted backings
             // rank eviction by last hit).
             if let Some(backing) = &self.san_backing {
-                backing.note_hit(SanitizedEntryRef {
-                    hash: key.hash,
-                    compiler: key.compiler,
-                    opt: key.opt,
-                    sanitizer,
-                    registry_fp: key.registry_fp,
-                    subset_fp: key.subset_fp,
-                    source: &fp.source,
-                    module: &module,
-                });
+                backing.note_hit(&key);
             }
             return Ok(module);
         }
@@ -729,7 +663,10 @@ impl CompileSession {
         };
         let build = BuildInfo { compiler, opt };
         let key = PrefixKey { hash: fp.hash, class: prefix_class(compiler, opt) };
-        if let Some(mut module) = cached(cache, &self.lock_recoveries, &key, fp) {
+        let hit = cached(cache, &self.lock_recoveries, &key, fp).or_else(|| {
+            self.fetched(fp, compiler, opt).inspect(|_| obs::count("prefix_store_hits", 1))
+        });
+        if let Some(mut module) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::count("prefix_hits", 1);
             // Recency feedback, outside the cache lock. The requesting
@@ -744,16 +681,18 @@ impl CompileSession {
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::count("prefix_misses", 1);
         // Lowering reads only the program, so a miss on any other class
-        // starts from a clone of the program's Lowered entry, lowering it
-        // first (stamped -O0, as its own cell would) when absent. That fetch
-        // is not a counted lookup and opens no span of its own.
+        // starts from a clone of the program's Lowered entry — from memory,
+        // else from the backing, else lowered here (stamped -O0, as its own
+        // cell would). That fetch is not a counted lookup and opens no span
+        // of its own.
         let lowered_key = PrefixKey { hash: fp.hash, class: PrefixClass::Lowered };
         let (module, fresh_lowered) = obs::time(Stage::PrefixCompile, 0, || {
             if key.class == PrefixClass::Lowered {
                 return Ok((lower_stage(program, compiler, opt)?, None));
             }
-            let (mut module, fresh) = match cached(cache, &self.lock_recoveries, &lowered_key, fp)
-            {
+            let lowered = cached(cache, &self.lock_recoveries, &lowered_key, fp)
+                .or_else(|| self.fetched(fp, compiler, OptLevel::O0));
+            let (mut module, fresh) = match lowered {
                 Some(module) => (module, None),
                 None => {
                     let lowered = lower_stage(program, compiler, OptLevel::O0)?;
@@ -791,6 +730,17 @@ impl CompileSession {
             });
         }
         Ok(module)
+    }
+
+    /// The backing's entry for the cell's class, when its source matches.
+    fn fetched(
+        &self,
+        fp: &ProgramFingerprint,
+        compiler: CompilerId,
+        opt: OptLevel,
+    ) -> Option<Module> {
+        let entry = self.backing.as_ref()?.fetch(fp.hash, compiler, opt)?;
+        (entry.source == fp.source).then_some(entry.module)
     }
 }
 
@@ -961,8 +911,13 @@ mod tests {
     }
 
     impl PrefixBacking for MemBacking {
-        fn load(&self) -> Vec<PersistedPrefix> {
-            self.entries.lock().unwrap().clone()
+        fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix> {
+            let class = prefix_class(compiler, opt);
+            let entries = self.entries.lock().unwrap();
+            entries
+                .iter()
+                .find(|e| e.hash == hash && prefix_class(e.compiler, e.opt) == class)
+                .cloned()
         }
 
         fn persist(&self, entry: PrefixEntryRef<'_>) {
@@ -992,21 +947,14 @@ mod tests {
     }
 
     impl SanitizedBacking for MemSanBacking {
-        fn load(&self) -> Vec<PersistedSanitized> {
-            self.entries.lock().unwrap().clone()
+        fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized> {
+            let entries = self.entries.lock().unwrap();
+            entries.iter().find(|e| e.as_entry_ref().key() == *key).cloned()
         }
 
         fn persist(&self, entry: SanitizedEntryRef<'_>) {
             let mut entries = self.entries.lock().unwrap();
-            if !entries.iter().any(|e| {
-                e.hash == entry.hash
-                    && e.compiler == entry.compiler
-                    && e.opt == entry.opt
-                    && e.sanitizer == entry.sanitizer
-                    && e.registry_fp == entry.registry_fp
-                    && e.subset_fp == entry.subset_fp
-                    && e.source == entry.source
-            }) {
+            if !entries.iter().any(|e| e.as_entry_ref().key() == entry.key()) {
                 entries.push(PersistedSanitized {
                     hash: entry.hash,
                     compiler: entry.compiler,
@@ -1020,7 +968,7 @@ mod tests {
             }
         }
 
-        fn note_hit(&self, _entry: SanitizedEntryRef<'_>) {
+        fn note_hit(&self, _key: &SanKey) {
             *self.hits.lock().unwrap() += 1;
         }
     }
@@ -1036,7 +984,7 @@ mod tests {
         // Cold: a sanitize miss that computes (and persists) both layers.
         let first =
             CompileSession::with_backings(64, prefix.clone(), Some(san.clone()));
-        assert_eq!(first.san_preloaded(), 0);
+        assert_eq!(san.entries.lock().unwrap().len(), 0);
         let out_first = first.compile(&p, &cfg).unwrap();
         assert_eq!(
             first.stats(),
@@ -1046,11 +994,11 @@ mod tests {
         // The -O2 prefix and the Lowered entry it started from.
         assert_eq!(prefix.entries.lock().unwrap().len(), 2);
 
-        // Warm: the sanitized module preloads, the compile is a pure
+        // Warm: the sanitized module is fetched, the compile is a pure
         // sanitize-layer hit, and the prefix layer is never consulted.
         let second =
             CompileSession::with_backings(64, prefix.clone(), Some(san.clone()));
-        assert_eq!(second.san_preloaded(), 1);
+        assert_eq!(san.entries.lock().unwrap().len(), 1);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out_first);
         assert_eq!(
             second.stats(),
@@ -1145,7 +1093,7 @@ mod tests {
 
         // First "invocation": cold, misses once, persists the prefix.
         let first = CompileSession::with_backing(64, backing.clone());
-        assert_eq!(first.preloaded(), 0);
+        assert_eq!(backing.entries.lock().unwrap().len(), 0);
         let out_first = first.compile(&p, &cfg).unwrap();
         // Sanitized compile with no sanitize backing: the san layer misses
         // once and falls through to the prefix layer, which also misses.
@@ -1154,43 +1102,30 @@ mod tests {
         // started from.
         assert_eq!(backing.entries.lock().unwrap().len(), 2);
 
-        // Second "invocation": the backing pre-populates the cache, so the
-        // same compile is a pure prefix hit and output is unchanged.
+        // Second "invocation": the in-memory miss is served by the backing,
+        // so the same compile is a pure prefix hit and output is unchanged.
         let second = CompileSession::with_backing(64, backing.clone());
-        assert_eq!(second.preloaded(), 2);
+        assert_eq!(backing.entries.lock().unwrap().len(), 2);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out_first);
         assert_eq!(second.stats(), SessionStats { hits: 1, misses: 0, san_hits: 0, san_misses: 1 });
 
-        // A backing at/above the capacity preloads only up to the headroom
-        // budget (no instant epoch eviction), and stays correct.
+        // A backing far above the session's capacity stays correct.
         for src in ["int main(void) { return 1; }", "int main(void) { return 2; }"] {
             let q = parse(src).unwrap();
             second.compile(&q, &cfg).unwrap();
         }
         assert_eq!(backing.entries.lock().unwrap().len(), 6);
         let tiny = CompileSession::with_backing(2, backing.clone());
-        assert_eq!(tiny.preloaded(), 1, "preload leaves eviction headroom");
         assert_eq!(tiny.compile(&p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
     }
 
     #[test]
-    fn capacity_for_preload_inverts_the_budget() {
-        for entries in [0usize, 1, 2, 3, 7, 100, 2048, 1 << 20] {
-            let capacity = CompileSession::capacity_for_preload(entries);
-            assert!(
-                CompileSession::preload_budget(capacity) >= entries,
-                "capacity {capacity} too small for {entries} entries"
-            );
-        }
-    }
-
-    #[test]
     fn preload_headroom_survives_the_first_new_key_miss() {
-        // A store grown to the session's capacity must not be wiped by the
-        // first miss: preloading stops below the epoch-evict threshold.
-        // Each -O1 program persists two entries (Lowered, then Basic) and a
-        // new program's -O1 miss adds both keys at once, so the headroom
-        // must hold two keys at every capacity.
+        // A store grown to (or past) the session's capacity must stay warm
+        // after the first miss. Each -O1 program persists two entries
+        // (Lowered, then Basic) and a new program's -O1 miss adds both keys
+        // at once, epoch-clearing a small map; the warm entries live in the
+        // backing, not the map, so every one still hits.
         let reg = DefectRegistry::full();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O1, None, &reg);
         let backing = std::sync::Arc::new(MemBacking::default());
@@ -1205,25 +1140,19 @@ mod tests {
         let store = backing.entries.lock().unwrap().clone();
         assert_eq!(store.len(), 8, "a Lowered and a Basic entry per program");
 
-        // From the smallest capacity that preloads a whole program up to
-        // exactly the store size: preload leaves headroom, so a new
-        // program's miss inserts without clearing the warm entries.
         for capacity in 4..=store.len() {
             let backing = MemBacking { entries: Mutex::new(store.clone()) };
             let session = CompileSession::with_backing(capacity, std::sync::Arc::new(backing));
-            let preloaded = CompileSession::preload_budget(capacity);
-            assert_eq!(session.preloaded(), preloaded, "capacity {capacity}");
             let fresh = parse("int main(void) { return 40 + 2; }").unwrap();
             session.compile(&fresh, &cfg).unwrap();
             assert_eq!(session.stats(), SessionStats { hits: 0, misses: 1, ..Default::default() });
-            let warm = preloaded / 2;
-            for p in &warm_programs[..warm] {
-                session.compile(p, &cfg).unwrap();
+            for p in &warm_programs {
+                assert_eq!(session.compile(p, &cfg).unwrap(), compile(p, &cfg).unwrap());
             }
             assert_eq!(
                 session.stats(),
-                SessionStats { hits: warm as u64, misses: 1, ..Default::default() },
-                "capacity {capacity}: preloaded entries must survive the first miss"
+                SessionStats { hits: 4, misses: 1, ..Default::default() },
+                "capacity {capacity}: warm entries must survive the first miss"
             );
         }
     }
@@ -1259,6 +1188,8 @@ mod tests {
         let session = CompileSession::new();
         let fp = CompileSession::fingerprint(&p);
         let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, None, &reg);
+        let sink = std::sync::Arc::new(obs::MetricsSink::new());
+        let _attached = obs::attach(sink.clone());
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = session.cache.as_ref().unwrap().lock().unwrap();
@@ -1269,7 +1200,8 @@ mod tests {
         });
         assert!(session.cache.as_ref().unwrap().is_poisoned());
         assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
-        assert!(session.lock_recoveries.load(Ordering::Relaxed) > 0, "the recovery is counted");
+        assert_eq!(session.lock_recoveries.load(Ordering::Relaxed), 1, "the recovery is counted");
+        assert_eq!(sink.snapshot().counter("lock_recoveries"), 1, "and reaches telemetry");
         // The recovered cache keeps serving.
         assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
         assert_eq!(session.stats(), SessionStats { hits: 1, misses: 1, ..Default::default() });

@@ -3,34 +3,33 @@
 //! *invocations*.
 //!
 //! Each record still carries the `(compiler, opt)` cell that computed it
-//! (the module's build stamp), but dedup, residency and recency are keyed
+//! (the module's build stamp), but dedup, indexing and recency are keyed
 //! by the cell's [`PrefixClass`] — what the early-opt stage actually reads
 //! — so one class is persisted and refreshed once. Per-cell records of one
-//! class, written by stores from before the prefix key was a class, load
+//! class, written by stores from before the prefix key was a class, index
 //! as a single entry; the session re-stamps it for every cell it serves.
 //!
 //! The file is an append-only record log (see [`crate::wire`]): opening
 //! streams it with one reusable buffer, validates the header and every
 //! record's checksum, truncates any torn/corrupt tail back to the longest
-//! valid prefix (via `set_len`, no rewriting), and hands the surviving
-//! entries to
-//! [`CompileSession::with_backing`](ubfuzz_simcc::session::CompileSession).
-//! Every in-memory miss is appended and flushed immediately, so a kill at
-//! any instant loses at most the record being written — which the next open
-//! truncates away.
+//! valid prefix (via `set_len`, no rewriting), and indexes each surviving
+//! record's key. Every in-memory miss of
+//! [`CompileSession::with_backing`](ubfuzz_simcc::session::CompileSession)
+//! asks [`PrefixBacking::fetch`] first and appends what it then computes,
+//! flushed immediately, so a kill at any instant loses at most the record
+//! being written — which the next open truncates away.
 //!
 //! **Memory discipline.** A store grows without bound across invocations,
-//! so [`PrefixStore::open_budgeted`] decodes full modules only up to the
-//! session's preload budget; beyond it, records contribute their key to
-//! the dedup set (checksum-validated, key-decoded, module skipped) and are
-//! dropped — open-time memory is O(budget + largest record), not O(store).
+//! so open decodes no module: it keeps `key → (offset, length)` per record
+//! (the key head is decoded, the module skipped). A fetch reads and decodes
+//! one record, and the session does not keep it — open-time memory is
+//! O(keys + largest record), and a warm run holds no decoded modules.
 
 use crate::modser::{dec_compiler, dec_module, dec_opt, enc_compiler, enc_module, enc_opt};
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::{relock_noting, CompactStats, LogState, StoreTelemetry};
-use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use ubfuzz_simcc::pipeline::{prefix_class, PrefixClass};
 use ubfuzz_simcc::session::{PersistedPrefix, PrefixBacking, PrefixEntryRef};
 use ubfuzz_simcc::target::{CompilerId, OptLevel};
@@ -38,23 +37,16 @@ use ubfuzz_simcc::target::{CompilerId, OptLevel};
 /// File name of the prefix table inside a store directory.
 pub const PREFIX_FILE: &str = "prefix.bin";
 
-/// A resident-on-disk key: fingerprint hash and prefix class.
+/// An on-disk key: fingerprint hash and prefix class.
 type PrefixKey = (u64, PrefixClass);
-
-#[derive(Debug)]
-struct PrefixInner {
-    /// Entries loaded at open, handed out once via [`PrefixBacking::load`].
-    loaded: Option<Vec<PersistedPrefix>>,
-    /// The append log: file handle, resident keys, recency, size.
-    log: LogState<PrefixKey>,
-}
 
 /// The on-disk prefix cache. Open never fails: unreadable, version-skewed
 /// or corrupt files degrade to a cold start recorded in [`StoreTelemetry`].
 #[derive(Debug)]
 pub struct PrefixStore {
     path: PathBuf,
-    inner: Mutex<PrefixInner>,
+    /// The append log: file handles, key index, recency, size.
+    log: Mutex<LogState<PrefixKey>>,
     telemetry: StoreTelemetry,
 }
 
@@ -82,7 +74,7 @@ fn dec_entry(payload: &[u8]) -> Result<PersistedPrefix, wire::WireError> {
 }
 
 /// Decodes only the dedup key (the payload's fixed-position head), skipping
-/// the expensive module decode — what beyond-budget records pay at open.
+/// the expensive module decode — what open and compaction pay per record.
 fn dec_key(payload: &[u8]) -> Result<PrefixKey, wire::WireError> {
     let mut d = Dec::new(payload);
     let hash = d.u64()?;
@@ -90,157 +82,45 @@ fn dec_key(payload: &[u8]) -> Result<PrefixKey, wire::WireError> {
 }
 
 impl PrefixStore {
-    /// Opens (or creates) the prefix table under `dir`, decoding every
-    /// entry. Prefer [`PrefixStore::open_budgeted`] when the consuming
-    /// session's capacity is known.
+    /// Opens (or creates) the prefix table under `dir`, indexing every
+    /// record without decoding its module.
     pub fn open(dir: impl AsRef<Path>) -> PrefixStore {
-        PrefixStore::open_budgeted(dir, usize::MAX)
-    }
-
-    /// Opens the prefix table, fully decoding at most `budget` entries (the
-    /// session's preload budget — see `CompileSession::preload_budget`);
-    /// the rest are checksum-validated and key-indexed only.
-    pub fn open_budgeted(dir: impl AsRef<Path>, budget: usize) -> PrefixStore {
-        let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
         let path = dir.as_ref().join(PREFIX_FILE);
         let telemetry = StoreTelemetry::default();
-        let _ = std::fs::create_dir_all(dir.as_ref());
-        let mut loaded = Vec::new();
-        let mut resident = std::collections::HashSet::new();
-        let mut recency = std::collections::HashMap::new();
-        let mut clock = 0u64;
-        let mut fresh = true;
-        let mut trusted = wire::HEADER_LEN as u64;
-        let mut file_len = 0u64;
-        if let Ok(mut file) = File::open(&path) {
-            file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-            let mut header = [0u8; wire::HEADER_LEN];
-            let header_ok = {
-                use std::io::Read as _;
-                file.read_exact(&mut header).is_ok()
-            };
-            if !header_ok {
-                if file_len > 0 {
-                    telemetry.record_corruption("prefix header: truncated".into());
-                    telemetry.record_cold_start();
-                }
-            } else if let Err(e) = wire::check_header(&header, TableKind::Prefix) {
-                telemetry.record_corruption(format!("prefix header: {e}"));
-                telemetry.record_cold_start();
-            } else {
-                fresh = false;
-                let mut pos = wire::HEADER_LEN as u64;
-                let mut buf = Vec::new();
-                // A torn/corrupt tail ends the scan: trust what came first.
-                while let Some((payload_off, payload_len)) =
-                    wire::read_record_at(&mut file, file_len, pos, &mut buf)
-                {
-                    // Decode the dedup key; within the budget, decode the
-                    // full entry of a class not seen yet (beyond it the
-                    // session would drop the entry anyway, and a repeated
-                    // class is a per-cell record of an already loaded
-                    // entry). A checksum-valid record that fails either
-                    // decode means the *writer* disagreed with us (e.g. a
-                    // foreign defect id) — stop trusting the rest.
-                    let decoded = dec_key(&buf).and_then(|key| {
-                        if !resident.contains(&key) && loaded.len() < budget {
-                            loaded.push(dec_entry(&buf)?);
-                        }
-                        Ok(key)
-                    });
-                    let key = match decoded {
-                        Ok(key) => key,
-                        Err(e) => {
-                            telemetry.record_corruption(format!("prefix record: {e}"));
-                            break;
-                        }
-                    };
-                    resident.insert(key);
-                    // File-order sequence: a store compacted before any hit
-                    // lands deterministically keeps its newest tail.
-                    clock += 1;
-                    recency.insert(key, clock);
-                    pos = payload_off + payload_len as u64 + 8;
-                    trusted = pos;
-                }
-                if trusted < file_len {
-                    telemetry.record_tail_truncated();
-                }
-            }
-        }
-        let file = Self::recover(&path, fresh, trusted, file_len, &telemetry);
-        telemetry.set_loaded(loaded.len());
-        let bytes = if file.is_some() {
-            if fresh { wire::HEADER_LEN as u64 } else { trusted }
-        } else {
-            0
-        };
-        PrefixStore {
-            path,
-            inner: Mutex::new(PrefixInner {
-                loaded: Some(loaded),
-                log: LogState { file, resident, recency, clock, bytes },
-            }),
-            telemetry,
-        }
+        let log = LogState::open(&path, TableKind::Prefix, "prefix", dec_key, &telemetry);
+        PrefixStore { path, log: Mutex::new(log), telemetry }
+    }
+
+    /// The same as [`PrefixStore::open`]; the budget is ignored. Kept only
+    /// because the benchmark harness (`ubbench`) still calls it.
+    pub fn open_budgeted(dir: impl AsRef<Path>, _budget: usize) -> PrefixStore {
+        PrefixStore::open(dir)
+    }
+
+    /// The log, recovering (and recording) a poisoned lock: a worker that
+    /// panicked mid-compile must not cascade into every later compile.
+    fn log(&self) -> MutexGuard<'_, LogState<PrefixKey>> {
+        relock_noting(&self.log, &self.telemetry, "prefix store lock")
     }
 
     /// Current on-disk size of this table in bytes, header included.
     pub fn size_bytes(&self) -> u64 {
-        relock_noting(&self.inner, &self.telemetry, "prefix store lock").log.bytes
+        self.log().bytes
     }
 
     /// Compacts the table to at most `budget` bytes, evicting the
     /// least-recently-hit entries through the shared temp-file + rename
-    /// rewrite. Evicted keys leave the resident set, so a later recompute
-    /// re-persists them.
+    /// rewrite. Evicted keys leave the index, so they miss and a later
+    /// recompute re-persists them.
     pub fn compact(&self, budget: u64) -> CompactStats {
-        let mut inner = relock_noting(&self.inner, &self.telemetry, "prefix store lock");
         crate::compact_log(
             &self.path,
             TableKind::Prefix,
-            &mut inner.log,
+            &mut self.log(),
             budget,
             dec_key,
             &self.telemetry,
         )
-    }
-
-    /// Puts the file into an appendable state: a fresh header for missing
-    /// or unusable files, or a `set_len` truncation of any untrusted tail.
-    fn recover(
-        path: &Path,
-        fresh: bool,
-        trusted: u64,
-        file_len: u64,
-        telemetry: &StoreTelemetry,
-    ) -> Option<File> {
-        if fresh && !wire::rewrite_file(path, TableKind::Prefix, &[]) {
-            telemetry.record_corruption("prefix store directory unwritable".into());
-            telemetry.record_cold_start();
-            return None;
-        }
-        // O_APPEND, not seek-to-end: with concurrent opens of one store
-        // directory (daemon workers), every append lands atomically at the
-        // current end of file instead of at a position another process may
-        // have advanced past.
-        match OpenOptions::new().read(true).append(true).open(path) {
-            Ok(file) => {
-                if !fresh && trusted < file_len {
-                    let _ = file.set_len(trusted);
-                }
-                Some(file)
-            }
-            Err(_) => {
-                // Read-only store: loaded entries still serve, but nothing
-                // new persists — flag it so `cold=...` telemetry consumers
-                // see the degradation instead of a silent no-op.
-                telemetry
-                    .record_corruption("prefix store not writable; persistence disabled".into());
-                telemetry.record_cold_start();
-                None
-            }
-        }
     }
 
     /// The file backing this table.
@@ -255,31 +135,22 @@ impl PrefixStore {
 }
 
 impl PrefixBacking for PrefixStore {
-    fn load(&self) -> Vec<PersistedPrefix> {
-        // A worker that panicked mid-compile poisons this lock; the store's
-        // contract is to degrade, not to cascade the panic into every
-        // subsequent compile.
-        relock_noting(&self.inner, &self.telemetry, "prefix store lock")
-            .loaded
-            .take()
-            .unwrap_or_default()
+    fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix> {
+        let key = (hash, prefix_class(compiler, opt));
+        LogState::fetch(&self.log, key, &self.telemetry, "prefix", dec_entry)
     }
 
-
     fn persist(&self, entry: PrefixEntryRef<'_>) {
-        let mut inner = relock_noting(&self.inner, &self.telemetry, "prefix store lock");
         let key = (entry.hash, prefix_class(entry.compiler, entry.opt));
-        if inner.log.resident.contains(&key) {
+        let mut log = self.log();
+        if log.index.contains_key(&key) {
             return; // already on disk (epoch-evicted recomputation)
         }
-        let payload = enc_entry(entry);
-        inner.log.append(key, &payload, &self.telemetry, "prefix");
+        log.append(key, &enc_entry(entry), &self.telemetry, "prefix");
     }
 
     fn note_hit(&self, hash: u64, compiler: CompilerId, opt: OptLevel) {
-        relock_noting(&self.inner, &self.telemetry, "prefix store lock")
-            .log
-            .note_hit((hash, prefix_class(compiler, opt)));
+        self.log().note_hit((hash, prefix_class(compiler, opt)));
     }
 }
 
@@ -319,7 +190,6 @@ mod tests {
         let store = Arc::new(PrefixStore::open(&dir));
         assert_eq!(store.telemetry().loaded(), 2);
         let second = CompileSession::with_backing(64, store);
-        assert_eq!(second.preloaded(), 2);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out);
         assert_eq!(second.stats().misses, 0, "warm store serves the prefix");
         let _ = std::fs::remove_dir_all(&dir);
@@ -339,20 +209,20 @@ mod tests {
         }
         drop(warm);
 
+        // Open indexes every record without decoding a module; each lookup
+        // then fetches its record, so nothing misses or re-appends.
         let store = Arc::new(PrefixStore::open_budgeted(&dir, 2));
-        assert_eq!(store.telemetry().loaded(), 2, "budget caps decoded entries");
+        assert_eq!(store.telemetry().loaded(), 8, "every record is indexed");
         let persisted_before = store.telemetry().persisted();
         let session = CompileSession::with_backing(64, store.clone());
-        assert_eq!(session.preloaded(), 2);
-        // Re-missing a beyond-budget program must not re-append it: its key
-        // stayed in the resident set.
         for p in &programs {
-            session.compile(p, &cfg).unwrap();
+            assert_eq!(session.compile(p, &cfg).unwrap(), ubfuzz_simcc::compile(p, &cfg).unwrap());
         }
+        assert_eq!((session.stats().hits, session.stats().misses), (4, 0));
         assert_eq!(
             store.telemetry().persisted(),
             persisted_before,
-            "beyond-budget keys still dedup appends"
+            "indexed keys dedup appends"
         );
         // And the file still holds exactly the 8 original entries (each
         // program's -O2 prefix and the Lowered entry it started from).
@@ -447,7 +317,7 @@ mod tests {
         // so compaction keeps the newest records — deterministically. Each
         // program wrote two (its Lowered entry, then its -O1 prefix), so a
         // third of the file keeps the newest program's pair.
-        let store = PrefixStore::open_budgeted(&dir, 0);
+        let store = PrefixStore::open(&dir);
         let full = store.size_bytes();
         let header = wire::HEADER_LEN as u64;
         let stats = store.compact((full - header) / 3 + header);
@@ -469,7 +339,7 @@ mod tests {
         let store = Arc::new(PrefixStore::open(&dir));
         let poisoner = store.clone();
         std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
+            let _guard = poisoner.log.lock().unwrap();
             panic!("worker panicked while holding the store lock");
         })
         .join()
@@ -515,7 +385,6 @@ mod tests {
         assert_eq!(store.telemetry().loaded(), 2, "four per-cell records, two classes");
         assert!(store.telemetry().events().is_empty(), "{:?}", store.telemetry().events());
         let session = CompileSession::with_backing(64, store.clone());
-        assert_eq!(session.preloaded(), 2);
         let (gcc_o0, llvm_o0) = (
             CompileConfig { opt: OptLevel::O0, ..gcc },
             CompileConfig { opt: OptLevel::O0, ..llvm },
@@ -549,13 +418,97 @@ mod tests {
         assert_eq!((first.stats().hits, first.stats().misses), (1, 1));
         drop(first);
 
-        let second = CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)));
-        assert_eq!(second.preloaded(), 2);
+        let store = Arc::new(PrefixStore::open(&dir));
+        assert_eq!(store.telemetry().loaded(), 2);
+        let second = CompileSession::with_backing(64, store);
         for cfg in [&o0, &o1] {
             let m = second.compile(&p, cfg).unwrap();
             assert_eq!(m, ubfuzz_simcc::compile(&p, cfg).unwrap(), "{}", cfg.opt);
         }
         assert_eq!((second.stats().hits, second.stats().misses), (2, 0), "fully warm");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_in_process_rebuilds_the_index() {
+        // Compact while the store stays open: the rewritten file has a new
+        // layout, so the index must point kept keys at their new offsets
+        // (a fresh session fetches them byte-identically) and drop evicted
+        // keys (which miss and recompute).
+        let dir = tmp_dir("compact-live");
+        let reg = DefectRegistry::full();
+        let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, None, &reg);
+        let programs: Vec<_> = (0..4)
+            .map(|i| parse(&format!("int g; int main(void) {{ g = {i}; return g + 1; }}")).unwrap())
+            .collect();
+        let store = Arc::new(PrefixStore::open(&dir));
+        let first = CompileSession::with_backing(64, store.clone());
+        let outs: Vec<_> = programs.iter().map(|p| first.compile(p, &cfg).unwrap()).collect();
+        drop(first);
+        let full = store.size_bytes();
+        let header = wire::HEADER_LEN as u64;
+        let stats = store.compact((full - header) / 2 + header);
+        assert_eq!((stats.kept, stats.evicted), (4, 4), "{stats:?}");
+
+        // File order is Lowered, -O2 per program, so the newest half is
+        // programs 2 and 3: their -O2 records fetch, 0 and 1 recompute.
+        let second = CompileSession::with_backing(64, store.clone());
+        for (p, out) in programs.iter().zip(&outs) {
+            let m = second.compile(p, &cfg).unwrap();
+            assert_eq!(crate::modser::module_to_bytes(&m), crate::modser::module_to_bytes(out));
+        }
+        assert_eq!((second.stats().hits, second.stats().misses), (2, 2));
+        assert!(store.telemetry().events().is_empty(), "{:?}", store.telemetry().events());
+        // The recomputed keys were re-appended behind the rewritten records.
+        assert_eq!(store.telemetry().persisted(), 8 + 4);
+        drop(second);
+        assert_eq!(PrefixStore::open(&dir).telemetry().loaded(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_module_is_a_fetch_miss_not_a_truncation() {
+        // A checksum-valid record whose module fails to decode (a defect id
+        // this build does not know): open indexes it without a cold start
+        // or truncation, and the lookup that fetches it misses, records an
+        // event and recomputes the identical module.
+        let dir = tmp_dir("bad-module");
+        let reg = DefectRegistry::full();
+        let p = parse("int main(void) { return 5; }").unwrap();
+        let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O0, None, &reg);
+        CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)))
+            .compile(&p, &cfg)
+            .unwrap();
+        let path = dir.join(PREFIX_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        let payload = &bytes[wire::HEADER_LEN + 4..bytes.len() - 8];
+        let mut entry = dec_entry(payload).unwrap();
+        entry.module.san.applied_defects =
+            vec![("gcc-asan-d01", ubfuzz_minic::Loc::new(1, 0))];
+        let mut payload = enc_entry(entry.as_entry_ref());
+        let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
+        payload[at] = b'x';
+        let mut file = wire::header(TableKind::Prefix);
+        file.extend_from_slice(&wire::frame(&payload));
+        std::fs::write(&path, &file).unwrap();
+
+        let store = Arc::new(PrefixStore::open(&dir));
+        assert!(!store.telemetry().recovered_cold());
+        assert!(!store.telemetry().tail_truncated());
+        assert_eq!(store.telemetry().loaded(), 1);
+        let session = CompileSession::with_backing(64, store.clone());
+        assert_eq!(session.compile(&p, &cfg).unwrap(), ubfuzz_simcc::compile(&p, &cfg).unwrap());
+        assert_eq!((session.stats().hits, session.stats().misses), (0, 1));
+        let events = store.telemetry().events();
+        assert!(events.iter().any(|e| e.contains("prefix fetch")), "{events:?}");
+        // The bad record stays on disk; the recomputation supersedes it.
+        assert_eq!(store.telemetry().persisted(), 1);
+        drop(session);
+        let store = Arc::new(PrefixStore::open(&dir));
+        let session = CompileSession::with_backing(64, store.clone());
+        session.compile(&p, &cfg).unwrap();
+        assert_eq!((session.stats().hits, session.stats().misses), (1, 0));
+        assert!(store.telemetry().events().is_empty(), "{:?}", store.telemetry().events());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

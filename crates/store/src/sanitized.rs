@@ -7,11 +7,14 @@
 //!
 //! Same log discipline as [`crate::prefix`]: an append-only checksummed
 //! record file (torn tails truncated, version skew and corruption degrade
-//! to a cold start, never an error), a budgeted open that full-decodes only
-//! what the session can preload, and byte-budgeted least-recently-hit
-//! compaction through the shared temp-file + rename rewrite. The key head
-//! is fixed-width so beyond-budget and compaction scans never pay a module
-//! decode.
+//! to a cold start, never an error), opened as an index and decoded one
+//! record per fetch, and byte-budgeted least-recently-hit compaction
+//! through the shared temp-file + rename rewrite.
+//!
+//! **Memory discipline.** The key head is fixed-width, so open and
+//! compaction index a record without decoding its module; a warm run
+//! decodes each module when its unit asks for it and keeps none, so the
+//! table costs O(keys) memory however large the file grows.
 
 use crate::modser::{
     dec_compiler, dec_module, dec_opt, dec_sanitizer, enc_compiler, enc_module, enc_opt,
@@ -19,32 +22,12 @@ use crate::modser::{
 };
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::{relock_noting, CompactStats, LogState, StoreTelemetry};
-use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use ubfuzz_simcc::ir::Sanitizer;
-use ubfuzz_simcc::session::{PersistedSanitized, SanitizedBacking, SanitizedEntryRef};
-use ubfuzz_simcc::target::{CompilerId, OptLevel};
+use std::sync::{Mutex, MutexGuard};
+use ubfuzz_simcc::session::{PersistedSanitized, SanKey, SanitizedBacking, SanitizedEntryRef};
 
 /// File name of the sanitized table inside a store directory.
 pub const SANITIZED_FILE: &str = "sanitized.bin";
-
-/// A resident-on-disk key: the session's sanitize key — program hash,
-/// compiler, opt, sanitizer, registry epoch, partial-sanitization
-/// site-subset fingerprint.
-type SanitizedKey = (u64, CompilerId, OptLevel, Sanitizer, u64, u64);
-
-fn key_of(entry: &SanitizedEntryRef<'_>) -> SanitizedKey {
-    (entry.hash, entry.compiler, entry.opt, entry.sanitizer, entry.registry_fp, entry.subset_fp)
-}
-
-#[derive(Debug)]
-struct SanitizedInner {
-    /// Entries loaded at open, handed out once via [`SanitizedBacking::load`].
-    loaded: Option<Vec<PersistedSanitized>>,
-    /// The append log: file handle, resident keys, recency, size.
-    log: LogState<SanitizedKey>,
-}
 
 /// The on-disk sanitize-stage cache. Open never fails: unreadable,
 /// version-skewed or corrupt files degrade to a cold start recorded in
@@ -52,7 +35,8 @@ struct SanitizedInner {
 #[derive(Debug)]
 pub struct SanitizedStore {
     path: PathBuf,
-    inner: Mutex<SanitizedInner>,
+    /// The append log: file handles, key index, recency, size.
+    log: Mutex<LogState<SanKey>>,
     telemetry: StoreTelemetry,
 }
 
@@ -86,148 +70,38 @@ fn dec_entry(payload: &[u8]) -> Result<PersistedSanitized, wire::WireError> {
 }
 
 /// Decodes only the dedup key (the payload's fixed-position head), skipping
-/// the expensive module decode — what beyond-budget records pay at open.
-fn dec_key(payload: &[u8]) -> Result<SanitizedKey, wire::WireError> {
+/// the expensive module decode — what open and compaction pay per record.
+fn dec_key(payload: &[u8]) -> Result<SanKey, wire::WireError> {
     let mut d = Dec::new(payload);
-    Ok((
-        d.u64()?,
-        dec_compiler(&mut d)?,
-        dec_opt(&mut d)?,
-        dec_sanitizer(&mut d)?,
-        d.u64()?,
-        d.u64()?,
-    ))
+    Ok(SanKey {
+        hash: d.u64()?,
+        compiler: dec_compiler(&mut d)?,
+        opt: dec_opt(&mut d)?,
+        sanitizer: dec_sanitizer(&mut d)?,
+        registry_fp: d.u64()?,
+        subset_fp: d.u64()?,
+    })
 }
 
 impl SanitizedStore {
-    /// Opens (or creates) the sanitized table under `dir`, decoding every
-    /// entry. Prefer [`SanitizedStore::open_budgeted`] when the consuming
-    /// session's capacity is known.
+    /// Opens (or creates) the sanitized table under `dir`, indexing every
+    /// record without decoding its module.
     pub fn open(dir: impl AsRef<Path>) -> SanitizedStore {
-        SanitizedStore::open_budgeted(dir, usize::MAX)
-    }
-
-    /// Opens the sanitized table, fully decoding at most `budget` entries
-    /// (the session's sanitize-layer preload budget); the rest are
-    /// checksum-validated and key-indexed only.
-    pub fn open_budgeted(dir: impl AsRef<Path>, budget: usize) -> SanitizedStore {
-        let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
         let path = dir.as_ref().join(SANITIZED_FILE);
         let telemetry = StoreTelemetry::default();
-        let _ = std::fs::create_dir_all(dir.as_ref());
-        let mut loaded = Vec::new();
-        let mut resident = std::collections::HashSet::new();
-        let mut recency = std::collections::HashMap::new();
-        let mut clock = 0u64;
-        let mut fresh = true;
-        let mut trusted = wire::HEADER_LEN as u64;
-        let mut file_len = 0u64;
-        if let Ok(mut file) = File::open(&path) {
-            file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-            let mut header = [0u8; wire::HEADER_LEN];
-            let header_ok = {
-                use std::io::Read as _;
-                file.read_exact(&mut header).is_ok()
-            };
-            if !header_ok {
-                if file_len > 0 {
-                    telemetry.record_corruption("sanitized header: truncated".into());
-                    telemetry.record_cold_start();
-                }
-            } else if let Err(e) = wire::check_header(&header, TableKind::Sanitized) {
-                telemetry.record_corruption(format!("sanitized header: {e}"));
-                telemetry.record_cold_start();
-            } else {
-                fresh = false;
-                let mut pos = wire::HEADER_LEN as u64;
-                let mut buf = Vec::new();
-                // A torn/corrupt tail ends the scan: trust what came first.
-                while let Some((payload_off, payload_len)) =
-                    wire::read_record_at(&mut file, file_len, pos, &mut buf)
-                {
-                    // Within the budget, decode the full entry; beyond it
-                    // the session would drop the entry anyway, so decode
-                    // only its dedup key.
-                    let key = if loaded.len() < budget {
-                        match dec_entry(&buf) {
-                            Ok(entry) => {
-                                let key = key_of(&entry.as_entry_ref());
-                                loaded.push(entry);
-                                key
-                            }
-                            Err(e) => {
-                                telemetry.record_corruption(format!("sanitized record: {e}"));
-                                break;
-                            }
-                        }
-                    } else {
-                        match dec_key(&buf) {
-                            Ok(key) => key,
-                            Err(e) => {
-                                telemetry.record_corruption(format!("sanitized record: {e}"));
-                                break;
-                            }
-                        }
-                    };
-                    resident.insert(key);
-                    // File-order sequence: a store compacted before any hit
-                    // lands deterministically keeps its newest tail.
-                    clock += 1;
-                    recency.insert(key, clock);
-                    pos = payload_off + payload_len as u64 + 8;
-                    trusted = pos;
-                }
-                if trusted < file_len {
-                    telemetry.record_tail_truncated();
-                }
-            }
-        }
-        let file = Self::recover(&path, fresh, trusted, file_len, &telemetry);
-        telemetry.set_loaded(loaded.len());
-        let bytes = if file.is_some() {
-            if fresh { wire::HEADER_LEN as u64 } else { trusted }
-        } else {
-            0
-        };
-        SanitizedStore {
-            path,
-            inner: Mutex::new(SanitizedInner {
-                loaded: Some(loaded),
-                log: LogState { file, resident, recency, clock, bytes },
-            }),
-            telemetry,
-        }
+        let log = LogState::open(&path, TableKind::Sanitized, "sanitized", dec_key, &telemetry);
+        SanitizedStore { path, log: Mutex::new(log), telemetry }
     }
 
-    /// Puts the file into an appendable state: a fresh header for missing
-    /// or unusable files, or a `set_len` truncation of any untrusted tail.
-    fn recover(
-        path: &Path,
-        fresh: bool,
-        trusted: u64,
-        file_len: u64,
-        telemetry: &StoreTelemetry,
-    ) -> Option<File> {
-        if fresh && !wire::rewrite_file(path, TableKind::Sanitized, &[]) {
-            telemetry.record_corruption("sanitized store directory unwritable".into());
-            telemetry.record_cold_start();
-            return None;
-        }
-        match OpenOptions::new().read(true).append(true).open(path) {
-            Ok(file) => {
-                if !fresh && trusted < file_len {
-                    let _ = file.set_len(trusted);
-                }
-                Some(file)
-            }
-            Err(_) => {
-                telemetry.record_corruption(
-                    "sanitized store not writable; persistence disabled".into(),
-                );
-                telemetry.record_cold_start();
-                None
-            }
-        }
+    /// The same as [`SanitizedStore::open`]; the budget is ignored. Kept
+    /// only because the benchmark harness (`ubbench`) still calls it.
+    pub fn open_budgeted(dir: impl AsRef<Path>, _budget: usize) -> SanitizedStore {
+        SanitizedStore::open(dir)
+    }
+
+    /// The log, recovering (and recording) a poisoned lock.
+    fn log(&self) -> MutexGuard<'_, LogState<SanKey>> {
+        relock_noting(&self.log, &self.telemetry, "sanitized store lock")
     }
 
     /// The file backing this table.
@@ -242,19 +116,18 @@ impl SanitizedStore {
 
     /// Current on-disk size of this table in bytes, header included.
     pub fn size_bytes(&self) -> u64 {
-        relock_noting(&self.inner, &self.telemetry, "sanitized store lock").log.bytes
+        self.log().bytes
     }
 
     /// Compacts the table to at most `budget` bytes, evicting the
     /// least-recently-hit entries through the shared temp-file + rename
-    /// rewrite. Evicted keys leave the resident set, so a later recompute
-    /// re-persists them.
+    /// rewrite. Evicted keys leave the index, so they miss and a later
+    /// recompute re-persists them.
     pub fn compact(&self, budget: u64) -> CompactStats {
-        let mut inner = relock_noting(&self.inner, &self.telemetry, "sanitized store lock");
         crate::compact_log(
             &self.path,
             TableKind::Sanitized,
-            &mut inner.log,
+            &mut self.log(),
             budget,
             dec_key,
             &self.telemetry,
@@ -263,27 +136,21 @@ impl SanitizedStore {
 }
 
 impl SanitizedBacking for SanitizedStore {
-    fn load(&self) -> Vec<PersistedSanitized> {
-        relock_noting(&self.inner, &self.telemetry, "sanitized store lock")
-            .loaded
-            .take()
-            .unwrap_or_default()
+    fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized> {
+        LogState::fetch(&self.log, *key, &self.telemetry, "sanitized", dec_entry)
     }
 
     fn persist(&self, entry: SanitizedEntryRef<'_>) {
-        let mut inner = relock_noting(&self.inner, &self.telemetry, "sanitized store lock");
-        let key = key_of(&entry);
-        if inner.log.resident.contains(&key) {
+        let key = entry.key();
+        let mut log = self.log();
+        if log.index.contains_key(&key) {
             return; // already on disk (epoch-evicted recomputation)
         }
-        let payload = enc_entry(entry);
-        inner.log.append(key, &payload, &self.telemetry, "sanitized");
+        log.append(key, &enc_entry(entry), &self.telemetry, "sanitized");
     }
 
-    fn note_hit(&self, entry: SanitizedEntryRef<'_>) {
-        relock_noting(&self.inner, &self.telemetry, "sanitized store lock")
-            .log
-            .note_hit(key_of(&entry));
+    fn note_hit(&self, key: &SanKey) {
+        self.log().note_hit(*key);
     }
 }
 
@@ -295,8 +162,8 @@ mod tests {
     use ubfuzz_simcc::defects::DefectRegistry;
     use ubfuzz_simcc::pipeline::CompileConfig;
     use ubfuzz_simcc::session::CompileSession;
-    use ubfuzz_simcc::target::Vendor;
     use ubfuzz_simcc::ir::Sanitizer;
+    use ubfuzz_simcc::target::{OptLevel, Vendor};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -328,8 +195,8 @@ mod tests {
         assert_eq!(first.stats().san_misses, 1);
         drop(first);
 
+        assert_eq!(SanitizedStore::open(&dir).telemetry().loaded(), 1);
         let second = sessions(&dir);
-        assert_eq!(second.san_preloaded(), 1);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out);
         let stats = second.stats();
         assert_eq!(stats.san_hits, 1, "warm store serves the sanitize stage");
@@ -354,8 +221,8 @@ mod tests {
         assert_eq!(first.stats().san_misses, 2, "distinct epochs, distinct records");
         drop(first);
 
+        assert_eq!(SanitizedStore::open(&dir).telemetry().loaded(), 2);
         let second = sessions(&dir);
-        assert_eq!(second.san_preloaded(), 2);
         assert_eq!(second.compile(&p, &cfg_full).unwrap(), a);
         assert_eq!(second.compile(&p, &cfg_pristine).unwrap(), b);
         assert_eq!(second.stats().san_hits, 2);
@@ -407,8 +274,8 @@ mod tests {
 
         // Warm replay: each policy hits its own record at reuse 1.0 — no
         // cross-subset aliasing through the store.
+        assert_eq!(SanitizedStore::open(&dir).telemetry().loaded(), 2);
         let second = sessions(&dir);
-        assert_eq!(second.san_preloaded(), 2);
         assert_eq!(second.compile(&p, &cfg_full).unwrap(), a);
         assert_eq!(second.compile(&p, &cfg_partial).unwrap(), b);
         let stats = second.stats();
@@ -502,8 +369,8 @@ mod tests {
         drop(session);
         drop(store);
 
+        assert_eq!(SanitizedStore::open(&dir).telemetry().loaded(), 2);
         let second = sessions(&dir);
-        assert_eq!(second.san_preloaded(), 2);
         for (p, out) in programs.iter().zip(&outs) {
             assert_eq!(&second.compile(p, &cfg).unwrap(), out, "identical after compaction");
         }

@@ -13,7 +13,7 @@ use ubfuzz_simcc::pipeline::{compile, CompileConfig};
 use ubfuzz_simcc::session::{CompileSession, PersistedPrefix, PrefixBacking};
 use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::Sanitizer;
-use ubfuzz_store::{modser, wire, CampaignLog, PrefixStore, Store, UnitOutcome};
+use ubfuzz_store::{modser, wire, CampaignLog, PrefixStore, SanitizedStore, Store, UnitOutcome};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -196,6 +196,45 @@ fn version_skewed_store_files_cold_start_with_telemetry() {
     let reopened = PrefixStore::open(&dir);
     assert_eq!(reopened.telemetry().loaded(), 1);
     assert!(!reopened.telemetry().recovered_cold());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/fixtures/v3-store` holds `prefix.bin` and `sanitized.bin` as the
+/// store code wrote them when open still decoded every module (format v3):
+/// the program below compiled for both vendors at -O0 and -O2, without a
+/// sanitizer and with ASan. Record bytes did not change when the tables
+/// started opening as an index, so that store must warm-serve every cell
+/// with zero misses, identical modules, and nothing re-appended.
+#[test]
+fn store_written_by_the_decoding_open_warm_serves_with_zero_misses() {
+    let dir = tmp_dir("v3-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-store");
+    for name in ["prefix.bin", "sanitized.bin"] {
+        std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
+    }
+    let prefix = Arc::new(PrefixStore::open(&dir));
+    let sanitized = Arc::new(SanitizedStore::open(&dir));
+    // Lowered + one -O2 class per vendor; one record per sanitized cell.
+    assert_eq!((prefix.telemetry().loaded(), sanitized.telemetry().loaded()), (3, 4));
+    let session = CompileSession::with_backings(64, prefix.clone(), Some(sanitized.clone()));
+    let p = ubfuzz_minic::parse(
+        "int g[4]; int main(void) { int i = 1; g[i] = 3; return g[i] + g[0] / (i + 1); }",
+    )
+    .unwrap();
+    let registry = DefectRegistry::full();
+    for vendor in Vendor::ALL {
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            for sanitizer in [None, Some(Sanitizer::Asan)] {
+                let cfg = CompileConfig::dev(vendor, opt, sanitizer, &registry);
+                assert_eq!(session.compile(&p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
+            }
+        }
+    }
+    let stats = session.stats();
+    assert_eq!((stats.hits, stats.misses, stats.san_hits, stats.san_misses), (4, 0, 4, 0));
+    assert_eq!((prefix.telemetry().persisted(), sanitized.telemetry().persisted()), (0, 0));
+    assert!(prefix.telemetry().events().is_empty() && sanitized.telemetry().events().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
