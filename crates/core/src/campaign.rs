@@ -635,12 +635,33 @@ impl ParallelCampaign {
     /// Runs the campaign; [`Err`] only when a configured unit budget ran
     /// out before every unit completed (the simulated-kill path).
     pub fn try_run(&self) -> Result<CampaignStats, CampaignInterrupted> {
+        self.try_run_planned(None)
+    }
+
+    /// [`ParallelCampaign::run`] over a plan the caller already built for
+    /// this config and checkpoint store (the campaign daemon plans once to
+    /// carve leases, then merges over the same plan), so the run generates
+    /// nothing. A plan whose fingerprint this run does not resolve is
+    /// ignored and the campaign plans afresh.
+    ///
+    /// # Panics
+    ///
+    /// As [`ParallelCampaign::run`], when a unit budget ran out.
+    pub fn run_planned(&self, plan: &crate::executor::CampaignPlan) -> CampaignStats {
+        self.try_run_planned(Some(plan)).expect("campaign interrupted by unit budget")
+    }
+
+    fn try_run_planned(
+        &self,
+        plan: Option<&crate::executor::CampaignPlan>,
+    ) -> Result<CampaignStats, CampaignInterrupted> {
         crate::executor::run_unit_campaign_checkpointed(
             &self.config,
             self.shards,
             self.cache,
             self.checkpoint.as_deref(),
             self.unit_budget,
+            plan,
         )
     }
 }

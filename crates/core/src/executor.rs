@@ -99,16 +99,43 @@ const STREAM_WINDOW_PER_WORKER: usize = 8;
 /// The deterministic decomposition of one campaign: the canonical program
 /// list, the fine-grained unit list, the oracle groups, and the plan's
 /// identity. Every participant in a multi-process campaign — the daemon,
-/// each worker, the final merge — builds this independently from the same
-/// [`CampaignConfig`] and arrives at the same plan, which is what lets a
-/// bare unit index address work across processes.
-struct Plan {
+/// each worker, the final merge — arrives at the same plan from the same
+/// [`CampaignConfig`] and store, which is what lets a bare unit index
+/// address work across processes. The daemon builds it once
+/// ([`CampaignPlan::new`]), carves leases from [`CampaignPlan::units`] and
+/// hands the same plan to its merge
+/// ([`crate::campaign::ParallelCampaign::run_planned`]), so the merge
+/// generates nothing.
+pub struct CampaignPlan {
     programs: Vec<UbProgram>,
     fingerprints: Vec<ProgramFingerprint>,
     units: Vec<Unit>,
     groups: Vec<Group>,
     /// Full plan identity: config fingerprint + resolved toolchain set.
     fingerprint: u64,
+}
+
+impl CampaignPlan {
+    /// Plans `cfg` without compiling anything: generation runs on one
+    /// thread per available core, on the backend a cached run of `cfg`
+    /// resolves (so program fingerprints match the run's). `store_dir`
+    /// matters for guided configs: the plan depends on the persisted
+    /// frontier.
+    pub fn new(cfg: &CampaignConfig, store_dir: Option<&Path>) -> CampaignPlan {
+        let backend = cfg.resolve_backend(true);
+        let guidance = cfg.resolve_guidance(&starting_frontier(store_dir));
+        build_plan(cfg, &Executor::auto(), backend.as_ref(), guidance.as_ref())
+    }
+
+    /// The campaign fingerprint: the checkpoint log identity.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The planned unit count: what leases carve.
+    pub fn units(&self) -> usize {
+        self.units.len()
+    }
 }
 
 /// Builds the campaign plan. Stage-1 generation runs on `exec`; unit and
@@ -122,7 +149,7 @@ fn build_plan(
     exec: &Executor,
     backend: &dyn CompilerBackend,
     guidance: Option<&GuidePlan>,
-) -> Plan {
+) -> CampaignPlan {
     let toolchains = backend.toolchains();
     // Stage 1: per-seed generation, results in canonical seed order (each
     // seed id derives its own RNG stream, so scheduling cannot perturb it).
@@ -155,7 +182,7 @@ fn build_plan(
         }
     }
     let fingerprint = campaign_fingerprint(cfg, &toolchains, guidance);
-    Plan { programs, fingerprints, units, groups, fingerprint }
+    CampaignPlan { programs, fingerprints, units, groups, fingerprint }
 }
 
 /// The frontier a campaign *starts* from: the store's persisted
@@ -171,17 +198,12 @@ fn starting_frontier(store_dir: Option<&Path>) -> Frontier {
 }
 
 /// Plan addressing for the campaign service: the campaign fingerprint (the
-/// checkpoint log identity) and the planned unit count, computed without
-/// compiling anything. The daemon uses this to open the primary checkpoint
-/// log and carve unit-range leases; workers rebuild the same plan from the
-/// same config and store directory and the indices line up. `store_dir`
-/// matters for guided configs: the plan depends on the persisted frontier.
-pub fn plan_campaign(cfg: &CampaignConfig, cache: bool, store_dir: Option<&Path>) -> (u64, usize) {
-    let backend = cfg.resolve_backend(cache);
-    let frontier = starting_frontier(store_dir);
-    let guidance = cfg.resolve_guidance(&frontier);
-    let plan = build_plan(cfg, &Executor::new(1), backend.as_ref(), guidance.as_ref());
-    (plan.fingerprint, plan.units.len())
+/// checkpoint log identity) and the planned unit count of
+/// [`CampaignPlan::new`]. `cache` is accepted for callers that predate the
+/// plan handle; the plan is the same either way.
+pub fn plan_campaign(cfg: &CampaignConfig, _cache: bool, store_dir: Option<&Path>) -> (u64, usize) {
+    let plan = CampaignPlan::new(cfg, store_dir);
+    (plan.fingerprint(), plan.units())
 }
 
 /// What one worker-mode invocation did with its leased range.
@@ -259,20 +281,23 @@ pub fn run_unit_range(
 /// mode; an explicit `cfg.backend` owns its own cache policy). Output is
 /// bit-identical to [`crate::campaign::run_campaign`].
 pub fn run_unit_campaign(cfg: &CampaignConfig, workers: usize, cache: bool) -> CampaignStats {
-    run_unit_campaign_checkpointed(cfg, workers, cache, None, None)
+    run_unit_campaign_checkpointed(cfg, workers, cache, None, None, None)
         .expect("uncheckpointed campaigns have no budget to exhaust")
 }
 
 /// [`run_unit_campaign`] with persistence: when `store_dir` is given, every
 /// completed unit is checkpointed there and compatible prior checkpoints
 /// are replayed; `unit_budget` (testing hook) bounds the *newly computed*
-/// units before the run reports [`CampaignInterrupted`].
+/// units before the run reports [`CampaignInterrupted`]. `plan`, when
+/// given, is used instead of planning again — provided its fingerprint is
+/// the one this run resolves (a stale plan is ignored, never mixed in).
 pub fn run_unit_campaign_checkpointed(
     cfg: &CampaignConfig,
     workers: usize,
     cache: bool,
     store_dir: Option<&Path>,
     unit_budget: Option<u64>,
+    plan: Option<&CampaignPlan>,
 ) -> Result<CampaignStats, CampaignInterrupted> {
     // Scope the campaign's recorder to this (consumer) thread for the whole
     // run: store opens, replay spans and oracle spans all land in it. Unit
@@ -301,8 +326,16 @@ pub fn run_unit_campaign_checkpointed(
     // campaign service's workers. Group order (and unit order within a
     // group) is exactly the sequential loop's iteration order; the
     // streaming merge below relies on it.
-    let plan = build_plan(cfg, &exec, backend, guidance.as_ref());
-    let Plan { programs, fingerprints, units, groups, fingerprint } = plan;
+    let fingerprint = campaign_fingerprint(cfg, &backend.toolchains(), guidance.as_ref());
+    let owned;
+    let plan = match plan {
+        Some(plan) if plan.fingerprint == fingerprint => plan,
+        _ => {
+            owned = build_plan(cfg, &exec, backend, guidance.as_ref());
+            &owned
+        }
+    };
+    let CampaignPlan { programs, fingerprints, units, groups, .. } = plan;
 
     // The checkpoint log identifies the campaign by the full plan identity
     // — config fingerprint plus the resolved toolchain set (unit indices
@@ -314,7 +347,7 @@ pub fn run_unit_campaign_checkpointed(
     // Seed/program tallies are generation facts, independent of compile
     // results; fill them exactly as the sequential loop would.
     let mut stats = CampaignStats { seeds: cfg.seeds, ..CampaignStats::default() };
-    for u in &programs {
+    for u in programs {
         *stats.ub_programs.entry(u.kind).or_default() += 1;
     }
     stats.units = units.len();
@@ -330,7 +363,7 @@ pub fn run_unit_campaign_checkpointed(
     let window = workers.saturating_mul(STREAM_WINDOW_PER_WORKER).max(1);
     let total_units = units.len();
     exec.map_consume(
-        units,
+        units.iter().collect(),
         window,
         |i, unit| {
             let _obs = cfg.recorder.clone().map(obs::attach);

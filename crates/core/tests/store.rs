@@ -133,6 +133,62 @@ fn killed_and_resumed_campaign_reports_bit_identically() {
     }
 }
 
+/// A checkpoint record whose checksum is valid but whose module does not
+/// decode (here: a defect id this build does not know) replays as a miss:
+/// the campaign recomputes exactly that unit and renders the same report
+/// as a fresh run.
+#[test]
+fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
+    use ubfuzz_store::wire::{self, Enc};
+    let dir = tmp_dir("bad-record");
+    let mut cfg = small_config(29);
+    cfg.gen_options.max_per_kind = 1;
+    let fresh = ParallelCampaign::new(cfg.clone()).with_shards(2).run();
+    let render = |s: &ubfuzz::CampaignStats| {
+        format!("{}{}", ubfuzz::report::table3(s), ubfuzz::report::oracle_stats(s))
+    };
+    ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+
+    // Supersede one unit's record with a checksum-valid, undecodable one,
+    // framed like every other record.
+    let units = ubfuzz::executor::plan_campaign(&cfg, true, Some(&dir)).1;
+    let mut module = ubfuzz::simcc::Module {
+        globals: vec![],
+        funcs: vec![],
+        san: Default::default(),
+        build: None,
+    };
+    module.san.applied_defects = vec![("gcc-asan-d01", ubfuzz::minic::Loc::new(1, 0))];
+    let mut e = Enc::new();
+    e.u64(units as u64 / 2);
+    e.u8(2); // outcome tag: module + result + coverage delta
+    ubfuzz_store::modser::enc_module(&mut e, &module);
+    let mut payload = e.into_bytes();
+    let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
+    payload[at] = b'x';
+    let log = dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes.extend_from_slice(&wire::frame(&payload));
+    std::fs::write(&log, &bytes).unwrap();
+
+    let runner = |budget| {
+        ParallelCampaign::new(cfg.clone())
+            .with_shards(2)
+            .with_checkpoint(&dir)
+            .with_unit_budget(budget)
+            .try_run()
+    };
+    // Every other unit replays, so a zero budget stops on that one unit…
+    assert!(runner(0).is_err(), "the undecodable unit must be recomputed");
+    // …and a budget of one finishes the campaign, byte-identical to fresh.
+    let rerun = runner(1).expect("only the undecodable unit is recomputed");
+    assert_eq!(render(&rerun), render(&fresh));
+    assert_eq!(rerun.bugs, fresh.bugs);
+    // The recomputed outcome was appended: the next run replays it all.
+    assert_eq!(render(&runner(0).expect("full replay")), render(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An uninterrupted checkpointed campaign equals the plain one, and a
 /// checkpoint written by a *different* configuration is ignored.
 #[test]

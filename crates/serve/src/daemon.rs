@@ -4,9 +4,10 @@
 //! scheduler thread that runs queued campaigns strictly in submission
 //! order. For each campaign the scheduler:
 //!
-//! 1. plans addressing with [`plan_campaign`] — fingerprint + unit count,
-//!    no compilation — and opens the store's primary checkpoint log so an
-//!    incompatible log (and its shards) is swept before workers arrive;
+//! 1. builds the campaign's [`CampaignPlan`] once — generation on every
+//!    core, no compilation — for its fingerprint and unit count, and opens
+//!    the store's primary checkpoint log so an incompatible log (and its
+//!    shards) is swept before workers arrive;
 //! 2. carves `0..units` into contiguous leases
 //!    ([`LeaseLedger::carve`]), numbered past everything in the store's
 //!    durable [`LeaseTable`] so checkpoint shard files never collide;
@@ -16,10 +17,16 @@
 //!    reclaims it — the range is re-issued under a fresh lease id and the
 //!    replacement's shard replay skips whatever the dead worker finished;
 //! 4. merges by replaying the shard union through the canonical
-//!    sequential-order path ([`ParallelCampaign`] with a checkpoint over
-//!    the same store), so the stored report is **bit-identical** to a
-//!    single-process run — and, because every unit is already
-//!    checkpointed, the merge compiles nothing.
+//!    sequential-order path ([`ParallelCampaign::run_planned`] over the
+//!    plan from step 1, with a checkpoint over the same store), so the
+//!    stored report is **bit-identical** to a single-process run. The
+//!    merge reuses the plan, so it generates nothing; every unit is
+//!    already checkpointed, so it compiles nothing and runs on the
+//!    config's in-memory backend, opening no store module table.
+//!
+//! Connections are served one at a time on the accept thread, each within
+//! a request deadline and a request-length cap (`err timeout`,
+//! `err too-long`), so a silent or runaway client cannot stall the rest.
 //!
 //! Backpressure is a bounded submission queue: `SUBMIT` beyond the cap is
 //! answered `err busy`. Lease state is mirrored into the store's
@@ -33,11 +40,10 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ubfuzz::backend::SimBackend;
-use ubfuzz::campaign::CampaignConfig;
-use ubfuzz::executor::plan_campaign;
+use ubfuzz::campaign::{CampaignConfig, ParallelCampaign};
+use ubfuzz::executor::CampaignPlan;
 use ubfuzz::obs::{self, MetricsSnapshot, Stage};
 use ubfuzz::store::{BugCorpus, CampaignLog, FrontierStore, LeaseRecord, LeaseState, LeaseTable};
 use ubfuzz::{SanPolicy, Strategy};
@@ -211,17 +217,66 @@ pub fn run_daemon(config: DaemonConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Serves one connection; `true` when the request was `SHUTDOWN`.
-fn handle_connection(stream: UnixStream, config: &DaemonConfig, shared: &Shared) -> bool {
-    let mut line = String::new();
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return false,
-    };
-    let mut stream = stream;
-    if reader.read_line(&mut line).is_err() {
-        return false;
+/// How long a connection may take to deliver its request line. The accept
+/// thread serves connections one at a time, so this bounds how long a
+/// silent client can hold up everyone else.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The longest request line the daemon reads, newline included; every
+/// verb fits in a few dozen bytes.
+const MAX_REQUEST: u64 = 4096;
+
+/// A connection's read side that fails with `TimedOut` once `until` has
+/// passed, however the client spaces its bytes (a per-read timeout alone
+/// would let a client dripping one byte at a time hold the accept thread
+/// for up to [`MAX_REQUEST`] timeouts).
+struct Deadline<'a> {
+    stream: &'a UnixStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
     }
+}
+
+/// Reads one request line within [`REQUEST_DEADLINE`] and [`MAX_REQUEST`];
+/// `Err` carries the reason for the `err …` answer.
+fn read_request(stream: &UnixStream) -> Result<String, &'static str> {
+    let deadline = Deadline { stream, until: Instant::now() + REQUEST_DEADLINE };
+    let mut line = String::new();
+    match BufReader::new(deadline.take(MAX_REQUEST)).read_line(&mut line) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            Err("timeout")
+        }
+        Err(_) => Err("bad-request"),
+        Ok(n) if n as u64 == MAX_REQUEST && !line.ends_with('\n') => Err("too-long"),
+        Ok(_) => Ok(line),
+    }
+}
+
+/// Serves one connection; `true` when the request was `SHUTDOWN`.
+fn handle_connection(mut stream: UnixStream, config: &DaemonConfig, shared: &Shared) -> bool {
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+    let line = match read_request(&stream) {
+        Ok(line) => line,
+        Err(reason) => {
+            let _ = stream.write_all(format!("err {reason}\n").as_bytes());
+            return false;
+        }
+    };
     let response = match parse_request(line.trim()) {
         Err(reason) => format!("err {reason}\n"),
         Ok(Request::Submit { seeds, first_seed, workers, strategy, san }) => {
@@ -399,18 +454,23 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
         c.phase = Phase::Running;
         (c.seeds, c.first_seed, c.workers, c.strategy, c.san)
     };
+    // One config for the plan and the merge, so both resolve the same
+    // backend (program fingerprints agree). Its recorder is the sink:
+    // planning generates on executor threads, which attach it per task.
     let cfg = CampaignConfig::builder()
         .seeds(seeds)
         .first_seed(first_seed)
         .strategy(strategy)
         .san_policy(san)
+        .recorder(sink.clone())
         .build();
     // The plan depends on the store for guided campaigns: daemon and
     // workers all derive guidance from the persisted frontier, which is
     // only rewritten at merge completion — so every participant of *this*
     // campaign sees the same snapshot and computes the same fingerprint.
     let frontier0 = FrontierStore::open(&config.store).len();
-    let (fingerprint, units) = plan_campaign(&cfg, true, Some(&config.store));
+    let plan = CampaignPlan::new(&cfg, Some(&config.store));
+    let (fingerprint, units) = (plan.fingerprint(), plan.units());
 
     // Opening the primary log writes/validates the campaign header and
     // sweeps shards of an incompatible prior campaign, so workers never
@@ -565,21 +625,13 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     }
 
     // Merge: replay the shard union through the canonical sequential-order
-    // path. Every unit is checkpointed, so this compiles nothing, and the
+    // path over the plan built above. Every unit is checkpointed, so this
+    // compiles nothing and needs no store-backed backend (a record that
+    // fails to replay is recomputed in memory, to the same bytes), and the
     // rendered report is bit-identical to a single-process run.
-    let backend = SimBackend::with_store_capacity(&config.store, cfg.prefix_key_bound());
     let stats = {
         let _merge = obs::Span::enter(Stage::Merge, 0);
-        CampaignConfig::builder()
-            .seeds(seeds)
-            .first_seed(first_seed)
-            .strategy(strategy)
-            .san_policy(san)
-            .backend(Arc::new(backend))
-            .checkpoint(&config.store)
-            .recorder(sink.clone())
-            .build_runner()
-            .run()
+        ParallelCampaign::new(cfg).with_checkpoint(&config.store).run_planned(&plan)
     };
     let mut corpus = BugCorpus::open(&config.store);
     let merge = persist::merge_bugs(&mut corpus, &stats);

@@ -118,6 +118,24 @@ fn daemon_report_is_bit_identical_and_resubmission_replays() {
     let merged = client::report(&socket, id).expect("report");
     assert_eq!(merged, reference, "daemon merge must be byte-identical to single-process");
 
+    // Plan once: the daemon generates every seed once, each worker once
+    // more (workers are separate processes), and the merge not at all.
+    let leases: u64 = status
+        .lines()
+        .find(|l| l.starts_with("daemon "))
+        .and_then(|l| {
+            l.split_whitespace()
+                .find_map(|t| t.strip_prefix("leases_issued=").and_then(|v| v.parse().ok()))
+        })
+        .unwrap_or_else(|| panic!("no leases_issued= in status:\n{status}"));
+    let metrics = client::metrics(&socket).expect("metrics");
+    let generated: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("metrics campaign=1 stage=generate count="))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no generate stage in metrics:\n{metrics}"));
+    assert_eq!(generated, 3 * (1 + leases), "seeds × (1 + leases):\n{metrics}");
+
     // Same campaign again: every unit replays out of the checkpoint
     // shards, so the workers compile nothing and the report is unchanged.
     let again = client::submit(&socket, 3, 0, Some(2), ubfuzz::Strategy::Uniform, ubfuzz::SanPolicy::Full).expect("resubmit");
@@ -216,6 +234,87 @@ fn submissions_beyond_the_queue_bound_answer_busy() {
     for id in [first, second] {
         await_done(&socket, id, Duration::from_secs(120));
     }
+    client::shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+}
+
+/// Front door: a client that connects and says nothing holds the accept
+/// thread for at most the request deadline, so a concurrent STATUS is
+/// answered within it; the silent client itself is told `err timeout`.
+#[test]
+fn silent_client_does_not_stall_status_beyond_the_deadline() {
+    use std::io::Read as _;
+    let (socket, daemon) = start_daemon(daemon_config("silent"));
+    use std::io::Write as _;
+    let mut silent = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    // STATUS by hand, with a client-side timeout well past the deadline,
+    // so a daemon that waits on the silent client fails instead of hanging.
+    let t = Instant::now();
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("client timeout");
+    stream.write_all(b"STATUS\n").expect("write");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut status = String::new();
+    stream.read_to_string(&mut status).expect("STATUS answered while a client is silent");
+    assert!(status.starts_with("ok\ndaemon pid="), "{status}");
+    assert!(t.elapsed() < Duration::from_secs(5), "STATUS waited {:?}", t.elapsed());
+    let mut answer = String::new();
+    silent.read_to_string(&mut answer).expect("read timeout answer");
+    assert_eq!(answer, "err timeout\n");
+    client::shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+}
+
+/// Front door: the deadline covers the whole request line, so a client
+/// that drips bytes slower than the deadline but faster than any one read
+/// could time out is still cut off.
+#[test]
+fn dripping_client_is_cut_off_at_the_deadline() {
+    use std::io::{Read as _, Write as _};
+    let (socket, daemon) = start_daemon(daemon_config("drip"));
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    let t = Instant::now();
+    // Drip "STATUS" (no newline) a byte every 500 ms until the daemon
+    // answers; stop after 10 s so a daemon without a deadline fails.
+    stream.set_nonblocking(true).expect("nonblocking");
+    let mut answer = Vec::new();
+    let mut chunk = [0u8; 64];
+    for byte in b"STATUS".iter().cycle() {
+        let _ = stream.write_all(&[*byte]);
+        std::thread::sleep(Duration::from_millis(500));
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => answer.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                assert!(t.elapsed() < Duration::from_secs(10), "no answer after {:?}", t.elapsed());
+            }
+            // A byte that landed after the answer resets the connection.
+            Err(_) => break,
+        }
+    }
+    assert_eq!(String::from_utf8_lossy(&answer), "err timeout\n");
+    assert!(t.elapsed() < Duration::from_secs(5), "cut off after {:?}", t.elapsed());
+    client::shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+}
+
+/// Front door: a request line past the length cap (no newline in sight)
+/// is answered `err too-long`, and the daemon keeps serving.
+#[test]
+fn over_long_request_is_rejected_and_the_daemon_keeps_serving() {
+    use std::io::{Read as _, Write as _};
+    let (socket, daemon) = start_daemon(daemon_config("long"));
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    stream.write_all(&[b'A'; 5000]).expect("write");
+    // The daemon closes with the rest of the line unread, which resets the
+    // connection after the answer: read up to EOF or that reset.
+    let mut answer = Vec::new();
+    let mut chunk = [0u8; 64];
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        answer.extend_from_slice(&chunk[..n]);
+    }
+    assert_eq!(String::from_utf8_lossy(&answer), "err too-long\n");
+    assert!(client::status(&socket).expect("status after").starts_with("daemon pid="));
     client::shutdown(&socket).expect("shutdown");
     daemon.join().expect("daemon thread");
 }

@@ -31,21 +31,27 @@
 //! share a file.
 //!
 //! **Memory discipline.** Opening *validates* every record with a single
-//! reusable buffer (checksum plus a full trial decode, so foreign defect
-//! ids or version drift surface at open, not mid-campaign) but retains
-//! only each unit's `(file, offset, length)` span. [`CampaignLog::take_replay`]
-//! reads and decodes one record on demand and clears its slot, so a
-//! resumed months-scale campaign holds O(streaming window) outcomes in
-//! memory, never O(log) — the same bound the streaming oracle merge gives
-//! fresh compiles. Tail recovery is a `set_len` truncation to the trusted
-//! byte count (no record rewriting), so open cost is one sequential scan.
+//! reusable buffer — the file header, the campaign-identity record, every
+//! frame checksum and each record's unit-index head — but decodes no
+//! outcome, and retains only each unit's `(file, offset, length)` span.
+//! [`CampaignLog::take_replay`] is the single decode: it reads one record
+//! at its offset on demand and clears its slot, so a resumed months-scale
+//! campaign holds O(streaming window) outcomes in memory, never O(log) —
+//! the same bound the streaming oracle merge gives fresh compiles. A
+//! checksum-valid record whose outcome does not decode (a foreign defect
+//! id, version drift) is indexed like any other; its `take_replay` answers
+//! `None`, records a `checkpoint replay decode failed` event, and the
+//! campaign recomputes the unit. Tail recovery is a `set_len` truncation
+//! to the trusted byte count (no record rewriting), so open cost is one
+//! sequential scan.
 
 use crate::frontier::{dec_cov_delta, enc_cov_delta};
 use crate::modser::{dec_module, dec_run_result, enc_module, enc_run_result};
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::{relock_noting, StoreTelemetry};
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{Read as _, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use ubfuzz_simcc::{CovDelta, Module};
@@ -93,8 +99,9 @@ pub struct CampaignLog {
     /// [`CampaignLog::take_replay`].
     prior: Vec<Mutex<Option<PayloadSpan>>>,
     replayed: usize,
-    /// Read handles for every scanned file, aligned with span file indices.
-    readers: Mutex<Vec<Option<File>>>,
+    /// Read handles for every scanned file, aligned with span file indices;
+    /// replay reads at an offset, so concurrent takes share them unlocked.
+    readers: Vec<Option<File>>,
     /// Append handle on `path`; `None` when the directory is unwritable
     /// (the campaign then runs uncheckpointed).
     file: Mutex<Option<File>>,
@@ -244,7 +251,7 @@ impl CampaignLog {
             writer_id: shard.unwrap_or(0),
             prior: spans.into_iter().map(Mutex::new).collect(),
             replayed,
-            readers: Mutex::new(readers),
+            readers,
             file: Mutex::new(file),
             telemetry,
         }
@@ -326,8 +333,10 @@ impl CampaignLog {
                 }
                 first = false;
             } else {
-                match dec_unit(&buf) {
-                    Ok((index, _, _)) if index < units => {
+                // Only the unit-index head: the checksum already vouches for
+                // the bytes, and `take_replay` decodes the outcome once.
+                match Dec::new(&buf).usize() {
+                    Ok(index) if index < units => {
                         let slot = &mut spans[index];
                         if slot.is_none() {
                             *replayed += 1;
@@ -415,15 +424,16 @@ impl CampaignLog {
         let (fi, offset, len) =
             relock_noting(self.prior.get(index)?, &self.telemetry, "replay slot lock")
                 .take()?;
-        let mut readers = relock_noting(&self.readers, &self.telemetry, "checkpoint reader lock");
-        let file = readers.get_mut(fi)?.as_mut()?;
+        let file = self.readers.get(fi)?.as_ref()?;
         let mut buf = vec![0u8; len as usize];
-        if file.seek(SeekFrom::Start(offset)).is_err() || file.read_exact(&mut buf).is_err() {
+        if file.read_exact_at(&mut buf, offset).is_err() {
             // Disk trouble after a clean open: recompute instead.
             self.telemetry.record_corruption("checkpoint replay read failed".into());
             return None;
         }
-        drop(readers);
+        // The single decode of this record: open only checked its checksum
+        // and index head, so an undecodable module surfaces here and the
+        // caller recomputes the unit.
         match dec_unit(&buf) {
             Ok((i, outcome, _)) if i == index => Some(outcome),
             _ => {
@@ -577,6 +587,45 @@ mod tests {
         assert_eq!(log.take_replay(2), Some(UnitOutcome::Unsupported));
         drop(log);
         assert_eq!(CampaignLog::open(&dir, 9, 6).replayed(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_record_is_indexed_and_fails_only_its_replay() {
+        // A checksum-valid record whose module fails to decode (a defect id
+        // this build does not know), followed by a valid record: open
+        // indexes both without truncating anything, and only the bad
+        // record's replay fails — so the campaign recomputes that unit.
+        let dir = tmp_dir("bad-module");
+        let log = CampaignLog::open(&dir, 21, 4);
+        log.record(0, &UnitOutcome::Unsupported);
+        let path = log.path().to_path_buf();
+        drop(log);
+        let mut module =
+            Module { globals: vec![], funcs: vec![], san: Default::default(), build: None };
+        module.san.applied_defects = vec![("gcc-asan-d01", ubfuzz_minic::Loc::new(1, 0))];
+        let outcome = UnitOutcome::Done(module, RunResult::Timeout, CovDelta::new());
+        let mut payload = enc_unit(1, &outcome, 0);
+        let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
+        payload[at] = b'x';
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&wire::frame(&payload));
+        bytes.extend_from_slice(&wire::frame(&enc_unit(2, &UnitOutcome::Unsupported, 0)));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let log = CampaignLog::open(&dir, 21, 4);
+        assert!(!log.telemetry().recovered_cold());
+        assert!(!log.telemetry().tail_truncated());
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(on_disk, bytes.len() as u64, "nothing truncated");
+        assert_eq!(log.replayed(), 3, "the undecodable record is indexed");
+        assert!(log.telemetry().events().is_empty(), "{:?}", log.telemetry().events());
+        assert!(log.has_replay(1));
+        assert_eq!(log.take_replay(1), None);
+        let events = log.telemetry().events();
+        assert!(events.iter().any(|e| e == "checkpoint replay decode failed"), "{events:?}");
+        assert!(!log.has_replay(1), "a failed replay consumes its slot");
+        assert_eq!(log.take_replay(2), Some(UnitOutcome::Unsupported));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
