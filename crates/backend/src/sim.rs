@@ -22,8 +22,10 @@ use ubfuzz_simvm::{run_with_config, RunResult, VmConfig};
 /// degrades every compile to the single-shot pipeline (what cache-ablation
 /// comparisons and the sequential reference loop use). Either way the
 /// session is `Sync`, so one backend instance can serve every worker of a
-/// parallel campaign — and persist across campaigns, which is what lets
-/// `make_tables` share hot prefixes between table entry points.
+/// parallel campaign. The session's memory holds at most a byte ceiling of
+/// prefixes and no sanitized modules, so reuse across campaigns (e.g.
+/// `make_tables` entry points sharing compiled cells) comes from a store
+/// ([`SimBackend::with_store`]).
 #[derive(Debug, Default)]
 pub struct SimBackend {
     session: CompileSession,
@@ -66,12 +68,13 @@ impl SimBackend {
     }
 
     /// [`SimBackend::with_store`] with an explicit key budget for the
-    /// session's in-memory maps (use `CampaignConfig::prefix_key_bound()`
-    /// for campaign-scale runs). The budget bounds only what this process
-    /// computes: both store tables open as an index of every record, and a
-    /// lookup that misses in memory fetches and decodes its one record, so
-    /// a store of any size warm-starts with zero misses and open cost is
-    /// one checksum scan.
+    /// session's in-memory prefix memo (use
+    /// `CampaignConfig::prefix_key_bound()` for campaign-scale runs). The
+    /// budget, like the session's byte ceiling, bounds only what this
+    /// process computes: both store tables open as an index of every
+    /// record, and a lookup that misses in memory fetches and decodes its
+    /// one record, so a store of any size warm-starts with zero misses and
+    /// open cost is one checksum scan.
     pub fn with_store_capacity(
         dir: impl AsRef<std::path::Path>,
         capacity: usize,

@@ -4,12 +4,13 @@
 //! Like `make_tables`, all entry points share one `SimBackend` (sized from
 //! the campaign config): the Fig. 10/11 replays recompile every found bug's
 //! test case across stable versions and levels, which re-hits the prefixes
-//! the campaign cached. The shared `--store DIR` / `--resume` /
-//! `--store-budget BYTES` persistence flags (see `ubfuzz_bench` and
-//! `make_tables`) apply here too, as do `--trace-out FILE` (JSONL event
-//! stream; an observer — figure bytes do not change), `--strategy`, and
-//! `--san full|none|partial[:ratio[:salt]]` (partial-sanitization policy
-//! of the campaign behind the figures).
+//! the campaign cached — those still resident in memory (a byte-bounded
+//! window), or all of them with `--store`. The shared `--store DIR` /
+//! `--resume` / `--store-budget BYTES` persistence flags (see
+//! `ubfuzz_bench` and `make_tables`) apply here too, as do `--trace-out
+//! FILE` (JSONL event stream; an observer — figure bytes do not change),
+//! `--strategy`, and `--san full|none|partial[:ratio[:salt]]`
+//! (partial-sanitization policy of the campaign behind the figures).
 
 use std::sync::Arc;
 use ubfuzz::backend::CompilerBackend;

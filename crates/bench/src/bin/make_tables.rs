@@ -24,8 +24,9 @@
 //! mapping in the pristine world) instead.
 //!
 //! Every entry point shares ONE `SimBackend`, sized from the campaign
-//! config, so the staged-compile cache persists across tables (the campaign
-//! behind Table 3/6 warms the prefixes Table 5's coverage sweep reuses).
+//! config, so the staged-compile cache is shared across tables. In memory
+//! it keeps a byte-bounded window of recent prefixes; with `--store` every
+//! compiled stage persists across tables and invocations.
 //!
 //! Persistence flags (shared with `make_figures`, see `ubfuzz_bench`):
 //!

@@ -133,14 +133,14 @@ impl CampaignConfig {
 
     /// An upper bound on the distinct prefix-cache keys this campaign (and
     /// its figure replays) can touch: seeds × programs-per-seed × every
-    /// vendor's versions (stable + dev, so Fig. 10 replays stay resident) ×
-    /// optimization levels.
+    /// vendor's versions (stable + dev) × optimization levels.
     ///
-    /// This is what sizes compile sessions: the old hand-tuned `1 << 15`
-    /// literals under-sized large `--seeds` runs (epoch eviction below
-    /// table scale defeats cross-run persistence) and over-sized tiny ones.
-    /// The bound is a key *budget*, not an allocation — the map only ever
-    /// holds keys actually compiled.
+    /// This is what sizes compile sessions' key budget. The bound is a
+    /// *budget*, not an allocation, and it no longer keeps a campaign
+    /// resident: the session's constant byte ceiling
+    /// (`CompileSession::MAX_RESIDENT_BYTES`) evicts long before a
+    /// campaign-scale key count is reached. Reuse across campaigns and
+    /// invocations comes from the store.
     pub fn prefix_key_bound(&self) -> usize {
         let compilers: usize = Vendor::ALL
             .iter()

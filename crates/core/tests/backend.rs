@@ -8,21 +8,32 @@ use ubfuzz::backend::{CompilerBackend, SimBackend};
 use ubfuzz::campaign::CampaignConfig;
 use ubfuzz::{report, run_campaign, run_campaign_on};
 use ubfuzz_simcc::defects::DefectRegistry;
+use ubfuzz_simcc::session::CompileSession;
 
 const SEEDS: usize = 3;
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "ubfuzz-core-backend-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 /// One backend across `make_tables`-style entry points: the second campaign
 /// must be served entirely from the prefixes the first one computed, and
 /// the figure replays must keep hitting the same cache.
 #[test]
 fn shared_backend_reuses_prefixes_across_table_entry_points() {
-    // Size the session from the campaign it will serve (a 6-seed default
-    // campaign wants ~2.7k prefixes; the default 2048 budget epoch-evicts
-    // mid-run and would defeat cross-run persistence).
+    // Reuse across campaigns is the store's job: the session keeps only a
+    // byte-bounded prefix memo and no sanitized modules. Its key budget is
+    // sized from the campaign it will serve, as `make_tables` does.
     let capacity = CampaignConfig::builder().seeds(6).build().prefix_key_bound();
-    let backend: Arc<dyn CompilerBackend> = Arc::new(SimBackend::with_session(
-        ubfuzz_simcc::session::CompileSession::with_capacity(capacity),
-    ));
+    let dir = tmp_dir("shared-tables");
+    let backend: Arc<dyn CompilerBackend> =
+        Arc::new(SimBackend::with_store_capacity(&dir, capacity));
 
     // Table 3 path (6 seeds: enough for attributable bugs to replay below).
     let stats_t3 = report::default_campaign_with(Arc::clone(&backend), 6);
@@ -64,6 +75,7 @@ fn shared_backend_reuses_prefixes_across_table_entry_points() {
     );
     // And rendering through the shared backend matches the standalone path.
     assert_eq!(fig11_shared, report::fig11(&stats_t3, &registry));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `run_campaign_on` with an explicit backend matches the default-resolved
@@ -85,7 +97,8 @@ fn explicit_backend_sequential_run_matches_default() {
 /// resolves `cfg.backend` before falling back to the uncached default.
 #[test]
 fn config_carried_backend_is_used_by_run_campaign() {
-    let shared: Arc<dyn CompilerBackend> = Arc::new(SimBackend::new());
+    let dir = tmp_dir("config-carried");
+    let shared: Arc<dyn CompilerBackend> = Arc::new(SimBackend::with_store(&dir));
     let cfg = CampaignConfig::builder().seeds(2).backend(Arc::clone(&shared)).build();
     let stats = run_campaign(&cfg);
     let cache = shared.prefix_cache().expect("sim caches").stats();
@@ -96,6 +109,28 @@ fn config_carried_backend_is_used_by_run_campaign() {
     let parallel = ubfuzz::ParallelCampaign::new(cfg).with_shards(4).run();
     assert_eq!(stats, parallel);
     assert_eq!(parallel.cache.misses, 0, "warm backend serves every prefix: {:?}", parallel.cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A default campaign on an in-memory backend computes more prefixes than
+/// the session's byte ceiling holds, ends with at most the ceiling
+/// resident, and reports exactly what the uncached reference does.
+#[test]
+fn in_memory_session_stays_under_the_byte_ceiling() {
+    let backend = Arc::new(SimBackend::new());
+    let shared: Arc<dyn CompilerBackend> = backend.clone();
+    let cfg = CampaignConfig::builder().seeds(2).backend(shared).build();
+    let sink = Arc::new(ubfuzz::obs::MetricsSink::new());
+    let _attached = ubfuzz::obs::attach(sink.clone());
+    let stats = run_campaign(&cfg);
+    assert_eq!(stats, run_campaign(&CampaignConfig::builder().seeds(2).build()));
+    let resident = backend.session().resident_bytes();
+    assert!(resident > 0, "the campaign cached prefixes");
+    assert!(resident <= CompileSession::MAX_RESIDENT_BYTES, "{resident} bytes resident");
+    // Each miss adds at most two keys, so the key budget was never
+    // reached: the byte ceiling evicted.
+    assert!(stats.cache.misses < CompileSession::DEFAULT_CAPACITY as u64 / 2, "{:?}", stats.cache);
+    assert!(sink.snapshot().counter("prefix_evictions") > 0, "the ceiling was reached");
 }
 
 /// A backend advertising only a subset of toolchains (here: GCC only, so

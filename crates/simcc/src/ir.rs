@@ -655,6 +655,41 @@ impl Module {
     pub fn instr_count(&self) -> usize {
         self.funcs.iter().map(|f| f.blocks.iter().map(|b| b.instrs.len()).sum::<usize>()).sum()
     }
+
+    /// Estimated heap footprint in bytes, for memory-bounded caches: every
+    /// instr, block, func, slot and global vector by `len × size_of`, plus
+    /// the owned names and initializers. O(funcs + blocks + slots +
+    /// globals) and allocation-free; a call's callee name and argument
+    /// list and the sanitizer metadata are left out (they would make it
+    /// O(instrs), and a cached prefix carries little of the latter).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let globals: usize = self
+            .globals
+            .iter()
+            .map(|g| {
+                size_of::<GlobalDef>()
+                    + g.name.len()
+                    + g.init.len()
+                    + g.relocs.len() * size_of::<(u32, usize, i64)>()
+            })
+            .sum();
+        let funcs: usize = self
+            .funcs
+            .iter()
+            .map(|f| {
+                let slots: usize = f.slots.iter().map(|s| size_of::<Slot>() + s.name.len()).sum();
+                let blocks: usize = f
+                    .blocks
+                    .iter()
+                    .map(|b| size_of::<Block>() + b.instrs.len() * size_of::<Instr>())
+                    .sum();
+                let params = f.params.len() * size_of::<RegId>();
+                size_of::<Func>() + f.name.len() + params + slots + blocks
+            })
+            .sum();
+        size_of::<Module>() + globals + funcs
+    }
 }
 
 #[cfg(test)]
@@ -723,5 +758,25 @@ mod tests {
         f.blocks[0].term = Some(Term::Ret(None));
         let dm = f.def_map();
         assert_eq!(dm[&r], (0, 0));
+    }
+
+    #[test]
+    fn heap_bytes_grows_by_each_instr_block_and_name() {
+        use std::mem::size_of;
+        let func = Func {
+            name: String::new(),
+            params: vec![],
+            slots: vec![],
+            blocks: vec![],
+            next_reg: 0,
+        };
+        let mut m =
+            Module { globals: vec![], funcs: vec![func], san: SanMeta::default(), build: None };
+        let empty = m.heap_bytes();
+        assert_eq!(empty, size_of::<Module>() + size_of::<Func>());
+        m.funcs[0].name = "main".into();
+        m.funcs[0].blocks.push(Block::default());
+        m.funcs[0].blocks[0].instrs.push(Instr::new(0, Op::Const(1), Loc::UNKNOWN));
+        assert_eq!(m.heap_bytes(), empty + 4 + size_of::<Block>() + size_of::<Instr>());
     }
 }

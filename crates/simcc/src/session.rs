@@ -13,6 +13,12 @@
 //! share the class; each sanitizer then replays only the sanitizer pass and
 //! the (short) late cleanup.
 //!
+//! The session holds only what a campaign reads again: the prefix memo is
+//! bounded by a key budget and a constant byte ceiling
+//! ([`CompileSession::MAX_RESIDENT_BYTES`]), and the sanitize layer is the
+//! [`SanitizedBacking`] alone (every unit is its own sanitize key). Reuse
+//! across campaigns and invocations is the backings' job (the store).
+//!
 //! Correctness does not depend on the cache: every stage is a deterministic
 //! function, so `sanitize + late-opts` over a cloned cached prefix is
 //! bit-identical to the single-shot [`crate::pipeline::compile`]. The
@@ -32,7 +38,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use ubfuzz_minic::{pretty, Program};
 use ubfuzz_obs::{self as obs, Stage};
 
@@ -71,10 +77,10 @@ impl ProgramFingerprint {
 /// Cache telemetry: lookups served from each cache layer vs. computed.
 ///
 /// `hits`/`misses` count the sanitizer-independent *prefix* layer;
-/// `san_hits`/`san_misses` count the *sanitize-stage* layer (only
-/// sanitizer-enabled compiles consult it). A sanitize-layer hit skips the
-/// prefix lookup entirely, so the two pairs partition different lookup
-/// populations — never sum them into one ratio.
+/// `san_hits`/`san_misses` count the *sanitize-stage* layer (one lookup per
+/// sanitizer compile, a hit only when the [`SanitizedBacking`] serves it).
+/// A sanitize-layer hit skips the prefix lookup entirely, so the two pairs
+/// partition different lookup populations — never sum them into one ratio.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Prefix lookups served from the cache.
@@ -211,8 +217,9 @@ pub trait PrefixBacking: Send + Sync + std::fmt::Debug {
     /// Offers a freshly computed prefix for persistence. Called after each
     /// miss, outside the cache lock — for the missed class, and first for
     /// the program's [`PrefixClass::Lowered`] entry when the miss lowered
-    /// it; implementations are expected to dedup re-offers (epoch eviction
-    /// can recompute a persisted entry).
+    /// it. An epoch clear (key budget or byte ceiling) makes the session
+    /// recompute and re-offer what the backing could not serve, so
+    /// implementations are expected to dedup re-offers.
     fn persist(&self, entry: PrefixEntryRef<'_>);
 
     /// Observes a cache hit on `(hash, compiler, opt)` — recency feedback
@@ -328,64 +335,73 @@ impl SanitizedEntryRef<'_> {
     }
 }
 
-/// A persistence sink/source behind the in-memory sanitize-stage cache —
-/// the [`PrefixBacking`] contract, one stage later. Same correctness
-/// argument: `sanitize_stage` is deterministic in the key, so a backing
-/// changes *when* the sanitizer pass runs, never what a compile returns.
+/// The whole sanitize-stage layer — the [`PrefixBacking`] contract, one
+/// stage later. The session keeps no sanitized modules in memory (each unit
+/// is its own [`SanKey`]), so without a backing every sanitizer compile is
+/// a sanitize-layer miss. `sanitize_stage` is deterministic in the key, so
+/// a backing changes *when* the sanitizer pass runs, never what a compile
+/// returns.
 pub trait SanitizedBacking: Send + Sync + std::fmt::Debug {
     /// The persisted entry of `key`, if any; the session checks its
-    /// source. Called on each in-memory miss, outside the cache lock.
+    /// source. Called on every sanitizer compile, outside any lock.
     fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized>;
 
     /// Offers a freshly sanitized module for persistence. Called after
-    /// each sanitize-layer miss, outside the cache lock; implementations
-    /// dedup re-offers.
+    /// each sanitize-layer miss, outside any lock; implementations dedup
+    /// re-offers.
     fn persist(&self, entry: SanitizedEntryRef<'_>);
 
-    /// Observes a sanitize-layer cache hit — recency feedback for byte-
-    /// budgeted backings. Default: ignored.
+    /// Observes a sanitize-layer hit — recency feedback for byte-budgeted
+    /// backings. Default: ignored.
     fn note_hit(&self, key: &SanKey) {
         let _ = key;
     }
 }
 
-/// Entries sharing a [`PrefixKey`] (or a [`SanKey`]); the stored source
-/// disambiguates the (astronomically unlikely) fingerprint collision.
-type PrefixBucket = Vec<(String, Module)>;
-
-/// Looks up `fp`'s entry in `key`'s bucket, cloning it out of the lock.
-fn cached<K: Eq + Hash>(
-    cache: &Mutex<HashMap<K, PrefixBucket>>,
-    recoveries: &AtomicUsize,
-    key: &K,
-    fp: &ProgramFingerprint,
-) -> Option<Module> {
-    relock(cache, recoveries)
-        .get(key)
-        .and_then(|entries| entries.iter().find(|(src, _)| *src == fp.source))
-        .map(|(_, module)| module.clone())
+/// The resident prefix entries and their estimated heap bytes
+/// ([`Module::heap_bytes`] plus the stored source), under one lock. The
+/// stored source tells a key's entries apart on a fingerprint collision.
+/// Modules sit behind an `Arc`: a lookup copies the pointer under the lock
+/// and deep-clones the module after releasing it.
+#[derive(Debug, Default)]
+struct Memo {
+    map: HashMap<PrefixKey, Vec<(String, Arc<Module>)>>,
+    bytes: usize,
 }
 
-/// Inserts `fp`'s entries under their keys with one lock and one capacity
-/// check, epoch-evicting first when they would not all fit — so a miss
-/// that adds two keys never clears the map between its own inserts.
-/// Re-checks each bucket: two workers can race the same cold key, and the
-/// loser must not push a duplicate entry.
-fn insert<K: Eq + Hash + Copy>(
-    cache: &Mutex<HashMap<K, PrefixBucket>>,
-    recoveries: &AtomicUsize,
-    capacity: usize,
-    entries: &[(K, &Module)],
-    fp: &ProgramFingerprint,
-) {
-    let mut map = relock(cache, recoveries);
-    if map.len() + entries.len() > capacity {
-        map.clear();
+/// A memo entry ready to insert: key, estimated bytes, module.
+type Entry = (PrefixKey, usize, Arc<Module>);
+
+impl Memo {
+    fn get(&self, key: &PrefixKey, fp: &ProgramFingerprint) -> Option<&Arc<Module>> {
+        self.map.get(key)?.iter().find(|(src, _)| *src == fp.source).map(|(_, m)| m)
     }
-    for &(key, module) in entries {
-        let bucket = map.entry(key).or_default();
-        if !bucket.iter().any(|(src, _)| *src == fp.source) {
-            bucket.push((fp.source.clone(), module.clone()));
+
+    /// Inserts `fp`'s entries with one budget check, epoch-clearing first
+    /// when they would exceed `capacity` keys or
+    /// [`CompileSession::MAX_RESIDENT_BYTES`] — so a miss that adds two
+    /// keys never clears the map between its own inserts. An entry already
+    /// resident (the loser of a race on a cold key) adds nothing, and one
+    /// larger than the ceiling on its own is never cached.
+    fn insert(&mut self, capacity: usize, entries: Vec<Entry>, fp: &ProgramFingerprint) {
+        let ceiling = CompileSession::MAX_RESIDENT_BYTES;
+        let fresh: Vec<Entry> = entries
+            .into_iter()
+            .filter(|(key, bytes, _)| *bytes <= ceiling && self.get(key, fp).is_none())
+            .collect();
+        let bytes: usize = fresh.iter().map(|(_, bytes, _)| bytes).sum();
+        if !self.map.is_empty()
+            && (self.map.len() + fresh.len() > capacity || self.bytes + bytes > ceiling)
+        {
+            self.map.clear();
+            self.bytes = 0;
+            obs::count("prefix_evictions", 1);
+        }
+        for (key, bytes, module) in fresh {
+            if self.bytes + bytes <= ceiling {
+                self.map.entry(key).or_default().push((fp.source.clone(), module));
+                self.bytes += bytes;
+            }
         }
     }
 }
@@ -401,29 +417,27 @@ fn insert<K: Eq + Hash + Copy>(
 /// from a clone of the program's `Lowered` entry (fetching it from the
 /// backing, or lowering, caching and persisting it, when absent — an
 /// internal fetch, not a counted lookup) and runs only the early-opt stage.
-/// Every cache lock recovers from poisoning (a compile that panicked
-/// elsewhere): the maps only ever hold deterministic stage outputs, so a
+///
+/// Memory is bounded by bytes ([`CompileSession::resident_bytes`] never
+/// exceeds [`CompileSession::MAX_RESIDENT_BYTES`]) and sanitized modules
+/// are never held: the sanitize layer is the [`SanitizedBacking`] alone.
+/// The cache lock recovers from poisoning (a compile that panicked
+/// elsewhere): the memo only holds deterministic stage outputs, so a
 /// recovered entry is still correct.
 #[derive(Debug)]
 pub struct CompileSession {
-    /// `None` disables caching entirely.
-    cache: Option<Mutex<HashMap<PrefixKey, PrefixBucket>>>,
-    /// The sanitize-stage layer: `(cell, sanitizer, registry epoch, site
-    /// subset) → post-sanitize module`. Enabled exactly when `cache` is.
-    san_cache: Option<Mutex<HashMap<SanKey, PrefixBucket>>>,
+    /// The prefix memo; `None` disables caching entirely.
+    cache: Option<Mutex<Memo>>,
     /// Key budget (≈ entry budget: buckets exceed one entry only on a
-    /// fingerprint collision); exceeding it clears the map wholesale (epoch
-    /// eviction — cross-program reuse is negligible, so old epochs are dead
-    /// weight).
+    /// fingerprint collision). Exceeding it, or the byte ceiling, clears
+    /// the memo wholesale (epoch eviction — cross-program reuse is
+    /// negligible, so old epochs are dead weight).
     capacity: usize,
-    /// Sanitize-layer key budget: up to [`CompileSession::SAN_VARIANTS`]
-    /// sanitizer variants per cell, same epoch-eviction policy.
-    san_capacity: usize,
     /// Cross-invocation persistence, when attached
     /// ([`CompileSession::with_backing`]).
-    backing: Option<std::sync::Arc<dyn PrefixBacking>>,
-    /// Sanitize-layer persistence ([`CompileSession::with_backings`]).
-    san_backing: Option<std::sync::Arc<dyn SanitizedBacking>>,
+    backing: Option<Arc<dyn PrefixBacking>>,
+    /// The sanitize-stage layer ([`CompileSession::with_backings`]).
+    san_backing: Option<Arc<dyn SanitizedBacking>>,
     hits: AtomicU64,
     misses: AtomicU64,
     san_hits: AtomicU64,
@@ -444,32 +458,22 @@ impl CompileSession {
     /// realistic worker count.
     pub const DEFAULT_CAPACITY: usize = 2048;
 
-    /// Sanitizer variants per `(compiler, opt)` cell (ASan/UBSan/MSan) —
-    /// the factor between a prefix key budget and the sanitize-layer key
-    /// budget (a prefix class covers at least one cell).
-    pub const SAN_VARIANTS: usize = 3;
+    /// The prefix memo's ceiling in estimated heap bytes: room for every
+    /// in-flight program's prefixes, a small fraction of a campaign's.
+    pub const MAX_RESIDENT_BYTES: usize = 16 << 20;
 
     /// An enabled session with the default capacity.
     pub fn new() -> CompileSession {
         CompileSession::with_capacity(CompileSession::DEFAULT_CAPACITY)
     }
 
-    /// An enabled session holding at most `capacity` cached prefixes (and
-    /// [`CompileSession::SAN_VARIANTS`]`× capacity` sanitized modules).
+    /// An enabled session holding at most `capacity` cached prefixes, and
+    /// never more than [`CompileSession::MAX_RESIDENT_BYTES`] of them.
     pub fn with_capacity(capacity: usize) -> CompileSession {
-        let capacity = capacity.max(1);
         CompileSession {
-            cache: Some(Mutex::new(HashMap::new())),
-            san_cache: Some(Mutex::new(HashMap::new())),
-            capacity,
-            san_capacity: capacity.saturating_mul(CompileSession::SAN_VARIANTS),
-            backing: None,
-            san_backing: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            san_hits: AtomicU64::new(0),
-            san_misses: AtomicU64::new(0),
-            lock_recoveries: AtomicUsize::new(0),
+            cache: Some(Mutex::default()),
+            capacity: capacity.max(1),
+            ..CompileSession::disabled()
         }
     }
 
@@ -478,22 +482,20 @@ impl CompileSession {
     /// Every in-memory miss asks [`PrefixBacking::fetch`] before computing;
     /// a fetched entry counts as an ordinary hit, so a second invocation
     /// over a complete backing reports zero misses. Fetched entries are not
-    /// inserted into the map — memory holds what this process computed, the
+    /// inserted into the memo — memory holds what this process computed, the
     /// backing serves what earlier processes computed — and every fresh
     /// computation is offered back through [`PrefixBacking::persist`].
-    pub fn with_backing(
-        capacity: usize,
-        backing: std::sync::Arc<dyn PrefixBacking>,
-    ) -> CompileSession {
+    pub fn with_backing(capacity: usize, backing: Arc<dyn PrefixBacking>) -> CompileSession {
         CompileSession::with_backings(capacity, backing, None)
     }
 
     /// [`CompileSession::with_backing`] plus an optional sanitize-stage
-    /// backing, consulted and persisted the same way.
+    /// backing, asked on every sanitizer compile and offered every
+    /// sanitize-layer miss.
     pub fn with_backings(
         capacity: usize,
-        backing: std::sync::Arc<dyn PrefixBacking>,
-        san_backing: Option<std::sync::Arc<dyn SanitizedBacking>>,
+        backing: Arc<dyn PrefixBacking>,
+        san_backing: Option<Arc<dyn SanitizedBacking>>,
     ) -> CompileSession {
         CompileSession {
             backing: Some(backing),
@@ -507,9 +509,7 @@ impl CompileSession {
     pub fn disabled() -> CompileSession {
         CompileSession {
             cache: None,
-            san_cache: None,
             capacity: 0,
-            san_capacity: 0,
             backing: None,
             san_backing: None,
             hits: AtomicU64::new(0),
@@ -550,6 +550,12 @@ impl CompileSession {
         }
     }
 
+    /// Estimated heap bytes the prefix memo holds now — never above
+    /// [`CompileSession::MAX_RESIDENT_BYTES`]; 0 when disabled.
+    pub fn resident_bytes(&self) -> usize {
+        self.cache.as_ref().map_or(0, |cache| relock(cache, &self.lock_recoveries).bytes)
+    }
+
     /// Compiles `program` under `cfg`, reusing the cached prefix when
     /// available. Output is bit-identical to [`crate::pipeline::compile`].
     ///
@@ -575,18 +581,37 @@ impl CompileSession {
         cfg: &CompileConfig<'_>,
     ) -> Result<Module, CompileError> {
         check_supported(cfg)?;
-        let mut module = match cfg.sanitizer {
-            // Sanitizer-enabled compiles go through the sanitize-stage
-            // layer (which consults the prefix layer on its misses).
-            Some(sanitizer) if self.san_cache.is_some() => {
-                self.sanitized(fp, program, cfg, sanitizer)?
-            }
-            // No sanitizer: `sanitize_stage` is a no-op, the prefix IS the
-            // pre-late-opts module. (Disabled sessions land here too and
-            // fall through to the uncached pipeline inside `prefix`.)
-            _ => {
+        // A sanitizer compile on an enabled session is one sanitize-layer
+        // lookup, answered by the sanitize backing alone.
+        let san_key = cfg.sanitizer.filter(|_| self.enabled()).map(|sanitizer| SanKey {
+            hash: fp.hash,
+            compiler: cfg.compiler,
+            opt: cfg.opt,
+            sanitizer,
+            registry_fp: cfg.registry.fingerprint(),
+            subset_fp: cfg.san_policy.subset_fingerprint(),
+        });
+        let fetched = san_key.as_ref().and_then(|key| self.sanitized(key, fp));
+        let mut module = match fetched {
+            Some(module) => module,
+            // A sanitize-layer miss, or no sanitizer (`sanitize_stage` is
+            // then a no-op). Disabled sessions land here too and fall
+            // through to the uncached pipeline inside `prefix`.
+            None => {
                 let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
                 obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
+                if let (Some(key), Some(backing)) = (san_key, &self.san_backing) {
+                    backing.persist(SanitizedEntryRef {
+                        hash: key.hash,
+                        compiler: key.compiler,
+                        opt: key.opt,
+                        sanitizer: key.sanitizer,
+                        registry_fp: key.registry_fp,
+                        subset_fp: key.subset_fp,
+                        source: &fp.source,
+                        module: &module,
+                    });
+                }
                 module
             }
         };
@@ -594,59 +619,23 @@ impl CompileSession {
         Ok(module)
     }
 
-    /// The memoized sanitize stage: post-sanitize module by
-    /// `(cell, sanitizer, registry epoch, site subset)`. Only called with the
-    /// cache enabled and a sanitizer configured.
-    fn sanitized(
-        &self,
-        fp: &ProgramFingerprint,
-        program: &Program,
-        cfg: &CompileConfig<'_>,
-        sanitizer: Sanitizer,
-    ) -> Result<Module, CompileError> {
-        let cache = self.san_cache.as_ref().expect("sanitize cache enabled");
-        let key = SanKey {
-            hash: fp.hash,
-            compiler: cfg.compiler,
-            opt: cfg.opt,
-            sanitizer,
-            registry_fp: cfg.registry.fingerprint(),
-            subset_fp: cfg.san_policy.subset_fingerprint(),
-        };
-        let hit = cached(cache, &self.lock_recoveries, &key, fp).or_else(|| {
-            let entry = self.san_backing.as_ref()?.fetch(&key)?;
-            (entry.source == fp.source)
-                .then_some(entry.module)
-                .inspect(|_| obs::count("san_store_hits", 1))
+    /// The sanitize-layer lookup: the backing's post-sanitize module for
+    /// `key` when its source matches, counted as a hit or a miss.
+    fn sanitized(&self, key: &SanKey, fp: &ProgramFingerprint) -> Option<Module> {
+        let hit = self.san_backing.as_ref().and_then(|backing| {
+            let entry = backing.fetch(key).filter(|entry| entry.source == fp.source)?;
+            backing.note_hit(key); // recency feedback for byte-budgeted backings
+            Some(entry.module)
         });
-        if let Some(module) = hit {
+        if hit.is_some() {
             self.san_hits.fetch_add(1, Ordering::Relaxed);
             obs::count("san_hits", 1);
-            // Recency feedback outside the lock (byte-budgeted backings
-            // rank eviction by last hit).
-            if let Some(backing) = &self.san_backing {
-                backing.note_hit(&key);
-            }
-            return Ok(module);
+            obs::count("san_store_hits", 1);
+        } else {
+            self.san_misses.fetch_add(1, Ordering::Relaxed);
+            obs::count("san_misses", 1);
         }
-        self.san_misses.fetch_add(1, Ordering::Relaxed);
-        obs::count("san_misses", 1);
-        let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
-        obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
-        insert(cache, &self.lock_recoveries, self.san_capacity, &[(key, &module)], fp);
-        if let Some(backing) = &self.san_backing {
-            backing.persist(SanitizedEntryRef {
-                hash: key.hash,
-                compiler: key.compiler,
-                opt: key.opt,
-                sanitizer,
-                registry_fp: key.registry_fp,
-                subset_fp: key.subset_fp,
-                source: &fp.source,
-                module: &module,
-            });
-        }
-        Ok(module)
+        hit
     }
 
     /// The memoized `lower → early-opts` prefix, keyed by the cell's
@@ -663,7 +652,7 @@ impl CompileSession {
         };
         let build = BuildInfo { compiler, opt };
         let key = PrefixKey { hash: fp.hash, class: prefix_class(compiler, opt) };
-        let hit = cached(cache, &self.lock_recoveries, &key, fp).or_else(|| {
+        let hit = self.resident(&key, fp).or_else(|| {
             self.fetched(fp, compiler, opt).inspect(|_| obs::count("prefix_store_hits", 1))
         });
         if let Some(mut module) = hit {
@@ -690,25 +679,27 @@ impl CompileSession {
             if key.class == PrefixClass::Lowered {
                 return Ok((lower_stage(program, compiler, opt)?, None));
             }
-            let lowered = cached(cache, &self.lock_recoveries, &lowered_key, fp)
-                .or_else(|| self.fetched(fp, compiler, OptLevel::O0));
+            let lowered = self.resident(&lowered_key, fp);
+            let lowered = lowered.or_else(|| self.fetched(fp, compiler, OptLevel::O0));
             let (mut module, fresh) = match lowered {
                 Some(module) => (module, None),
                 None => {
                     let lowered = lower_stage(program, compiler, OptLevel::O0)?;
-                    (lowered.clone(), Some(lowered))
+                    (lowered.clone(), Some(Arc::new(lowered)))
                 }
             };
             module.build = Some(build);
             early_opt_stage(&mut module, compiler, opt);
             Ok((module, fresh))
         })?;
-        let mut entries = vec![(key, &module)];
-        entries.extend(fresh_lowered.as_ref().map(|lowered| (lowered_key, lowered)));
-        insert(cache, &self.lock_recoveries, self.capacity, &entries, fp);
+        // Clone and size outside the lock; the insert only moves `Arc`s.
+        let sized = |key, m: Arc<Module>| (key, m.heap_bytes() + fp.source.len(), m);
+        let mut entries = vec![sized(key, Arc::new(module.clone()))];
+        entries.extend(fresh_lowered.clone().map(|lowered| sized(lowered_key, lowered)));
+        relock(cache, &self.lock_recoveries).insert(self.capacity, entries, fp);
         // Persist outside the cache lock: the backing does file I/O and
         // must not serialize other workers' lookups behind it. Borrowed
-        // fields: the miss path pays no clone beyond the cache insert. A
+        // fields: the miss path pays no clone beyond the memo insert. A
         // freshly lowered entry is persisted too, so a later invocation
         // serves the program's -O0 cells without a miss.
         if let Some(backing) = &self.backing {
@@ -730,6 +721,12 @@ impl CompileSession {
             });
         }
         Ok(module)
+    }
+
+    /// `fp`'s resident prefix under `key`, cloned once the lock is released.
+    fn resident(&self, key: &PrefixKey, fp: &ProgramFingerprint) -> Option<Module> {
+        let entry = relock(self.cache.as_ref()?, &self.lock_recoveries).get(key, fp).cloned();
+        entry.map(|module| Module::clone(&module))
     }
 
     /// The backing's entry for the cell's class, when its source matches.
@@ -811,13 +808,15 @@ mod tests {
         assert!(stats.reuse_ratio() > 0.5, "{stats:?}");
         assert_eq!(stats.san_misses, 25, "every sanitizer cell is distinct: {stats:?}");
         assert_eq!(stats.san_hits, 0, "{stats:?}");
-        // Replaying one sanitizer cell is now a pure sanitize-layer hit —
-        // no prefix lookup, no sanitizer pass, identical output.
+        // Replaying one sanitizer cell is a sanitize-layer miss (the session
+        // holds no sanitized modules) that hits the resident prefix:
+        // identical output, no prefix recomputed.
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Asan), &reg);
         assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
         let replay = session.stats();
-        assert_eq!(replay.san_hits, 1, "{replay:?}");
-        assert_eq!(replay.hits, stats.hits, "sanitize hit skips the prefix layer");
+        assert_eq!(replay.san_misses, stats.san_misses + 1, "{replay:?}");
+        assert_eq!(replay.hits, stats.hits + 1, "the replay hits the resident prefix");
+        assert_eq!(replay.misses, stats.misses, "{replay:?}");
         // Every stable version shares the heads' classes except GCC < 10 at
         // -O2 (unroll threshold 4) and LLVM < 12 at -O3 (threshold 12):
         // exactly two more misses, and every re-stamped hit stays identical.
@@ -901,6 +900,46 @@ mod tests {
         assert_eq!(session.stats(), SessionStats { hits: 2, misses: 4, ..Default::default() });
         // Eviction is invisible to outputs.
         assert_eq!(session.compile(&a, &cfg).unwrap(), compile(&a, &cfg).unwrap());
+    }
+
+    #[test]
+    fn byte_ceiling_bounds_the_memo_and_evicted_programs_miss_again() {
+        // Programs far larger than the test's others, with the key budget out
+        // of reach: only the byte ceiling can evict. At -O0 each compile
+        // caches one Lowered entry.
+        let reg = DefectRegistry::full();
+        let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O0, None, &reg);
+        let big = |tag: usize| {
+            let body: String = (0..3000).map(|k| format!("x = x + {};", k % 7 + tag)).collect();
+            parse(&format!("int main(void) {{ int x = {tag}; {body} return x; }}")).unwrap()
+        };
+        let programs: Vec<Program> = (0..24).map(big).collect();
+        let estimated: usize = programs
+            .iter()
+            .map(|p| {
+                let source = CompileSession::fingerprint(p).source.len();
+                compile_prefix(p, cfg.compiler, cfg.opt).unwrap().heap_bytes() + source
+            })
+            .sum();
+        assert!(estimated > CompileSession::MAX_RESIDENT_BYTES, "{estimated} bytes all told");
+
+        let sink = Arc::new(obs::MetricsSink::new());
+        let _attached = obs::attach(sink.clone());
+        let session = CompileSession::with_capacity(1 << 20);
+        for p in &programs {
+            assert_eq!(session.compile(p, &cfg).unwrap(), compile(p, &cfg).unwrap());
+            assert!(session.resident_bytes() <= CompileSession::MAX_RESIDENT_BYTES);
+            assert!(session.resident_bytes() > 0);
+        }
+        assert_eq!(session.stats(), SessionStats { misses: 24, ..Default::default() });
+        assert!(sink.snapshot().counter("prefix_evictions") > 0, "the ceiling was reached");
+        // The first program went with an earlier epoch; the last is resident.
+        let (first, last) = (&programs[0], &programs[23]);
+        assert_eq!(session.compile(first, &cfg).unwrap(), compile(first, &cfg).unwrap());
+        assert_eq!(session.stats(), SessionStats { misses: 25, ..Default::default() });
+        assert_eq!(session.compile(last, &cfg).unwrap(), compile(last, &cfg).unwrap());
+        assert_eq!(session.stats(), SessionStats { hits: 1, misses: 25, ..Default::default() });
+        assert!(session.resident_bytes() <= CompileSession::MAX_RESIDENT_BYTES);
     }
 
     /// An in-memory backing: what `ubfuzz-store` does with a file, minus
@@ -1007,6 +1046,16 @@ mod tests {
         assert_eq!(*san.hits.lock().unwrap(), 1, "hit recency reaches the backing");
     }
 
+    /// A session over both in-memory backings: the sanitize layer is its
+    /// backing, so sanitize-layer hits need one.
+    fn backed_session() -> CompileSession {
+        CompileSession::with_backings(
+            CompileSession::DEFAULT_CAPACITY,
+            Arc::new(MemBacking::default()),
+            Some(Arc::new(MemSanBacking::default())),
+        )
+    }
+
     #[test]
     fn sanitize_cache_is_keyed_by_registry_epoch() {
         // The same (program, compiler, opt, sanitizer) under different
@@ -1014,7 +1063,7 @@ mod tests {
         let full = DefectRegistry::full();
         let pristine = DefectRegistry::pristine();
         let p = program();
-        let session = CompileSession::new();
+        let session = backed_session();
         let cfg_full = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &full);
         let cfg_pristine =
             CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &pristine);
@@ -1037,7 +1086,7 @@ mod tests {
         use crate::partition::SanPolicy;
         let reg = DefectRegistry::full();
         let p = program();
-        let session = CompileSession::new();
+        let session = backed_session();
         let full = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &reg);
         let partial = full.clone().with_policy(SanPolicy::Partial { ratio_pm: 400, salt: 7 });
         let none = full.clone().with_policy(SanPolicy::None);
