@@ -15,9 +15,11 @@
 //!
 //! The session holds only what a campaign reads again: the prefix memo is
 //! bounded by a key budget and a constant byte ceiling
-//! ([`CompileSession::MAX_RESIDENT_BYTES`]), and the sanitize layer is the
-//! [`SanitizedBacking`] alone (every unit is its own sanitize key). Reuse
-//! across campaigns and invocations is the backings' job (the store).
+//! ([`CompileSession::MAX_RESIDENT_BYTES`]), and the sanitize layer is its
+//! [`Backing`] alone (every unit is its own [`SanKey`]). Reuse across
+//! campaigns and invocations is the backings' job (the store): one
+//! [`Backing`] trait serves both layers, keyed by [`PrefixCell`] and
+//! [`SanKey`].
 //!
 //! Correctness does not depend on the cache: every stage is a deterministic
 //! function, so `sanitize + late-opts` over a cloned cached prefix is
@@ -78,7 +80,7 @@ impl ProgramFingerprint {
 ///
 /// `hits`/`misses` count the sanitizer-independent *prefix* layer;
 /// `san_hits`/`san_misses` count the *sanitize-stage* layer (one lookup per
-/// sanitizer compile, a hit only when the [`SanitizedBacking`] serves it).
+/// sanitizer compile, a hit only when the sanitize [`Backing`] serves it).
 /// A sanitize-layer hit skips the prefix lookup entirely, so the two pairs
 /// partition different lookup populations — never sum them into one ratio.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,87 +150,25 @@ struct PrefixKey {
     class: PrefixClass,
 }
 
-/// One persisted prefix-cache entry: the full key (hash + verifying source)
-/// and the cached post-early-opts module.
-#[derive(Debug, Clone)]
-pub struct PersistedPrefix {
+/// The prefix layer's backing key: a program's fingerprint hash and the
+/// requesting `(compiler, opt)` cell. The prefix is a function of the
+/// cell's [`PrefixCell::class`] only, so a backing may serve a cell an
+/// entry computed by another cell of its class; the session re-stamps the
+/// requesting cell's [`BuildInfo`] on every hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PrefixCell {
     /// Fingerprint hash of the canonical source.
     pub hash: u64,
-    /// Compiler identity of the prefix.
+    /// Compiler identity of the cell.
     pub compiler: CompilerId,
-    /// Optimization level of the prefix.
+    /// Optimization level of the cell.
     pub opt: OptLevel,
-    /// Canonical pretty-printed source (collision guard, as in the
-    /// in-memory cache).
-    pub source: String,
-    /// The cached `lower → early-opts` output.
-    pub module: Module,
 }
 
-impl PersistedPrefix {
-    /// A borrowed view for [`PrefixBacking::persist`].
-    pub fn as_entry_ref(&self) -> PrefixEntryRef<'_> {
-        PrefixEntryRef {
-            hash: self.hash,
-            compiler: self.compiler,
-            opt: self.opt,
-            source: &self.source,
-            module: &self.module,
-        }
-    }
-}
-
-/// A borrowed prefix entry — what the session offers on each miss. By
-/// reference so the hot miss path pays no clone beyond the cache insert
-/// (the backing serializes straight from the borrow).
-#[derive(Debug, Clone, Copy)]
-pub struct PrefixEntryRef<'a> {
-    /// Fingerprint hash of the canonical source.
-    pub hash: u64,
-    /// Compiler identity of the prefix.
-    pub compiler: CompilerId,
-    /// Optimization level of the prefix.
-    pub opt: OptLevel,
-    /// Canonical pretty-printed source.
-    pub source: &'a str,
-    /// The cached `lower → early-opts` output.
-    pub module: &'a Module,
-}
-
-/// A persistence sink/source behind the in-memory prefix cache.
-///
-/// The session stays the single in-process cache; a backing makes it warm
-/// across *invocations*: every in-memory miss first asks the backing for an
-/// entry a previous process persisted, and every fresh computation is
-/// offered back for persistence. Implementations live outside this crate
-/// (the `ubfuzz-store` on-disk store); the contract here is deliberately
-/// minimal so the session never learns about files, formats or recovery.
-///
-/// Correctness note: a backing can only serve or re-observe entries of the
-/// deterministic `compile_prefix` function, so — like the cache itself — it
-/// can change *when* a prefix is computed, never what a compile returns.
-pub trait PrefixBacking: Send + Sync + std::fmt::Debug {
-    /// The persisted entry of `(hash, compiler, opt)`'s [`PrefixClass`], if
-    /// any — possibly computed by another cell of the class; the session
-    /// checks its source and re-stamps it. Called on each in-memory miss,
-    /// outside the cache lock; `None` on anything the backing cannot serve.
-    fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix>;
-
-    /// Offers a freshly computed prefix for persistence. Called after each
-    /// miss, outside the cache lock — for the missed class, and first for
-    /// the program's [`PrefixClass::Lowered`] entry when the miss lowered
-    /// it. An epoch clear (key budget or byte ceiling) makes the session
-    /// recompute and re-offer what the backing could not serve, so
-    /// implementations are expected to dedup re-offers.
-    fn persist(&self, entry: PrefixEntryRef<'_>);
-
-    /// Observes a cache hit on `(hash, compiler, opt)` — recency feedback
-    /// for backings with a byte budget (least-recently-hit eviction).
-    /// `(compiler, opt)` is the requesting cell, which may differ from the
-    /// cell that computed the entry; a backing keyed by [`PrefixClass`]
-    /// maps every cell of a class to the same record. Default: ignored.
-    fn note_hit(&self, hash: u64, compiler: CompilerId, opt: OptLevel) {
-        let _ = (hash, compiler, opt);
+impl PrefixCell {
+    /// The cell's [`PrefixClass`]: what its early-opt stage reads.
+    pub fn class(&self) -> PrefixClass {
+        prefix_class(self.compiler, self.opt)
     }
 }
 
@@ -249,113 +189,79 @@ pub struct SanKey {
     pub opt: OptLevel,
     /// The sanitizer.
     pub sanitizer: Sanitizer,
-    /// Fingerprint of the defect-registry epoch.
+    /// Fingerprint of the defect-registry epoch
+    /// ([`crate::defects::DefectRegistry::fingerprint`]).
     pub registry_fp: u64,
-    /// Site-subset fingerprint of the partial-sanitization policy.
+    /// Site-subset fingerprint of the partial-sanitization policy
+    /// ([`crate::partition::SanPolicy::subset_fingerprint`]; 0 for the
+    /// full policy).
     pub subset_fp: u64,
 }
 
-/// One persisted sanitize-stage entry: the full key (hash + verifying
-/// source + sanitizer + registry epoch) and the cached *post-sanitize*
-/// module (late opts still run per lookup — they are cheap and depend only
-/// on the opt level already in the key).
+/// One persisted cache entry, as a [`Backing`] serves it for a key the
+/// caller already holds.
 #[derive(Debug, Clone)]
-pub struct PersistedSanitized {
-    /// Fingerprint hash of the canonical source.
-    pub hash: u64,
-    /// Compiler identity.
-    pub compiler: CompilerId,
-    /// Optimization level.
-    pub opt: OptLevel,
-    /// The sanitizer the module was instrumented with.
-    pub sanitizer: Sanitizer,
-    /// Fingerprint of the defect-registry epoch the pass ran under
-    /// ([`crate::defects::DefectRegistry::fingerprint`]).
-    pub registry_fp: u64,
-    /// Site-subset fingerprint of the partial-sanitization policy the pass
-    /// ran under ([`crate::partition::SanPolicy::subset_fingerprint`]; 0 for
-    /// the full policy).
-    pub subset_fp: u64,
-    /// Canonical pretty-printed source (collision guard).
+pub struct Persisted {
+    /// Canonical pretty-printed source: the collision guard the session
+    /// checks before using the module.
     pub source: String,
-    /// The cached post-sanitize module.
+    /// The cached module: the `lower → early-opts` output under a
+    /// [`PrefixCell`], the post-sanitize module under a [`SanKey`] (late
+    /// opts still run per lookup — they are cheap and depend only on the
+    /// opt level already in the key).
     pub module: Module,
 }
 
-impl PersistedSanitized {
-    /// A borrowed view for [`SanitizedBacking::persist`].
-    pub fn as_entry_ref(&self) -> SanitizedEntryRef<'_> {
-        SanitizedEntryRef {
-            hash: self.hash,
-            compiler: self.compiler,
-            opt: self.opt,
-            sanitizer: self.sanitizer,
-            registry_fp: self.registry_fp,
-            subset_fp: self.subset_fp,
-            source: &self.source,
-            module: &self.module,
-        }
-    }
-}
+/// A persistence sink/source behind one cache layer of the session:
+/// `Backing<PrefixCell>` behind the prefix memo, `Backing<SanKey>` as the
+/// whole sanitize-stage layer (the session keeps no sanitized modules in
+/// memory, since each unit is its own [`SanKey`]).
+///
+/// A backing makes the session warm across *invocations*: every lookup the
+/// session cannot answer from memory first asks the backing for an entry a
+/// previous process persisted, and every fresh computation is offered back
+/// for persistence. Implementations live outside this crate (the
+/// `ubfuzz-store` on-disk tables); the contract here is deliberately minimal
+/// so the session never learns about files, formats or recovery.
+///
+/// Correctness note: a backing can only serve or re-observe outputs of
+/// deterministic stages, so it can change *when* a stage runs, never what a
+/// compile returns.
+pub trait Backing<K>: Send + Sync + std::fmt::Debug {
+    /// The persisted entry of `key`, if any; the session checks its source.
+    /// For a [`PrefixCell`] the entry may have been computed by another
+    /// cell of the class. Called outside the session's lock; `None` on
+    /// anything the backing cannot serve.
+    fn fetch(&self, key: &K) -> Option<Persisted>;
 
-/// A borrowed sanitize-stage entry — what the session offers on each
-/// sanitize-layer miss.
-#[derive(Debug, Clone, Copy)]
-pub struct SanitizedEntryRef<'a> {
-    /// Fingerprint hash of the canonical source.
-    pub hash: u64,
-    /// Compiler identity.
-    pub compiler: CompilerId,
-    /// Optimization level.
-    pub opt: OptLevel,
-    /// The sanitizer the module was instrumented with.
-    pub sanitizer: Sanitizer,
-    /// Fingerprint of the defect-registry epoch.
-    pub registry_fp: u64,
-    /// Site-subset fingerprint of the partial-sanitization policy (0 for
-    /// the full policy).
-    pub subset_fp: u64,
-    /// Canonical pretty-printed source.
-    pub source: &'a str,
-    /// The cached post-sanitize module.
-    pub module: &'a Module,
-}
+    /// Offers a freshly computed module for persistence, by reference so
+    /// the miss path pays no clone (the backing serializes from the
+    /// borrow). Called after each miss, outside the session's lock — for a
+    /// prefix miss, first for the program's [`PrefixClass::Lowered`] entry
+    /// when the miss lowered it. An epoch clear (key budget or byte
+    /// ceiling) makes the session recompute and re-offer what the backing
+    /// could not serve, so implementations are expected to dedup re-offers.
+    fn persist(&self, key: K, source: &str, module: &Module);
 
-impl SanitizedEntryRef<'_> {
-    /// The entry's cache key.
-    pub fn key(&self) -> SanKey {
-        SanKey {
-            hash: self.hash,
-            compiler: self.compiler,
-            opt: self.opt,
-            sanitizer: self.sanitizer,
-            registry_fp: self.registry_fp,
-            subset_fp: self.subset_fp,
-        }
-    }
-}
-
-/// The whole sanitize-stage layer — the [`PrefixBacking`] contract, one
-/// stage later. The session keeps no sanitized modules in memory (each unit
-/// is its own [`SanKey`]), so without a backing every sanitizer compile is
-/// a sanitize-layer miss. `sanitize_stage` is deterministic in the key, so
-/// a backing changes *when* the sanitizer pass runs, never what a compile
-/// returns.
-pub trait SanitizedBacking: Send + Sync + std::fmt::Debug {
-    /// The persisted entry of `key`, if any; the session checks its
-    /// source. Called on every sanitizer compile, outside any lock.
-    fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized>;
-
-    /// Offers a freshly sanitized module for persistence. Called after
-    /// each sanitize-layer miss, outside any lock; implementations dedup
-    /// re-offers.
-    fn persist(&self, entry: SanitizedEntryRef<'_>);
-
-    /// Observes a sanitize-layer hit — recency feedback for byte-budgeted
-    /// backings. Default: ignored.
-    fn note_hit(&self, key: &SanKey) {
+    /// Observes a hit on `key` — recency feedback for backings with a byte
+    /// budget (least-recently-hit eviction). A prefix key is the requesting
+    /// cell, which may differ from the cell that computed the entry; a
+    /// backing keyed by [`PrefixClass`] maps every cell of a class to the
+    /// same record. Default: ignored.
+    fn note_hit(&self, key: &K) {
         let _ = key;
     }
+}
+
+/// `backing`'s module for `key` when the entry's source is `fp`'s — the
+/// source-verified lookup both cache layers share.
+fn verified<K>(
+    backing: Option<&dyn Backing<K>>,
+    key: &K,
+    fp: &ProgramFingerprint,
+) -> Option<Module> {
+    let entry = backing?.fetch(key)?;
+    (entry.source == fp.source).then_some(entry.module)
 }
 
 /// The resident prefix entries and their estimated heap bytes
@@ -420,7 +326,7 @@ impl Memo {
 ///
 /// Memory is bounded by bytes ([`CompileSession::resident_bytes`] never
 /// exceeds [`CompileSession::MAX_RESIDENT_BYTES`]) and sanitized modules
-/// are never held: the sanitize layer is the [`SanitizedBacking`] alone.
+/// are never held: the sanitize layer is its [`Backing`] alone.
 /// The cache lock recovers from poisoning (a compile that panicked
 /// elsewhere): the memo only holds deterministic stage outputs, so a
 /// recovered entry is still correct.
@@ -435,9 +341,9 @@ pub struct CompileSession {
     capacity: usize,
     /// Cross-invocation persistence, when attached
     /// ([`CompileSession::with_backing`]).
-    backing: Option<Arc<dyn PrefixBacking>>,
+    backing: Option<Arc<dyn Backing<PrefixCell>>>,
     /// The sanitize-stage layer ([`CompileSession::with_backings`]).
-    san_backing: Option<Arc<dyn SanitizedBacking>>,
+    san_backing: Option<Arc<dyn Backing<SanKey>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     san_hits: AtomicU64,
@@ -479,13 +385,13 @@ impl CompileSession {
 
     /// An enabled session warmed from (and persisting to) `backing`.
     ///
-    /// Every in-memory miss asks [`PrefixBacking::fetch`] before computing;
+    /// Every in-memory miss asks [`Backing::fetch`] before computing;
     /// a fetched entry counts as an ordinary hit, so a second invocation
     /// over a complete backing reports zero misses. Fetched entries are not
     /// inserted into the memo — memory holds what this process computed, the
     /// backing serves what earlier processes computed — and every fresh
-    /// computation is offered back through [`PrefixBacking::persist`].
-    pub fn with_backing(capacity: usize, backing: Arc<dyn PrefixBacking>) -> CompileSession {
+    /// computation is offered back through [`Backing::persist`].
+    pub fn with_backing(capacity: usize, backing: Arc<dyn Backing<PrefixCell>>) -> CompileSession {
         CompileSession::with_backings(capacity, backing, None)
     }
 
@@ -494,8 +400,8 @@ impl CompileSession {
     /// sanitize-layer miss.
     pub fn with_backings(
         capacity: usize,
-        backing: Arc<dyn PrefixBacking>,
-        san_backing: Option<Arc<dyn SanitizedBacking>>,
+        backing: Arc<dyn Backing<PrefixCell>>,
+        san_backing: Option<Arc<dyn Backing<SanKey>>>,
     ) -> CompileSession {
         CompileSession {
             backing: Some(backing),
@@ -601,16 +507,7 @@ impl CompileSession {
                 let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
                 obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
                 if let (Some(key), Some(backing)) = (san_key, &self.san_backing) {
-                    backing.persist(SanitizedEntryRef {
-                        hash: key.hash,
-                        compiler: key.compiler,
-                        opt: key.opt,
-                        sanitizer: key.sanitizer,
-                        registry_fp: key.registry_fp,
-                        subset_fp: key.subset_fp,
-                        source: &fp.source,
-                        module: &module,
-                    });
+                    backing.persist(key, &fp.source, &module);
                 }
                 module
             }
@@ -622,12 +519,10 @@ impl CompileSession {
     /// The sanitize-layer lookup: the backing's post-sanitize module for
     /// `key` when its source matches, counted as a hit or a miss.
     fn sanitized(&self, key: &SanKey, fp: &ProgramFingerprint) -> Option<Module> {
-        let hit = self.san_backing.as_ref().and_then(|backing| {
-            let entry = backing.fetch(key).filter(|entry| entry.source == fp.source)?;
+        let backing = self.san_backing.as_deref();
+        let hit = verified(backing, key, fp);
+        if let (Some(backing), Some(_)) = (backing, &hit) {
             backing.note_hit(key); // recency feedback for byte-budgeted backings
-            Some(entry.module)
-        });
-        if hit.is_some() {
             self.san_hits.fetch_add(1, Ordering::Relaxed);
             obs::count("san_hits", 1);
             obs::count("san_store_hits", 1);
@@ -651,9 +546,11 @@ impl CompileSession {
             return obs::time(Stage::PrefixCompile, 0, || compile_prefix(program, compiler, opt));
         };
         let build = BuildInfo { compiler, opt };
-        let key = PrefixKey { hash: fp.hash, class: prefix_class(compiler, opt) };
+        let cell = PrefixCell { hash: fp.hash, compiler, opt };
+        let key = PrefixKey { hash: fp.hash, class: cell.class() };
         let hit = self.resident(&key, fp).or_else(|| {
-            self.fetched(fp, compiler, opt).inspect(|_| obs::count("prefix_store_hits", 1))
+            verified(self.backing.as_deref(), &cell, fp)
+                .inspect(|_| obs::count("prefix_store_hits", 1))
         });
         if let Some(mut module) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -662,7 +559,7 @@ impl CompileSession {
             // cell has the key's class, so it names the same record as the
             // cell that computed the entry.
             if let Some(backing) = &self.backing {
-                backing.note_hit(fp.hash, compiler, opt);
+                backing.note_hit(&cell);
             }
             module.build = Some(build);
             return Ok(module);
@@ -674,13 +571,14 @@ impl CompileSession {
         // else from the backing, else lowered here (stamped -O0, as its own
         // cell would). That fetch is not a counted lookup and opens no span
         // of its own.
+        let lowered_cell = PrefixCell { opt: OptLevel::O0, ..cell };
         let lowered_key = PrefixKey { hash: fp.hash, class: PrefixClass::Lowered };
         let (module, fresh_lowered) = obs::time(Stage::PrefixCompile, 0, || {
             if key.class == PrefixClass::Lowered {
                 return Ok((lower_stage(program, compiler, opt)?, None));
             }
             let lowered = self.resident(&lowered_key, fp);
-            let lowered = lowered.or_else(|| self.fetched(fp, compiler, OptLevel::O0));
+            let lowered = lowered.or_else(|| verified(self.backing.as_deref(), &lowered_cell, fp));
             let (mut module, fresh) = match lowered {
                 Some(module) => (module, None),
                 None => {
@@ -704,21 +602,9 @@ impl CompileSession {
         // serves the program's -O0 cells without a miss.
         if let Some(backing) = &self.backing {
             if let Some(lowered) = &fresh_lowered {
-                backing.persist(PrefixEntryRef {
-                    hash: fp.hash,
-                    compiler,
-                    opt: OptLevel::O0,
-                    source: &fp.source,
-                    module: lowered,
-                });
+                backing.persist(lowered_cell, &fp.source, lowered);
             }
-            backing.persist(PrefixEntryRef {
-                hash: fp.hash,
-                compiler,
-                opt,
-                source: &fp.source,
-                module: &module,
-            });
+            backing.persist(cell, &fp.source, &module);
         }
         Ok(module)
     }
@@ -727,17 +613,6 @@ impl CompileSession {
     fn resident(&self, key: &PrefixKey, fp: &ProgramFingerprint) -> Option<Module> {
         let entry = relock(self.cache.as_ref()?, &self.lock_recoveries).get(key, fp).cloned();
         entry.map(|module| Module::clone(&module))
-    }
-
-    /// The backing's entry for the cell's class, when its source matches.
-    fn fetched(
-        &self,
-        fp: &ProgramFingerprint,
-        compiler: CompilerId,
-        opt: OptLevel,
-    ) -> Option<Module> {
-        let entry = self.backing.as_ref()?.fetch(fp.hash, compiler, opt)?;
-        (entry.source == fp.source).then_some(entry.module)
     }
 }
 
@@ -942,72 +817,56 @@ mod tests {
         assert!(session.resident_bytes() <= CompileSession::MAX_RESIDENT_BYTES);
     }
 
+    /// What an in-memory backing dedups and matches keys by, as the store
+    /// tables do: a prefix cell by its class.
+    trait MemKey: Copy + Send + Sync + std::fmt::Debug {
+        type Id: PartialEq;
+        fn id(&self) -> Self::Id;
+    }
+
+    impl MemKey for PrefixCell {
+        type Id = (u64, PrefixClass);
+        fn id(&self) -> (u64, PrefixClass) {
+            (self.hash, self.class())
+        }
+    }
+
+    impl MemKey for SanKey {
+        type Id = SanKey;
+        fn id(&self) -> SanKey {
+            *self
+        }
+    }
+
     /// An in-memory backing: what `ubfuzz-store` does with a file, minus
     /// the file.
-    #[derive(Debug, Default)]
-    struct MemBacking {
-        entries: Mutex<Vec<PersistedPrefix>>,
-    }
-
-    impl PrefixBacking for MemBacking {
-        fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix> {
-            let class = prefix_class(compiler, opt);
-            let entries = self.entries.lock().unwrap();
-            entries
-                .iter()
-                .find(|e| e.hash == hash && prefix_class(e.compiler, e.opt) == class)
-                .cloned()
-        }
-
-        fn persist(&self, entry: PrefixEntryRef<'_>) {
-            let mut entries = self.entries.lock().unwrap();
-            if !entries.iter().any(|e| {
-                e.hash == entry.hash
-                    && e.compiler == entry.compiler
-                    && e.opt == entry.opt
-                    && e.source == entry.source
-            }) {
-                entries.push(PersistedPrefix {
-                    hash: entry.hash,
-                    compiler: entry.compiler,
-                    opt: entry.opt,
-                    source: entry.source.to_string(),
-                    module: entry.module.clone(),
-                });
-            }
-        }
-    }
-
-    /// An in-memory sanitize-stage backing, mirroring `MemBacking`.
-    #[derive(Debug, Default)]
-    struct MemSanBacking {
-        entries: Mutex<Vec<PersistedSanitized>>,
+    #[derive(Debug)]
+    struct MemBacking<K> {
+        entries: Mutex<Vec<(K, Persisted)>>,
         hits: Mutex<u64>,
     }
 
-    impl SanitizedBacking for MemSanBacking {
-        fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized> {
+    impl<K> Default for MemBacking<K> {
+        fn default() -> MemBacking<K> {
+            MemBacking { entries: Mutex::default(), hits: Mutex::default() }
+        }
+    }
+
+    impl<K: MemKey> Backing<K> for MemBacking<K> {
+        fn fetch(&self, key: &K) -> Option<Persisted> {
             let entries = self.entries.lock().unwrap();
-            entries.iter().find(|e| e.as_entry_ref().key() == *key).cloned()
+            entries.iter().find(|(k, _)| k.id() == key.id()).map(|(_, e)| e.clone())
         }
 
-        fn persist(&self, entry: SanitizedEntryRef<'_>) {
+        fn persist(&self, key: K, source: &str, module: &Module) {
             let mut entries = self.entries.lock().unwrap();
-            if !entries.iter().any(|e| e.as_entry_ref().key() == entry.key()) {
-                entries.push(PersistedSanitized {
-                    hash: entry.hash,
-                    compiler: entry.compiler,
-                    opt: entry.opt,
-                    sanitizer: entry.sanitizer,
-                    registry_fp: entry.registry_fp,
-                    subset_fp: entry.subset_fp,
-                    source: entry.source.to_string(),
-                    module: entry.module.clone(),
-                });
+            if !entries.iter().any(|(k, _)| k.id() == key.id()) {
+                let entry = Persisted { source: source.to_string(), module: module.clone() };
+                entries.push((key, entry));
             }
         }
 
-        fn note_hit(&self, _key: &SanKey) {
+        fn note_hit(&self, _key: &K) {
             *self.hits.lock().unwrap() += 1;
         }
     }
@@ -1017,8 +876,8 @@ mod tests {
         let reg = DefectRegistry::full();
         let p = program();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Ubsan), &reg);
-        let prefix = std::sync::Arc::new(MemBacking::default());
-        let san = std::sync::Arc::new(MemSanBacking::default());
+        let prefix = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
+        let san = std::sync::Arc::new(MemBacking::<SanKey>::default());
 
         // Cold: a sanitize miss that computes (and persists) both layers.
         let first =
@@ -1051,8 +910,8 @@ mod tests {
     fn backed_session() -> CompileSession {
         CompileSession::with_backings(
             CompileSession::DEFAULT_CAPACITY,
-            Arc::new(MemBacking::default()),
-            Some(Arc::new(MemSanBacking::default())),
+            Arc::new(MemBacking::<PrefixCell>::default()),
+            Some(Arc::new(MemBacking::<SanKey>::default())),
         )
     }
 
@@ -1138,7 +997,7 @@ mod tests {
         let reg = DefectRegistry::full();
         let p = program();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Asan), &reg);
-        let backing = std::sync::Arc::new(MemBacking::default());
+        let backing = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
 
         // First "invocation": cold, misses once, persists the prefix.
         let first = CompileSession::with_backing(64, backing.clone());
@@ -1177,7 +1036,7 @@ mod tests {
         // backing, not the map, so every one still hits.
         let reg = DefectRegistry::full();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O1, None, &reg);
-        let backing = std::sync::Arc::new(MemBacking::default());
+        let backing = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
         let warmup = CompileSession::with_backing(64, backing.clone());
         let warm_programs: Vec<Program> = (0..4)
             .map(|i| parse(&format!("int main(void) {{ return {i}; }}")).unwrap())
@@ -1190,7 +1049,7 @@ mod tests {
         assert_eq!(store.len(), 8, "a Lowered and a Basic entry per program");
 
         for capacity in 4..=store.len() {
-            let backing = MemBacking { entries: Mutex::new(store.clone()) };
+            let backing = MemBacking { entries: Mutex::new(store.clone()), ..Default::default() };
             let session = CompileSession::with_backing(capacity, std::sync::Arc::new(backing));
             let fresh = parse("int main(void) { return 40 + 2; }").unwrap();
             session.compile(&fresh, &cfg).unwrap();

@@ -10,19 +10,20 @@
 //!
 //! | table | file | granularity | consumer |
 //! |---|---|---|---|
-//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | on-demand `PrefixBacking::fetch` |
-//! | [`SanitizedStore`] | `sanitized.bin` | `(fingerprint, vendor, version, opt)` + `(sanitizer, registry epoch, site-subset fingerprint) → Module` | on-demand `SanitizedBacking::fetch` |
+//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | on-demand `Backing<PrefixCell>::fetch` |
+//! | [`SanitizedStore`] | `sanitized.bin` | `(fingerprint, vendor, version, opt)` + `(sanitizer, registry epoch, site-subset fingerprint) → Module` | on-demand `Backing<SanKey>::fetch` |
 //! | [`CampaignLog`] | `campaign.bin` | `(campaign fingerprint, unit index) → outcome` | `ParallelCampaign` resume |
 //! | [`BugCorpus`] | `corpus.bin` | attribution key → bug + provenance | campaign reporting |
 //! | [`FrontierStore`] | `frontier.bin` | covered `(vendor, file, point)` set | guided-generation steering |
 //!
-//! The prefix/sanitized module caches open as an index — `key → record
-//! span`, with every frame checksum verified but no module decoded — and
-//! decode one record when the session asks for it. They also track per-key
-//! hit recency and expose byte-budgeted compaction ([`CompactStats`]): the
-//! least-recently-hit records are evicted through the shared temp-file +
-//! rename rewrite, so a long-lived store directory can be pinned under a
-//! size budget without losing its hottest entries.
+//! The prefix/sanitized module caches are one implementation,
+//! [`ModuleTable`], told apart by their [`TableKey`]. They open as an index
+//! — `key → record span`, with every frame checksum verified but no module
+//! decoded — and decode one record when the session asks for it. They also
+//! track per-key hit recency and expose byte-budgeted compaction
+//! ([`CompactStats`]): the least-recently-hit records are evicted through
+//! the shared temp-file + rename rewrite, so a long-lived store directory
+//! can be pinned under a size budget without losing its hottest entries.
 //!
 //! **Crash consistency.** Append-only tables flush every record and frame
 //! it with a length prefix and an FNV-1a checksum; a kill mid-append tears
@@ -36,15 +37,10 @@
 //! offline by policy, so no serde; the discipline mirrors the vendor shims:
 //! small, explicit, and replaceable.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::hash::Hash;
-use std::io::{Read as _, Seek as _, Write as _};
-use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use ubfuzz_obs::{self as obs, Stage};
+use std::sync::{Mutex, MutexGuard};
+use ubfuzz_obs as obs;
 
 pub mod checkpoint;
 pub mod corpus;
@@ -53,6 +49,7 @@ pub mod lease;
 pub mod modser;
 pub mod prefix;
 pub mod sanitized;
+pub mod table;
 pub mod wire;
 
 pub use checkpoint::{CampaignLog, UnitOutcome};
@@ -61,6 +58,7 @@ pub use frontier::FrontierStore;
 pub use lease::{LeaseRecord, LeaseState, LeaseTable};
 pub use prefix::PrefixStore;
 pub use sanitized::SanitizedStore;
+pub use table::{ModuleTable, TableKey};
 pub use wire::{WireError, FORMAT_VERSION};
 
 /// Locks a mutex, recovering the inner guard when a panicking holder
@@ -77,7 +75,7 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) fn relock_noting<'a, T>(
     m: &'a Mutex<T>,
     telemetry: &StoreTelemetry,
-    what: &str,
+    what: impl std::fmt::Display,
 ) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| {
         telemetry.record_corruption(format!("{what}: poisoned lock recovered"));
@@ -166,316 +164,6 @@ pub struct CompactStats {
     pub kept: usize,
     /// Records evicted.
     pub evicted: usize,
-}
-
-/// Shared mutable state of one append-only record log with recency-tracked
-/// keys: the file handles, the on-disk key index, and the per-key last-hit
-/// sequence that byte-budgeted compaction ranks by.
-///
-/// At open, keys are assigned sequence numbers in file order, so a store
-/// compacted without any hit information (the standalone compactor path)
-/// deterministically keeps the newest tail.
-#[derive(Debug)]
-pub(crate) struct LogState<K> {
-    /// Read+append handle; `None` when the directory is unwritable (the
-    /// table then serves what is on disk but persists nothing).
-    pub(crate) file: Option<File>,
-    /// Shared read handle [`LogState::fetch`] reads payloads through
-    /// without holding the table lock.
-    reader: Option<Arc<File>>,
-    /// Every on-disk key and its record's payload `(offset, length)`: what
-    /// fetches read, and the dedup set that keeps recomputations from
-    /// bloating the file with duplicates.
-    pub(crate) index: HashMap<K, (u64, u32)>,
-    /// Last hit (or append/open) sequence per indexed key.
-    pub(crate) recency: HashMap<K, u64>,
-    /// Monotonic hit/append counter feeding `recency`.
-    pub(crate) clock: u64,
-    /// Current on-disk size in bytes, header included.
-    pub(crate) bytes: u64,
-}
-
-impl<K: Eq + Hash + Copy> LogState<K> {
-    /// Opens (or creates) the record log at `path`: validates the header
-    /// and every record's frame checksum and decodes each record's key head
-    /// into the index (the last record of a key wins). Modules are never
-    /// decoded here — [`LogState::fetch`] decodes one on demand, so open
-    /// memory is O(keys + largest record), not O(store). A torn tail, or a
-    /// record whose key head does not decode, ends the scan and is
-    /// truncated away (`set_len`, no rewriting); an unusable header is a
-    /// cold start. Never fails.
-    pub(crate) fn open(
-        path: &Path,
-        kind: wire::TableKind,
-        what: &str,
-        dec_key: impl Fn(&[u8]) -> Result<K, WireError>,
-        telemetry: &StoreTelemetry,
-    ) -> LogState<K> {
-        let _span = obs::Span::enter(Stage::StoreOpen, 0);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let mut index = HashMap::new();
-        let mut recency = HashMap::new();
-        let mut clock = 0u64;
-        let mut fresh = true;
-        let mut trusted = wire::HEADER_LEN as u64;
-        let mut file_len = 0u64;
-        if let Ok(mut file) = File::open(path) {
-            file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-            let mut header = [0u8; wire::HEADER_LEN];
-            if file.read_exact(&mut header).is_err() {
-                if file_len > 0 {
-                    telemetry.record_corruption(format!("{what} header: truncated"));
-                    telemetry.record_cold_start();
-                }
-            } else if let Err(e) = wire::check_header(&header, kind) {
-                telemetry.record_corruption(format!("{what} header: {e}"));
-                telemetry.record_cold_start();
-            } else {
-                fresh = false;
-                let mut buf = Vec::new();
-                while let Some((payload_off, payload_len)) =
-                    wire::read_record_at(&mut file, file_len, trusted, &mut buf)
-                {
-                    // A checksum-valid record whose key head fails to decode
-                    // means the *writer* disagreed with us — stop trusting
-                    // the rest. A module that fails to decode is only found
-                    // at fetch, and is a miss there.
-                    let key = match dec_key(&buf) {
-                        Ok(key) => key,
-                        Err(e) => {
-                            telemetry.record_corruption(format!("{what} record: {e}"));
-                            break;
-                        }
-                    };
-                    index.insert(key, (payload_off, payload_len));
-                    clock += 1;
-                    recency.insert(key, clock);
-                    trusted = payload_off + payload_len as u64 + 8;
-                }
-                if trusted < file_len {
-                    telemetry.record_tail_truncated();
-                }
-            }
-        }
-        let file = recover(path, kind, what, fresh, trusted, file_len, telemetry);
-        telemetry.set_loaded(index.len());
-        let bytes = match &file {
-            Some(_) => trusted,
-            None => 0,
-        };
-        let reader = File::open(path).ok().map(Arc::new);
-        LogState { file, reader, index, recency, clock, bytes }
-    }
-
-    /// Reads and decodes `key`'s record. The span is copied under the
-    /// table lock; the read (`pread` on the shared handle), checksum and
-    /// decode run outside it, so concurrent fetches never serialize on
-    /// decode. A read, checksum or decode failure records a corruption
-    /// event and is a miss: the key leaves the index, so the caller's
-    /// recomputation is appended again and supersedes the bad record.
-    pub(crate) fn fetch<E>(
-        log: &Mutex<LogState<K>>,
-        key: K,
-        telemetry: &StoreTelemetry,
-        what: &str,
-        dec_entry: impl FnOnce(&[u8]) -> Result<E, WireError>,
-    ) -> Option<E> {
-        let (reader, (off, len)) = {
-            let state = relock_noting(log, telemetry, what);
-            (state.reader.clone()?, *state.index.get(&key)?)
-        };
-        let _span = obs::Span::enter(Stage::StoreReplay, 0);
-        let mut buf = vec![0u8; len as usize + 8];
-        let entry = match reader.read_exact_at(&mut buf, off) {
-            Err(e) => Err(e.to_string()),
-            Ok(()) => {
-                let (payload, sum) = buf.split_at(len as usize);
-                if wire::fnv1a(payload).to_le_bytes() != sum {
-                    Err("checksum mismatch".into())
-                } else {
-                    dec_entry(payload).map_err(|e| e.to_string())
-                }
-            }
-        };
-        match entry {
-            Ok(entry) => Some(entry),
-            Err(e) => {
-                telemetry.record_corruption(format!("{what} fetch: {e}"));
-                relock_noting(log, telemetry, what).index.remove(&key);
-                None
-            }
-        }
-    }
-
-    /// Appends one framed record, indexing and accounting it. No-op for
-    /// keys already on disk or when persistence is disabled; an append
-    /// failure disables persistence (the campaign keeps computing).
-    pub(crate) fn append(
-        &mut self,
-        key: K,
-        payload: &[u8],
-        telemetry: &StoreTelemetry,
-        what: &'static str,
-    ) {
-        if self.index.contains_key(&key) {
-            return;
-        }
-        let Some(file) = self.file.as_mut() else { return };
-        let _span = obs::Span::enter(Stage::StorePersist, 0);
-        let record = wire::frame(payload);
-        // The handle is O_APPEND: one write_all lands the whole record at
-        // the end of file regardless of concurrent appenders, and the
-        // handle's position afterwards is where this record ended.
-        let end = file
-            .write_all(&record)
-            .and_then(|()| file.flush())
-            .and_then(|()| file.stream_position());
-        match end {
-            Err(_) => {
-                telemetry.record_corruption(format!("{what} append failed"));
-                self.file = None;
-            }
-            Ok(end) => {
-                let payload_off = end - record.len() as u64 + 4;
-                self.index.insert(key, (payload_off, payload.len() as u32));
-                self.bytes += record.len() as u64;
-                self.clock += 1;
-                self.recency.insert(key, self.clock);
-                telemetry.record_persisted();
-            }
-        }
-    }
-
-    /// Bumps an indexed key's recency — a cache hit served from this table.
-    pub(crate) fn note_hit(&mut self, key: K) {
-        if self.index.contains_key(&key) {
-            self.clock += 1;
-            self.recency.insert(key, self.clock);
-        }
-    }
-}
-
-/// Puts a log file into an appendable state: a fresh header for missing or
-/// unusable files, or a `set_len` truncation of any untrusted tail.
-fn recover(
-    path: &Path,
-    kind: wire::TableKind,
-    what: &str,
-    fresh: bool,
-    trusted: u64,
-    file_len: u64,
-    telemetry: &StoreTelemetry,
-) -> Option<File> {
-    if fresh && !wire::rewrite_file(path, kind, &[]) {
-        telemetry.record_corruption(format!("{what} store directory unwritable"));
-        telemetry.record_cold_start();
-        return None;
-    }
-    // O_APPEND, not seek-to-end: with concurrent opens of one store
-    // directory (daemon workers), every append lands atomically at the
-    // current end of file instead of at a position another process may
-    // have advanced past.
-    match OpenOptions::new().read(true).append(true).open(path) {
-        Ok(file) => {
-            if !fresh && trusted < file_len {
-                let _ = file.set_len(trusted);
-            }
-            Some(file)
-        }
-        Err(_) => {
-            // Read-only store: indexed entries still fetch, but nothing new
-            // persists — flag it so `cold=...` telemetry consumers see the
-            // degradation instead of a silent no-op.
-            telemetry
-                .record_corruption(format!("{what} store not writable; persistence disabled"));
-            telemetry.record_cold_start();
-            None
-        }
-    }
-}
-
-/// Compacts one record log to `budget` bytes: streams the file, ranks
-/// records most-recently-hit first (open assigns file-order sequence, so
-/// never-hit stores keep their newest tail), keeps the top-ranked records
-/// that fit, and rewrites the file — original record order preserved among
-/// the kept — through the shared temp-file + rename protocol. The index is
-/// rebuilt over the rewritten layout and both handles are reopened (the
-/// rename replaced the inode).
-pub(crate) fn compact_log<K: Eq + Hash + Copy>(
-    path: &Path,
-    kind: wire::TableKind,
-    state: &mut LogState<K>,
-    budget: u64,
-    dec_key: impl Fn(&[u8]) -> Result<K, WireError>,
-    telemetry: &StoreTelemetry,
-) -> CompactStats {
-    let _span = obs::Span::enter(Stage::StoreCompact, 0);
-    let before = state.bytes;
-    let noop = CompactStats {
-        before_bytes: before,
-        after_bytes: before,
-        kept: state.index.len(),
-        evicted: 0,
-    };
-    let Some(file) = state.file.as_mut() else { return noop };
-    let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let mut records: Vec<(Vec<u8>, K)> = Vec::new();
-    let mut pos = wire::HEADER_LEN as u64;
-    let mut buf = Vec::new();
-    while let Some((payload_off, payload_len)) = wire::read_record_at(file, file_len, pos, &mut buf)
-    {
-        match dec_key(&buf) {
-            Ok(key) => records.push((std::mem::take(&mut buf), key)),
-            Err(e) => {
-                telemetry.record_corruption(format!("compaction record: {e}"));
-                break;
-            }
-        }
-        pos = payload_off + payload_len as u64 + 8;
-    }
-    // Rank most-recently-hit first; open-time sequences make ties
-    // impossible, but fall back to later-file-order-wins for safety.
-    let mut order: Vec<usize> = (0..records.len()).collect();
-    order.sort_by_key(|&i| {
-        std::cmp::Reverse((state.recency.get(&records[i].1).copied().unwrap_or(0), i))
-    });
-    let mut keep = vec![false; records.len()];
-    let mut after = wire::HEADER_LEN as u64;
-    for &i in &order {
-        let span = wire::record_span(records[i].0.len()) as u64;
-        if after + span > budget {
-            break;
-        }
-        after += span;
-        keep[i] = true;
-    }
-    let kept: Vec<&(Vec<u8>, K)> =
-        records.iter().zip(&keep).filter(|(_, &k)| k).map(|(r, _)| r).collect();
-    let payloads: Vec<Vec<u8>> = kept.iter().map(|r| r.0.clone()).collect();
-    if !wire::rewrite_file(path, kind, &payloads) {
-        telemetry.record_corruption("compaction rewrite failed".into());
-        return noop;
-    }
-    // Reopen: both handles still point at the pre-rename inode.
-    state.file = OpenOptions::new().read(true).append(true).open(path).ok();
-    state.reader = File::open(path).ok().map(Arc::new);
-    let mut pos = wire::HEADER_LEN as u64;
-    state.index.clear();
-    for (payload, key) in &kept {
-        state.index.insert(*key, (pos + 4, payload.len() as u32));
-        pos += wire::record_span(payload.len()) as u64;
-    }
-    let LogState { index, recency, .. } = state;
-    recency.retain(|k, _| index.contains_key(k));
-    state.bytes = after;
-    CompactStats {
-        before_bytes: before,
-        after_bytes: after,
-        kept: state.index.len(),
-        evicted: records.len() - kept.len(),
-    }
 }
 
 /// A store directory: the root handle the binaries hold.

@@ -1,6 +1,6 @@
 //! The persistent prefix cache: `(program fingerprint, PrefixClass) →
 //! serialized post-early-opts Module`, amortizing staged compilation across
-//! *invocations*.
+//! *invocations* — a [`ModuleTable`] keyed by [`PrefixCell`].
 //!
 //! Each record still carries the `(compiler, opt)` cell that computed it
 //! (the module's build stamp), but dedup, indexing and recency are keyed
@@ -8,161 +8,65 @@
 //! — so one class is persisted and refreshed once. Per-cell records of one
 //! class, written by stores from before the prefix key was a class, index
 //! as a single entry; the session re-stamps it for every cell it serves.
-//!
-//! The file is an append-only record log (see [`crate::wire`]): opening
-//! streams it with one reusable buffer, validates the header and every
-//! record's checksum, truncates any torn/corrupt tail back to the longest
-//! valid prefix (via `set_len`, no rewriting), and indexes each surviving
-//! record's key. Every in-memory miss of
-//! [`CompileSession::with_backing`](ubfuzz_simcc::session::CompileSession)
-//! asks [`PrefixBacking::fetch`] first and appends what it then computes,
-//! flushed immediately, so a kill at any instant loses at most the record
-//! being written — which the next open truncates away.
-//!
-//! **Memory discipline.** A store grows without bound across invocations,
-//! so open decodes no module: it keeps `key → (offset, length)` per record
-//! (the key head is decoded, the module skipped). A fetch reads and decodes
-//! one record, and the session does not keep it — open-time memory is
-//! O(keys + largest record), and a warm run holds no decoded modules.
 
-use crate::modser::{dec_compiler, dec_module, dec_opt, enc_compiler, enc_module, enc_opt};
-use crate::wire::{self, Dec, Enc, TableKind};
-use crate::{relock_noting, CompactStats, LogState, StoreTelemetry};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-use ubfuzz_simcc::pipeline::{prefix_class, PrefixClass};
-use ubfuzz_simcc::session::{PersistedPrefix, PrefixBacking, PrefixEntryRef};
-use ubfuzz_simcc::target::{CompilerId, OptLevel};
+use crate::modser::{dec_compiler, dec_opt, enc_compiler, enc_opt};
+use crate::table::{ModuleTable, TableKey};
+use crate::wire::{Dec, Enc, TableKind, WireError};
+use ubfuzz_simcc::pipeline::PrefixClass;
+use ubfuzz_simcc::session::PrefixCell;
 
-/// File name of the prefix table inside a store directory.
-pub const PREFIX_FILE: &str = "prefix.bin";
+/// The on-disk prefix cache.
+pub type PrefixStore = ModuleTable<PrefixCell>;
 
-/// An on-disk key: fingerprint hash and prefix class.
-type PrefixKey = (u64, PrefixClass);
+impl TableKey for PrefixCell {
+    type Index = (u64, PrefixClass);
+    const KIND: TableKind = TableKind::Prefix;
+    const FILE: &'static str = "prefix.bin";
+    const WHAT: &'static str = "prefix";
 
-/// The on-disk prefix cache. Open never fails: unreadable, version-skewed
-/// or corrupt files degrade to a cold start recorded in [`StoreTelemetry`].
-#[derive(Debug)]
-pub struct PrefixStore {
-    path: PathBuf,
-    /// The append log: file handles, key index, recency, size.
-    log: Mutex<LogState<PrefixKey>>,
-    telemetry: StoreTelemetry,
-}
-
-fn enc_entry(entry: PrefixEntryRef<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(entry.hash);
-    enc_compiler(&mut e, entry.compiler);
-    enc_opt(&mut e, entry.opt);
-    e.str(entry.source);
-    enc_module(&mut e, entry.module);
-    e.into_bytes()
-}
-
-fn dec_entry(payload: &[u8]) -> Result<PersistedPrefix, wire::WireError> {
-    let mut d = Dec::new(payload);
-    let entry = PersistedPrefix {
-        hash: d.u64()?,
-        compiler: dec_compiler(&mut d)?,
-        opt: dec_opt(&mut d)?,
-        source: d.str()?,
-        module: dec_module(&mut d)?,
-    };
-    d.finish()?;
-    Ok(entry)
-}
-
-/// Decodes only the dedup key (the payload's fixed-position head), skipping
-/// the expensive module decode — what open and compaction pay per record.
-fn dec_key(payload: &[u8]) -> Result<PrefixKey, wire::WireError> {
-    let mut d = Dec::new(payload);
-    let hash = d.u64()?;
-    Ok((hash, prefix_class(dec_compiler(&mut d)?, dec_opt(&mut d)?)))
-}
-
-impl PrefixStore {
-    /// Opens (or creates) the prefix table under `dir`, indexing every
-    /// record without decoding its module.
-    pub fn open(dir: impl AsRef<Path>) -> PrefixStore {
-        let path = dir.as_ref().join(PREFIX_FILE);
-        let telemetry = StoreTelemetry::default();
-        let log = LogState::open(&path, TableKind::Prefix, "prefix", dec_key, &telemetry);
-        PrefixStore { path, log: Mutex::new(log), telemetry }
+    fn index(&self) -> (u64, PrefixClass) {
+        (self.hash, self.class())
     }
 
-    /// The same as [`PrefixStore::open`]; the budget is ignored. Kept only
-    /// because the benchmark harness (`ubbench`) still calls it.
-    pub fn open_budgeted(dir: impl AsRef<Path>, _budget: usize) -> PrefixStore {
-        PrefixStore::open(dir)
+    fn enc(&self, e: &mut Enc) {
+        e.u64(self.hash);
+        enc_compiler(e, self.compiler);
+        enc_opt(e, self.opt);
     }
 
-    /// The log, recovering (and recording) a poisoned lock: a worker that
-    /// panicked mid-compile must not cascade into every later compile.
-    fn log(&self) -> MutexGuard<'_, LogState<PrefixKey>> {
-        relock_noting(&self.log, &self.telemetry, "prefix store lock")
-    }
-
-    /// Current on-disk size of this table in bytes, header included.
-    pub fn size_bytes(&self) -> u64 {
-        self.log().bytes
-    }
-
-    /// Compacts the table to at most `budget` bytes, evicting the
-    /// least-recently-hit entries through the shared temp-file + rename
-    /// rewrite. Evicted keys leave the index, so they miss and a later
-    /// recompute re-persists them.
-    pub fn compact(&self, budget: u64) -> CompactStats {
-        crate::compact_log(
-            &self.path,
-            TableKind::Prefix,
-            &mut self.log(),
-            budget,
-            dec_key,
-            &self.telemetry,
-        )
-    }
-
-    /// The file backing this table.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Open/flush telemetry for this table.
-    pub fn telemetry(&self) -> &StoreTelemetry {
-        &self.telemetry
-    }
-}
-
-impl PrefixBacking for PrefixStore {
-    fn fetch(&self, hash: u64, compiler: CompilerId, opt: OptLevel) -> Option<PersistedPrefix> {
-        let key = (hash, prefix_class(compiler, opt));
-        LogState::fetch(&self.log, key, &self.telemetry, "prefix", dec_entry)
-    }
-
-    fn persist(&self, entry: PrefixEntryRef<'_>) {
-        let key = (entry.hash, prefix_class(entry.compiler, entry.opt));
-        let mut log = self.log();
-        if log.index.contains_key(&key) {
-            return; // already on disk (epoch-evicted recomputation)
-        }
-        log.append(key, &enc_entry(entry), &self.telemetry, "prefix");
-    }
-
-    fn note_hit(&self, hash: u64, compiler: CompilerId, opt: OptLevel) {
-        self.log().note_hit((hash, prefix_class(compiler, opt)));
+    fn dec(d: &mut Dec<'_>) -> Result<PrefixCell, WireError> {
+        Ok(PrefixCell { hash: d.u64()?, compiler: dec_compiler(d)?, opt: dec_opt(d)? })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::{
+        poisoned_lock_recovers_and_is_recorded as poisoned_lock_suite,
+        undecodable_module_is_a_fetch_miss, Layer,
+    };
+    use crate::wire;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use ubfuzz_minic::parse;
     use ubfuzz_simcc::defects::DefectRegistry;
+    use ubfuzz_simcc::ir::Sanitizer;
     use ubfuzz_simcc::pipeline::CompileConfig;
-    use ubfuzz_simcc::session::CompileSession;
-    use ubfuzz_simcc::target::Vendor;
+    use ubfuzz_simcc::session::{CompileSession, SessionStats};
+    use ubfuzz_simcc::target::{OptLevel, Vendor};
+
+    impl Layer for PrefixCell {
+        const SANITIZER: Option<Sanitizer> = None;
+
+        fn session(_dir: &Path, table: Arc<PrefixStore>) -> CompileSession {
+            CompileSession::with_backing(64, table)
+        }
+
+        fn counts(stats: SessionStats) -> (u64, u64) {
+            (stats.hits, stats.misses)
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -240,7 +144,7 @@ mod tests {
         session.compile(&parse("int main(void) { return 1; }").unwrap(), &cfg).unwrap();
         session.compile(&parse("int main(void) { return 2; }").unwrap(), &cfg).unwrap();
         drop(session);
-        let path = dir.join(PREFIX_FILE);
+        let path = dir.join(PrefixCell::FILE);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
 
@@ -336,27 +240,8 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_and_is_recorded() {
         let dir = tmp_dir("poison");
-        let store = Arc::new(PrefixStore::open(&dir));
-        let poisoner = store.clone();
-        std::thread::spawn(move || {
-            let _guard = poisoner.log.lock().unwrap();
-            panic!("worker panicked while holding the store lock");
-        })
-        .join()
-        .unwrap_err();
-        // The store must keep serving (degrade, never cascade the panic)...
-        let reg = DefectRegistry::full();
-        let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O1, None, &reg);
-        let session = CompileSession::with_backing(16, store.clone());
-        session.compile(&parse("int main(void) { return 7; }").unwrap(), &cfg).unwrap();
         // The -O1 prefix and the Lowered entry it started from.
-        assert_eq!(store.telemetry().persisted(), 2);
-        // ...and the recovery must be observable.
-        assert!(
-            store.telemetry().events().iter().any(|e| e.contains("poisoned lock recovered")),
-            "{:?}",
-            store.telemetry().events()
-        );
+        poisoned_lock_suite::<PrefixCell>(&dir, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -376,10 +261,10 @@ mod tests {
             session.compile(&p, cfg).unwrap();
             assert_eq!(session.stats().misses, 1);
         }
-        let mut bytes = std::fs::read(dir.join(PREFIX_FILE)).unwrap();
-        let llvm_bytes = std::fs::read(other.join(PREFIX_FILE)).unwrap();
+        let mut bytes = std::fs::read(dir.join(PrefixCell::FILE)).unwrap();
+        let llvm_bytes = std::fs::read(other.join(PrefixCell::FILE)).unwrap();
         bytes.extend_from_slice(&llvm_bytes[wire::HEADER_LEN..]);
-        std::fs::write(dir.join(PREFIX_FILE), &bytes).unwrap();
+        std::fs::write(dir.join(PrefixCell::FILE), &bytes).unwrap();
 
         let store = Arc::new(PrefixStore::open(&dir));
         assert_eq!(store.telemetry().loaded(), 2, "four per-cell records, two classes");
@@ -468,47 +353,8 @@ mod tests {
 
     #[test]
     fn undecodable_module_is_a_fetch_miss_not_a_truncation() {
-        // A checksum-valid record whose module fails to decode (a defect id
-        // this build does not know): open indexes it without a cold start
-        // or truncation, and the lookup that fetches it misses, records an
-        // event and recomputes the identical module.
         let dir = tmp_dir("bad-module");
-        let reg = DefectRegistry::full();
-        let p = parse("int main(void) { return 5; }").unwrap();
-        let cfg = CompileConfig::dev(Vendor::Gcc, OptLevel::O0, None, &reg);
-        CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)))
-            .compile(&p, &cfg)
-            .unwrap();
-        let path = dir.join(PREFIX_FILE);
-        let bytes = std::fs::read(&path).unwrap();
-        let payload = &bytes[wire::HEADER_LEN + 4..bytes.len() - 8];
-        let mut entry = dec_entry(payload).unwrap();
-        entry.module.san.applied_defects =
-            vec![("gcc-asan-d01", ubfuzz_minic::Loc::new(1, 0))];
-        let mut payload = enc_entry(entry.as_entry_ref());
-        let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
-        payload[at] = b'x';
-        let mut file = wire::header(TableKind::Prefix);
-        file.extend_from_slice(&wire::frame(&payload));
-        std::fs::write(&path, &file).unwrap();
-
-        let store = Arc::new(PrefixStore::open(&dir));
-        assert!(!store.telemetry().recovered_cold());
-        assert!(!store.telemetry().tail_truncated());
-        assert_eq!(store.telemetry().loaded(), 1);
-        let session = CompileSession::with_backing(64, store.clone());
-        assert_eq!(session.compile(&p, &cfg).unwrap(), ubfuzz_simcc::compile(&p, &cfg).unwrap());
-        assert_eq!((session.stats().hits, session.stats().misses), (0, 1));
-        let events = store.telemetry().events();
-        assert!(events.iter().any(|e| e.contains("prefix fetch")), "{events:?}");
-        // The bad record stays on disk; the recomputation supersedes it.
-        assert_eq!(store.telemetry().persisted(), 1);
-        drop(session);
-        let store = Arc::new(PrefixStore::open(&dir));
-        let session = CompileSession::with_backing(64, store.clone());
-        session.compile(&p, &cfg).unwrap();
-        assert_eq!((session.stats().hits, session.stats().misses), (1, 0));
-        assert!(store.telemetry().events().is_empty(), "{:?}", store.telemetry().events());
+        undecodable_module_is_a_fetch_miss::<PrefixCell>(&dir, "prefix fetch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

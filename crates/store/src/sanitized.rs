@@ -1,169 +1,78 @@
 //! The persistent sanitize-stage cache: `(program fingerprint, vendor,
 //! version, opt, sanitizer, defect-registry epoch, site-subset
 //! fingerprint) → serialized post-sanitize Module`, amortizing the
-//! sanitizer pass across
-//! *invocations* — the second cache layer behind
+//! sanitizer pass across *invocations* — a [`ModuleTable`] keyed by
+//! [`SanKey`], the second cache layer behind
 //! [`CompileSession::with_backings`](ubfuzz_simcc::session::CompileSession).
-//!
-//! Same log discipline as [`crate::prefix`]: an append-only checksummed
-//! record file (torn tails truncated, version skew and corruption degrade
-//! to a cold start, never an error), opened as an index and decoded one
-//! record per fetch, and byte-budgeted least-recently-hit compaction
-//! through the shared temp-file + rename rewrite.
-//!
-//! **Memory discipline.** The key head is fixed-width, so open and
-//! compaction index a record without decoding its module; a warm run
-//! decodes each module when its unit asks for it and keeps none, so the
-//! table costs O(keys) memory however large the file grows.
+//! Every field of the key is fixed-width, so the record's key head is too.
 
-use crate::modser::{
-    dec_compiler, dec_module, dec_opt, dec_sanitizer, enc_compiler, enc_module, enc_opt,
-    enc_sanitizer,
-};
-use crate::wire::{self, Dec, Enc, TableKind};
-use crate::{relock_noting, CompactStats, LogState, StoreTelemetry};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-use ubfuzz_simcc::session::{PersistedSanitized, SanKey, SanitizedBacking, SanitizedEntryRef};
+use crate::modser::{dec_compiler, dec_opt, dec_sanitizer, enc_compiler, enc_opt, enc_sanitizer};
+use crate::table::{ModuleTable, TableKey};
+use crate::wire::{Dec, Enc, TableKind, WireError};
+use ubfuzz_simcc::session::SanKey;
 
-/// File name of the sanitized table inside a store directory.
-pub const SANITIZED_FILE: &str = "sanitized.bin";
+/// The on-disk sanitize-stage cache.
+pub type SanitizedStore = ModuleTable<SanKey>;
 
-/// The on-disk sanitize-stage cache. Open never fails: unreadable,
-/// version-skewed or corrupt files degrade to a cold start recorded in
-/// [`StoreTelemetry`].
-#[derive(Debug)]
-pub struct SanitizedStore {
-    path: PathBuf,
-    /// The append log: file handles, key index, recency, size.
-    log: Mutex<LogState<SanKey>>,
-    telemetry: StoreTelemetry,
-}
+impl TableKey for SanKey {
+    type Index = SanKey;
+    const KIND: TableKind = TableKind::Sanitized;
+    const FILE: &'static str = "sanitized.bin";
+    const WHAT: &'static str = "sanitized";
 
-fn enc_entry(entry: SanitizedEntryRef<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(entry.hash);
-    enc_compiler(&mut e, entry.compiler);
-    enc_opt(&mut e, entry.opt);
-    enc_sanitizer(&mut e, entry.sanitizer);
-    e.u64(entry.registry_fp);
-    e.u64(entry.subset_fp);
-    e.str(entry.source);
-    enc_module(&mut e, entry.module);
-    e.into_bytes()
-}
-
-fn dec_entry(payload: &[u8]) -> Result<PersistedSanitized, wire::WireError> {
-    let mut d = Dec::new(payload);
-    let entry = PersistedSanitized {
-        hash: d.u64()?,
-        compiler: dec_compiler(&mut d)?,
-        opt: dec_opt(&mut d)?,
-        sanitizer: dec_sanitizer(&mut d)?,
-        registry_fp: d.u64()?,
-        subset_fp: d.u64()?,
-        source: d.str()?,
-        module: dec_module(&mut d)?,
-    };
-    d.finish()?;
-    Ok(entry)
-}
-
-/// Decodes only the dedup key (the payload's fixed-position head), skipping
-/// the expensive module decode — what open and compaction pay per record.
-fn dec_key(payload: &[u8]) -> Result<SanKey, wire::WireError> {
-    let mut d = Dec::new(payload);
-    Ok(SanKey {
-        hash: d.u64()?,
-        compiler: dec_compiler(&mut d)?,
-        opt: dec_opt(&mut d)?,
-        sanitizer: dec_sanitizer(&mut d)?,
-        registry_fp: d.u64()?,
-        subset_fp: d.u64()?,
-    })
-}
-
-impl SanitizedStore {
-    /// Opens (or creates) the sanitized table under `dir`, indexing every
-    /// record without decoding its module.
-    pub fn open(dir: impl AsRef<Path>) -> SanitizedStore {
-        let path = dir.as_ref().join(SANITIZED_FILE);
-        let telemetry = StoreTelemetry::default();
-        let log = LogState::open(&path, TableKind::Sanitized, "sanitized", dec_key, &telemetry);
-        SanitizedStore { path, log: Mutex::new(log), telemetry }
+    fn index(&self) -> SanKey {
+        *self
     }
 
-    /// The same as [`SanitizedStore::open`]; the budget is ignored. Kept
-    /// only because the benchmark harness (`ubbench`) still calls it.
-    pub fn open_budgeted(dir: impl AsRef<Path>, _budget: usize) -> SanitizedStore {
-        SanitizedStore::open(dir)
+    fn enc(&self, e: &mut Enc) {
+        e.u64(self.hash);
+        enc_compiler(e, self.compiler);
+        enc_opt(e, self.opt);
+        enc_sanitizer(e, self.sanitizer);
+        e.u64(self.registry_fp);
+        e.u64(self.subset_fp);
     }
 
-    /// The log, recovering (and recording) a poisoned lock.
-    fn log(&self) -> MutexGuard<'_, LogState<SanKey>> {
-        relock_noting(&self.log, &self.telemetry, "sanitized store lock")
-    }
-
-    /// The file backing this table.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Open/flush telemetry for this table.
-    pub fn telemetry(&self) -> &StoreTelemetry {
-        &self.telemetry
-    }
-
-    /// Current on-disk size of this table in bytes, header included.
-    pub fn size_bytes(&self) -> u64 {
-        self.log().bytes
-    }
-
-    /// Compacts the table to at most `budget` bytes, evicting the
-    /// least-recently-hit entries through the shared temp-file + rename
-    /// rewrite. Evicted keys leave the index, so they miss and a later
-    /// recompute re-persists them.
-    pub fn compact(&self, budget: u64) -> CompactStats {
-        crate::compact_log(
-            &self.path,
-            TableKind::Sanitized,
-            &mut self.log(),
-            budget,
-            dec_key,
-            &self.telemetry,
-        )
-    }
-}
-
-impl SanitizedBacking for SanitizedStore {
-    fn fetch(&self, key: &SanKey) -> Option<PersistedSanitized> {
-        LogState::fetch(&self.log, *key, &self.telemetry, "sanitized", dec_entry)
-    }
-
-    fn persist(&self, entry: SanitizedEntryRef<'_>) {
-        let key = entry.key();
-        let mut log = self.log();
-        if log.index.contains_key(&key) {
-            return; // already on disk (epoch-evicted recomputation)
-        }
-        log.append(key, &enc_entry(entry), &self.telemetry, "sanitized");
-    }
-
-    fn note_hit(&self, key: &SanKey) {
-        self.log().note_hit(*key);
+    fn dec(d: &mut Dec<'_>) -> Result<SanKey, WireError> {
+        Ok(SanKey {
+            hash: d.u64()?,
+            compiler: dec_compiler(d)?,
+            opt: dec_opt(d)?,
+            sanitizer: dec_sanitizer(d)?,
+            registry_fp: d.u64()?,
+            subset_fp: d.u64()?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::{
+        poisoned_lock_recovers_and_is_recorded as poisoned_lock_suite,
+        undecodable_module_is_a_fetch_miss, Layer,
+    };
+    use crate::wire;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use ubfuzz_minic::parse;
     use ubfuzz_simcc::defects::DefectRegistry;
-    use ubfuzz_simcc::pipeline::CompileConfig;
-    use ubfuzz_simcc::session::CompileSession;
     use ubfuzz_simcc::ir::Sanitizer;
+    use ubfuzz_simcc::pipeline::CompileConfig;
+    use ubfuzz_simcc::session::{CompileSession, SessionStats};
     use ubfuzz_simcc::target::{OptLevel, Vendor};
+
+    impl Layer for SanKey {
+        const SANITIZER: Option<Sanitizer> = Some(Sanitizer::Asan);
+
+        fn session(dir: &Path, table: Arc<SanitizedStore>) -> CompileSession {
+            CompileSession::with_backings(64, Arc::new(crate::PrefixStore::open(dir)), Some(table))
+        }
+
+        fn counts(stats: SessionStats) -> (u64, u64) {
+            (stats.san_hits, stats.san_misses)
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -238,7 +147,7 @@ mod tests {
         session.compile(&parse("int main(void) { return 1; }").unwrap(), &cfg).unwrap();
         session.compile(&parse("int main(void) { return 2; }").unwrap(), &cfg).unwrap();
         drop(session);
-        let path = dir.join(SANITIZED_FILE);
+        let path = dir.join(SanKey::FILE);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
 
@@ -293,7 +202,7 @@ mod tests {
         // telemetry event, never an error.
         let dir = tmp_dir("v2");
         let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join(SANITIZED_FILE);
+        let path = dir.join(SanKey::FILE);
         let mut bytes = wire::header(TableKind::Sanitized);
         bytes[8] = 2; // the pre-partition format version
         // A plausible v2-shaped record body (shorter key head) — the header
@@ -329,7 +238,7 @@ mod tests {
     fn version_skewed_file_cold_starts_never_errors() {
         let dir = tmp_dir("skew");
         let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join(SANITIZED_FILE);
+        let path = dir.join(SanKey::FILE);
         let mut header = wire::header(TableKind::Sanitized);
         header[8] = wire::FORMAT_VERSION + 1;
         std::fs::write(&path, &header).unwrap();
@@ -383,6 +292,21 @@ mod tests {
             4,
             "evicted keys re-persisted"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_module_is_a_fetch_miss_not_a_truncation() {
+        let dir = tmp_dir("bad-module");
+        undecodable_module_is_a_fetch_miss::<SanKey>(&dir, "sanitized fetch");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_and_is_recorded() {
+        let dir = tmp_dir("poison");
+        // The one sanitized module of the compile.
+        poisoned_lock_suite::<SanKey>(&dir, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ubfuzz_seedgen::{generate_seed, SeedOptions};
 use ubfuzz_simcc::defects::DefectRegistry;
 use ubfuzz_simcc::pipeline::{compile, CompileConfig};
-use ubfuzz_simcc::session::{CompileSession, PersistedPrefix, PrefixBacking};
+use ubfuzz_simcc::session::{Backing, CompileSession, PrefixCell};
 use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::Sanitizer;
 use ubfuzz_store::{modser, wire, CampaignLog, PrefixStore, SanitizedStore, Store, UnitOutcome};
@@ -181,18 +181,16 @@ fn version_skewed_store_files_cold_start_with_telemetry() {
     );
     // And the store was rewritten to the current version: a re-open is
     // clean and persisting works again.
-    let entry = PersistedPrefix {
+    let cell = PrefixCell {
         hash: 9,
         compiler: ubfuzz_simcc::target::CompilerId::dev(Vendor::Gcc),
         opt: OptLevel::O0,
-        source: "int main(void) { return 0; }".into(),
-        module: modser::module_from_bytes(&modser::module_to_bytes(
-            &compile(&p, &CompileConfig::dev(Vendor::Gcc, OptLevel::O0, None, &registry))
-                .unwrap(),
-        ))
-        .unwrap(),
     };
-    store.persist(entry.as_entry_ref());
+    let module = modser::module_from_bytes(&modser::module_to_bytes(
+        &compile(&p, &CompileConfig::dev(Vendor::Gcc, OptLevel::O0, None, &registry)).unwrap(),
+    ))
+    .unwrap();
+    store.persist(cell, "int main(void) { return 0; }", &module);
     let reopened = PrefixStore::open(&dir);
     assert_eq!(reopened.telemetry().loaded(), 1);
     assert!(!reopened.telemetry().recovered_cold());
@@ -235,6 +233,40 @@ fn store_written_by_the_decoding_open_warm_serves_with_zero_misses() {
     assert_eq!((stats.hits, stats.misses, stats.san_hits, stats.san_misses), (4, 0, 4, 0));
     assert_eq!((prefix.telemetry().persisted(), sanitized.telemetry().persisted()), (0, 0));
     assert!(prefix.telemetry().events().is_empty() && sanitized.telemetry().events().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The writer side of the same fixture: a fresh store, fed the fixture's
+/// program in the fixture's cell order, writes both files byte for byte as
+/// the fixture holds them — the record format of both module tables is
+/// pinned, not only what they can read.
+#[test]
+fn fresh_store_writes_the_v3_fixture_byte_for_byte() {
+    let dir = tmp_dir("v3-writer");
+    let prefix = Arc::new(PrefixStore::open(&dir));
+    let sanitized = Arc::new(SanitizedStore::open(&dir));
+    let session = CompileSession::with_backings(64, prefix, Some(sanitized));
+    let p = ubfuzz_minic::parse(
+        "int g[4]; int main(void) { int i = 1; g[i] = 3; return g[i] + g[0] / (i + 1); }",
+    )
+    .unwrap();
+    let registry = DefectRegistry::full();
+    for vendor in Vendor::ALL {
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            for sanitizer in [None, Some(Sanitizer::Asan)] {
+                let cfg = CompileConfig::dev(vendor, opt, sanitizer, &registry);
+                session.compile(&p, &cfg).unwrap();
+            }
+        }
+    }
+    drop(session);
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-store");
+    for name in ["prefix.bin", "sanitized.bin"] {
+        let written = std::fs::read(dir.join(name)).unwrap();
+        let pinned = std::fs::read(fixture.join(name)).unwrap();
+        let (w, n) = (written.len(), pinned.len());
+        assert!(written == pinned, "{name}: {w} B written, {n} B pinned");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
