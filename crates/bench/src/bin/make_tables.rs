@@ -85,10 +85,14 @@ fn main() {
     // between invocations (the CI persistence job diffs it).
     let cache = backend.session().stats();
     eprintln!(
-        "[make_tables] shared compile cache across entry points: {} hits, {} misses ({:.1}% reuse)",
+        "[make_tables] shared compile cache across entry points: {} hits, {} misses ({:.1}% reuse); \
+         sanitize layer: {} hits, {} misses ({:.1}% reuse)",
         cache.hits,
         cache.misses,
-        100.0 * cache.reuse_ratio()
+        100.0 * cache.reuse_ratio(),
+        cache.san_hits,
+        cache.san_misses,
+        100.0 * cache.san_reuse_ratio()
     );
     report_store_telemetry(&backend, &store);
     report_frontier_telemetry(&store);

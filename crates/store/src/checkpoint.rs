@@ -41,16 +41,17 @@
 //! checksum-valid record whose outcome does not decode (a foreign defect
 //! id, version drift) is indexed like any other; its `take_replay` answers
 //! `None`, records a `checkpoint replay decode failed` event, and the
-//! campaign recomputes the unit. Tail recovery is a `set_len` truncation
-//! to the trusted byte count (no record rewriting), so open cost is one
-//! sequential scan.
+//! campaign recomputes the unit. The scan, the tail recovery (a `set_len`
+//! truncation to the trusted byte count, no record rewriting) and the
+//! append are the store's shared record-file layer (`recfile`), so open
+//! cost is one sequential scan per file.
 
 use crate::frontier::{dec_cov_delta, enc_cov_delta};
 use crate::modser::{dec_module, dec_run_result, enc_module, enc_run_result};
+use crate::recfile::{self, Found};
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::{relock_noting, StoreTelemetry};
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::File;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -153,19 +154,6 @@ fn dec_unit(payload: &[u8]) -> Result<(usize, UnitOutcome, u64), wire::WireError
     Ok((index, outcome, writer))
 }
 
-/// Result of scanning one log file.
-struct FileScan {
-    /// Byte length of the trusted file prefix.
-    trusted: u64,
-    /// Total file length at scan time.
-    file_len: u64,
-    /// The file needs a fresh rewrite (missing / bad header / foreign
-    /// campaign).
-    fresh: bool,
-    /// Read handle kept for on-demand replay, when the file held anything.
-    reader: Option<File>,
-}
-
 impl CampaignLog {
     /// Opens (or creates) the primary checkpoint log under `dir` for the
     /// campaign identified by `config_fp` with `units` planned units. Scans
@@ -212,39 +200,61 @@ impl CampaignLog {
         if !files.contains(&target) {
             files.push(target.clone());
         }
+        let identity = enc_header(config_fp, units);
         let mut spans: Vec<Option<PayloadSpan>> = (0..units).map(|_| None).collect();
         let mut replayed = 0usize;
         let mut readers = Vec::with_capacity(files.len());
         let mut own = None;
         for (fi, path) in files.iter().enumerate() {
             let own_file = *path == target;
-            let fs = Self::scan_file(
-                path,
-                config_fp,
-                units,
-                fi,
-                &mut spans,
-                &mut replayed,
-                &telemetry,
-                own_file,
-            );
-            if fs.fresh && !own_file && fi > 0 && shard.is_none() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("checkpoint");
+            let mut ours = false;
+            let mut scan = recfile::scan(path, TableKind::Checkpoint, |payload, payload_off| {
+                if !ours {
+                    // The first record pins the campaign identity.
+                    ours = payload == identity;
+                    return ours;
+                }
+                // Only the unit-index head: the checksum already vouches for
+                // the bytes, and `take_replay` decodes the outcome once.
+                match Dec::new(payload).usize() {
+                    Ok(index) if index < units => {
+                        replayed += usize::from(spans[index].is_none());
+                        spans[index] = Some((fi, payload_off, payload.len() as u32));
+                        true
+                    }
+                    Ok(_) => {
+                        telemetry.record_corruption(format!("{name}: unit index out of plan"));
+                        false
+                    }
+                    Err(e) => {
+                        telemetry.record_corruption(format!("{name} record: {e}"));
+                        false
+                    }
+                }
+            });
+            if scan.found == Found::Valid && !ours {
+                // No identity record, or another campaign's: contributes
+                // nothing.
+                scan.found = Found::Foreign;
+            }
+            let valid = scan.found == Found::Valid;
+            readers.push(scan.reader.take().filter(|_| valid));
+            if own_file {
+                // Only the file this open writes is recovered (its torn tail
+                // truncated); foreign tails are merely distrusted.
+                scan.report(&telemetry, name);
+                own = Some(scan);
+            } else if !valid && fi > 0 && shard.is_none() {
                 // Primary open: a shard file that fails its own header
                 // check belongs to a foreign campaign — sweep it.
                 let _ = std::fs::remove_file(path);
+            } else if scan.torn() {
+                telemetry.record_corruption(format!("{name}: untrusted tail ignored"));
             }
-            if own_file {
-                own = Some((fi, fs.trusted, fs.file_len, fs.fresh));
-            }
-            readers.push(fs.reader);
         }
-        let (own_idx, trusted, file_len, fresh) =
-            own.expect("write target is always scanned");
-        let file = Self::recover(&target, config_fp, units, trusted, file_len, fresh, &telemetry);
-        if fresh {
-            // A fresh rewrite replaced the inode; drop the stale handle.
-            readers[own_idx] = None;
-        }
+        let own = own.expect("write target is always scanned");
+        let file = own.recover(&[identity], &telemetry, "checkpoint");
         telemetry.set_loaded(replayed);
         CampaignLog {
             path: target,
@@ -276,144 +286,6 @@ impl CampaignLog {
         ids.sort_unstable();
         ids.dedup();
         ids.into_iter().map(|id| dir.join(shard_file(id))).collect()
-    }
-
-    /// Sequentially validates one log file with one reusable record buffer,
-    /// folding its unit spans into the shared table — open-time memory is
-    /// O(largest record). `own` marks the file this open will write (its
-    /// torn tail gets truncated; foreign tails are merely distrusted).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_file(
-        path: &Path,
-        config_fp: u64,
-        units: usize,
-        file_idx: usize,
-        spans: &mut [Option<PayloadSpan>],
-        replayed: &mut usize,
-        telemetry: &StoreTelemetry,
-        own: bool,
-    ) -> FileScan {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("checkpoint");
-        let mut out = FileScan { trusted: 0, file_len: 0, fresh: true, reader: None };
-        let Ok(mut file) = File::open(path) else { return out };
-        out.file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let mut header = [0u8; wire::HEADER_LEN];
-        if file.read_exact(&mut header).is_err() {
-            if out.file_len > 0 && own {
-                telemetry.record_corruption(format!("{name} header: truncated"));
-                telemetry.record_cold_start();
-            }
-            return out;
-        }
-        if let Err(e) = wire::check_header(&header, TableKind::Checkpoint) {
-            if own {
-                telemetry.record_corruption(format!("{name} header: {e}"));
-                telemetry.record_cold_start();
-            }
-            return out;
-        }
-        let mut pos = wire::HEADER_LEN as u64;
-        let mut buf = Vec::new();
-        let mut first = true;
-        // A torn/corrupt tail ends the scan: trust what came before it.
-        while let Some((payload_off, payload_len)) =
-            wire::read_record_at(&mut file, out.file_len, pos, &mut buf)
-        {
-            if first {
-                // The header record pins the campaign identity.
-                let mut d = Dec::new(&buf);
-                let ok = d.u64() == Ok(config_fp)
-                    && d.u64() == Ok(units as u64)
-                    && d.finish().is_ok();
-                if !ok {
-                    if own {
-                        telemetry.record_cold_start();
-                    }
-                    return out; // foreign campaign: contributes nothing
-                }
-                first = false;
-            } else {
-                // Only the unit-index head: the checksum already vouches for
-                // the bytes, and `take_replay` decodes the outcome once.
-                match Dec::new(&buf).usize() {
-                    Ok(index) if index < units => {
-                        let slot = &mut spans[index];
-                        if slot.is_none() {
-                            *replayed += 1;
-                        }
-                        *slot = Some((file_idx, payload_off, payload_len));
-                    }
-                    Ok(_) => {
-                        telemetry.record_corruption(format!(
-                            "{name}: unit index out of plan"
-                        ));
-                        break;
-                    }
-                    Err(e) => {
-                        telemetry.record_corruption(format!("{name} record: {e}"));
-                        break;
-                    }
-                }
-            }
-            pos = payload_off + payload_len as u64 + 8;
-            out.trusted = pos;
-        }
-        if first {
-            // No valid header record at all.
-            if own {
-                telemetry.record_cold_start();
-            }
-            return out;
-        }
-        out.fresh = false;
-        if out.trusted < out.file_len {
-            if own {
-                telemetry.record_tail_truncated();
-            } else {
-                telemetry.record_corruption(format!("{name}: untrusted tail ignored"));
-            }
-        }
-        out.reader = Some(file);
-        out
-    }
-
-    /// Puts the write target into an appendable state: a fresh header for
-    /// cold starts, or a `set_len` truncation of any untrusted tail.
-    fn recover(
-        path: &Path,
-        config_fp: u64,
-        units: usize,
-        trusted: u64,
-        file_len: u64,
-        fresh: bool,
-        telemetry: &StoreTelemetry,
-    ) -> Option<File> {
-        if fresh
-            && !wire::rewrite_file(path, TableKind::Checkpoint, &[enc_header(config_fp, units)])
-        {
-            telemetry.record_corruption("checkpoint directory unwritable".into());
-            telemetry.record_cold_start();
-            return None;
-        }
-        // O_APPEND, not seek-to-end: even though each file has exactly one
-        // *intended* writer, a mis-deployed second process appending to the
-        // same file then tears at record granularity instead of silently
-        // interleaving bytes mid-record.
-        match OpenOptions::new().read(true).append(true).open(path) {
-            Ok(file) => {
-                if !fresh && trusted < file_len {
-                    let _ = file.set_len(trusted);
-                }
-                Some(file)
-            }
-            Err(_) => {
-                telemetry.record_corruption(
-                    "checkpoint not writable; checkpointing disabled".into(),
-                );
-                telemetry.record_cold_start();
-                None
-            }
-        }
     }
 
     /// Takes unit `index`'s replayed outcome, reading and decoding its
@@ -467,16 +339,9 @@ impl CampaignLog {
 
     /// Appends (and flushes) one completed unit.
     pub fn record(&self, index: usize, outcome: &UnitOutcome) {
-        let mut guard = relock_noting(&self.file, &self.telemetry, "checkpoint file lock");
-        let Some(file) = guard.as_mut() else { return };
-        let record = wire::frame(&enc_unit(index, outcome, self.writer_id));
-        // The handle is O_APPEND: one write_all per record, no seek.
-        if file.write_all(&record).and_then(|()| file.flush()).is_err() {
-            self.telemetry.record_corruption("checkpoint append failed".into());
-            *guard = None;
-        } else {
-            self.telemetry.record_persisted();
-        }
+        let mut file = relock_noting(&self.file, &self.telemetry, "checkpoint file lock");
+        let payload = enc_unit(index, outcome, self.writer_id);
+        recfile::append(&mut file, &payload, &self.telemetry, "checkpoint");
     }
 
     /// The file this log writes.

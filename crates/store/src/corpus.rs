@@ -10,14 +10,17 @@
 //! (`last_seen`, campaign count, duplicate totals) instead of duplicating
 //! the entry.
 //!
-//! Unlike the append-only tables, the corpus is small (tens of entries) and
-//! rewritten wholesale on every merge through a temp-file rename, which is
-//! atomic on POSIX — a kill mid-merge leaves the previous corpus intact.
+//! Unlike the append logs, the corpus is small (tens of entries): a
+//! snapshot in the store's shared record-file layer (`recfile`), loaded
+//! whole at open and rewritten whole on every merge through a temp-file
+//! rename, which is atomic on POSIX — a kill mid-merge leaves the previous
+//! corpus intact.
 
+use crate::recfile::Snapshot;
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::StoreTelemetry;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the corpus table inside a store directory.
 pub const CORPUS_FILE: &str = "corpus.bin";
@@ -77,12 +80,12 @@ pub struct MergeSummary {
 /// degrade to an empty corpus with telemetry.
 #[derive(Debug)]
 pub struct BugCorpus {
-    path: PathBuf,
+    file: Snapshot,
     entries: BTreeMap<String, CorpusEntry>,
-    telemetry: StoreTelemetry,
 }
 
-fn enc_entry(e: &mut Enc, entry: &CorpusEntry) {
+fn enc_entry(entry: &CorpusEntry) -> Vec<u8> {
+    let mut e = Enc::new();
     e.str(&entry.bug.key);
     e.str(&entry.bug.vendor);
     e.str(&entry.bug.sanitizer);
@@ -102,6 +105,7 @@ fn enc_entry(e: &mut Enc, entry: &CorpusEntry) {
     e.u64(entry.last_seen);
     e.u64(entry.campaigns);
     e.u64(entry.total_duplicates);
+    e.into_bytes()
 }
 
 fn dec_entry(payload: &[u8]) -> Result<CorpusEntry, wire::WireError> {
@@ -139,53 +143,14 @@ fn dec_entry(payload: &[u8]) -> Result<CorpusEntry, wire::WireError> {
 impl BugCorpus {
     /// Opens (or creates) the corpus under `dir`.
     pub fn open(dir: impl AsRef<Path>) -> BugCorpus {
-        let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
-        let path = dir.as_ref().join(CORPUS_FILE);
-        let telemetry = StoreTelemetry::default();
-        let _ = std::fs::create_dir_all(dir.as_ref());
         let mut entries = BTreeMap::new();
-        match std::fs::read(&path) {
-            Ok(bytes) if !bytes.is_empty() => {
-                match wire::check_header(&bytes, TableKind::Corpus) {
-                    Ok(()) => {
-                        let (records, _) = wire::read_records(&bytes[wire::HEADER_LEN..]);
-                        let mut trusted = wire::HEADER_LEN;
-                        for payload in records {
-                            match dec_entry(payload) {
-                                Ok(entry) => {
-                                    entries.insert(entry.bug.key.clone(), entry);
-                                    trusted += wire::record_span(payload.len());
-                                }
-                                Err(e) => {
-                                    telemetry
-                                        .record_corruption(format!("corpus record: {e}"));
-                                    break;
-                                }
-                            }
-                        }
-                        // Checksum-torn bytes past the valid prefix are
-                        // unrecoverable (the next merge rewrites the file
-                        // from what loaded) — say so, don't lose silently.
-                        if trusted < bytes.len() {
-                            telemetry.record_tail_truncated();
-                            telemetry.record_corruption(format!(
-                                "corpus tail dropped ({} of {} bytes trusted)",
-                                trusted,
-                                bytes.len()
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        telemetry.record_corruption(format!("corpus header: {e}"));
-                        telemetry.record_cold_start();
-                    }
-                }
-            }
-            Ok(_) => {}
-            Err(_) => {}
-        }
-        telemetry.set_loaded(entries.len());
-        BugCorpus { path, entries, telemetry }
+        let file = Snapshot::open(dir, CORPUS_FILE, TableKind::Corpus, "corpus", |payload| {
+            let entry = dec_entry(payload)?;
+            entries.insert(entry.bug.key.clone(), entry);
+            Ok(())
+        });
+        file.telemetry.set_loaded(entries.len());
+        BugCorpus { file, entries }
     }
 
     /// Merges one campaign's bugs, stamped `now` (unix seconds), and
@@ -216,25 +181,8 @@ impl BugCorpus {
                 }
             }
         }
-        self.flush();
+        self.file.save(self.entries.values().map(enc_entry));
         summary
-    }
-
-    fn flush(&self) {
-        let payloads: Vec<Vec<u8>> = self
-            .entries
-            .values()
-            .map(|entry| {
-                let mut e = Enc::new();
-                enc_entry(&mut e, entry);
-                e.into_bytes()
-            })
-            .collect();
-        if wire::rewrite_file(&self.path, TableKind::Corpus, &payloads) {
-            self.telemetry.record_persisted();
-        } else {
-            self.telemetry.record_corruption("corpus directory unwritable".into());
-        }
     }
 
     /// All entries, in stable key order.
@@ -254,18 +202,20 @@ impl BugCorpus {
 
     /// The file backing this corpus.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// Open/flush telemetry for this corpus.
     pub fn telemetry(&self) -> &StoreTelemetry {
-        &self.telemetry
+        &self.file.telemetry
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recfile::tests::{snapshot_recovery, SnapshotTable};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -289,6 +239,31 @@ mod tests {
             test_case: "int main(void) { return 0; }".into(),
             duplicates,
         }
+    }
+
+    impl SnapshotTable for BugCorpus {
+        const FILE: &'static str = CORPUS_FILE;
+
+        fn open(dir: &Path) -> BugCorpus {
+            BugCorpus::open(dir)
+        }
+
+        fn fill(&mut self) {
+            self.merge(&[bug("a", 1), bug("b", 1), bug("c", 2)], 1);
+        }
+
+        fn len(&self) -> usize {
+            self.len()
+        }
+
+        fn telemetry(&self) -> &StoreTelemetry {
+            self.telemetry()
+        }
+    }
+
+    #[test]
+    fn snapshot_recovery_suite() {
+        snapshot_recovery::<BugCorpus>(&tmp_dir("suite"));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! (`ubfuzz-guide`): a campaign loads it at start, derives its generation
 //! plan from `(campaign seed, frontier state)`, absorbs every unit's
 //! [`CovDelta`] in canonical consumer order, and rewrites the file on
-//! successful completion. Like the corpus, the table is small (bounded by
-//! the static `cov::POINTS` registry times two vendors) and rewritten
-//! wholesale through the shared temp-file + rename protocol — a kill
-//! mid-save leaves the previous frontier intact.
+//! successful completion. Like the corpus, the table is a small snapshot
+//! (bounded by the static `cov::POINTS` registry times two vendors), loaded
+//! and rewritten whole by the store's shared record-file layer (`recfile`)
+//! through the temp-file + rename protocol — a kill mid-save leaves the
+//! previous frontier intact.
 //!
 //! Decoded points are re-interned against `cov::POINTS` via
 //! [`ubfuzz_simcc::cov::lookup`]; a pair the registry does not know is
@@ -17,9 +18,10 @@
 //! missing/corrupt/version-skewed file is a cold start with telemetry —
 //! never an error, same contract as every other table.
 
+use crate::recfile::Snapshot;
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::StoreTelemetry;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use ubfuzz_simcc::cov::{self, CovDelta, CovPoint};
 #[cfg(test)]
 use ubfuzz_simcc::Vendor;
@@ -68,79 +70,32 @@ pub(crate) fn dec_cov_delta(d: &mut Dec<'_>) -> Result<CovDelta, wire::WireError
 /// version-skewed files degrade to an empty frontier with telemetry.
 #[derive(Debug)]
 pub struct FrontierStore {
-    path: PathBuf,
+    file: Snapshot,
     covered: CovDelta,
-    telemetry: StoreTelemetry,
 }
 
 impl FrontierStore {
     /// Opens (or creates) the frontier under `dir`.
     pub fn open(dir: impl AsRef<Path>) -> FrontierStore {
-        let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
-        let path = dir.as_ref().join(FRONTIER_FILE);
-        let telemetry = StoreTelemetry::default();
-        let _ = std::fs::create_dir_all(dir.as_ref());
         let mut covered = CovDelta::new();
-        match std::fs::read(&path) {
-            Ok(bytes) if !bytes.is_empty() => {
-                match wire::check_header(&bytes, TableKind::Frontier) {
-                    Ok(()) => {
-                        let (records, _) = wire::read_records(&bytes[wire::HEADER_LEN..]);
-                        let mut trusted = wire::HEADER_LEN;
-                        for payload in records {
-                            let mut d = Dec::new(payload);
-                            match dec_cov_point(&mut d).and_then(|p| d.finish().map(|()| p)) {
-                                Ok(point) => {
-                                    covered.insert(point);
-                                    trusted += wire::record_span(payload.len());
-                                }
-                                Err(e) => {
-                                    telemetry
-                                        .record_corruption(format!("frontier record: {e}"));
-                                    break;
-                                }
-                            }
-                        }
-                        if trusted < bytes.len() {
-                            telemetry.record_tail_truncated();
-                            telemetry.record_corruption(format!(
-                                "frontier tail dropped ({} of {} bytes trusted)",
-                                trusted,
-                                bytes.len()
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        telemetry.record_corruption(format!("frontier header: {e}"));
-                        telemetry.record_cold_start();
-                    }
-                }
-            }
-            Ok(_) => {}
-            Err(_) => {}
-        }
-        telemetry.set_loaded(covered.len());
-        FrontierStore { path, covered, telemetry }
+        let file = Snapshot::open(dir, FRONTIER_FILE, TableKind::Frontier, "frontier", |payload| {
+            let mut d = Dec::new(payload);
+            covered.insert(dec_cov_point(&mut d)?);
+            d.finish()
+        });
+        file.telemetry.set_loaded(covered.len());
+        FrontierStore { file, covered }
     }
 
     /// Replaces the persisted frontier with `covered` (the campaign's final
     /// union of loaded state and per-unit deltas) and rewrites the file.
     pub fn save(&mut self, covered: &CovDelta) {
         self.covered = covered.clone();
-        let payloads: Vec<Vec<u8>> = self
-            .covered
-            .iter()
-            .map(|point| {
-                let mut e = Enc::new();
-                enc_cov_point(&mut e, point);
-                e.into_bytes()
-            })
-            .collect();
-        if wire::rewrite_file(&self.path, TableKind::Frontier, &payloads) {
-            self.telemetry.record_persisted();
-        } else {
-            self.telemetry.record_corruption("frontier directory unwritable".into());
-        }
+        self.file.save(self.covered.iter().map(|point| {
+            let mut e = Enc::new();
+            enc_cov_point(&mut e, point);
+            e.into_bytes()
+        }));
     }
 
     /// The loaded (or last-saved) covered point set, in canonical order.
@@ -164,23 +119,25 @@ impl FrontierStore {
     /// Feeds the `[store] size:` line and the compaction budget split,
     /// which must account every table in the directory.
     pub fn size_bytes(&self) -> u64 {
-        std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
+        std::fs::metadata(&self.file.path).map(|m| m.len()).unwrap_or(0)
     }
 
     /// The file backing this frontier.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// Open/save telemetry for this frontier.
     pub fn telemetry(&self) -> &StoreTelemetry {
-        &self.telemetry
+        &self.file.telemetry
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recfile::tests::{snapshot_recovery, SnapshotTable};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -198,6 +155,31 @@ mod tests {
         d.insert((Vendor::Gcc, "ubsan.rs", "arith_check"));
         d.insert((Vendor::Llvm, "msan.rs", "run"));
         d
+    }
+
+    impl SnapshotTable for FrontierStore {
+        const FILE: &'static str = FRONTIER_FILE;
+
+        fn open(dir: &Path) -> FrontierStore {
+            FrontierStore::open(dir)
+        }
+
+        fn fill(&mut self) {
+            self.save(&sample());
+        }
+
+        fn len(&self) -> usize {
+            self.len()
+        }
+
+        fn telemetry(&self) -> &StoreTelemetry {
+            self.telemetry()
+        }
+    }
+
+    #[test]
+    fn snapshot_recovery_suite() {
+        snapshot_recovery::<FrontierStore>(&tmp_dir("suite"));
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! of a killed daemon can see who held what; the checkpoint shards
 //! (`campaign.s<id>.bin`) remain the source of truth for completed work.
 //!
-//! Small and rewritten wholesale through a temp-file rename, like the bug
-//! corpus: a kill mid-flush leaves the previous table intact.
+//! A small snapshot like the bug corpus, loaded and rewritten whole by the
+//! store's shared record-file layer (`recfile`) through a temp-file rename:
+//! a kill mid-flush leaves the previous table intact.
 
+use crate::recfile::Snapshot;
 use crate::wire::{self, Dec, Enc, TableKind};
 use crate::StoreTelemetry;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the lease table inside a store directory.
 pub const LEASE_FILE: &str = "leases.bin";
@@ -81,7 +83,8 @@ pub struct LeaseRecord {
     pub state: LeaseState,
 }
 
-fn enc_lease(e: &mut Enc, lease: &LeaseRecord) {
+fn enc_lease(lease: &LeaseRecord) -> Vec<u8> {
+    let mut e = Enc::new();
     e.u64(lease.id);
     e.u64(lease.campaign_fp);
     e.u64(lease.start);
@@ -90,6 +93,7 @@ fn enc_lease(e: &mut Enc, lease: &LeaseRecord) {
     e.u64(lease.granted);
     e.u64(lease.ttl_secs);
     e.u8(lease.state.tag());
+    e.into_bytes()
 }
 
 fn dec_lease(payload: &[u8]) -> Result<LeaseRecord, wire::WireError> {
@@ -112,52 +116,21 @@ fn dec_lease(payload: &[u8]) -> Result<LeaseRecord, wire::WireError> {
 /// files degrade to an empty table with telemetry.
 #[derive(Debug)]
 pub struct LeaseTable {
-    path: PathBuf,
+    file: Snapshot,
     leases: BTreeMap<u64, LeaseRecord>,
-    telemetry: StoreTelemetry,
 }
 
 impl LeaseTable {
     /// Opens (or creates) the lease table under `dir`.
     pub fn open(dir: impl AsRef<Path>) -> LeaseTable {
-        let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
-        let path = dir.as_ref().join(LEASE_FILE);
-        let telemetry = StoreTelemetry::default();
-        let _ = std::fs::create_dir_all(dir.as_ref());
         let mut leases = BTreeMap::new();
-        match std::fs::read(&path) {
-            Ok(bytes) if !bytes.is_empty() => {
-                match wire::check_header(&bytes, TableKind::Lease) {
-                    Ok(()) => {
-                        let (records, _) = wire::read_records(&bytes[wire::HEADER_LEN..]);
-                        let mut trusted = wire::HEADER_LEN;
-                        for payload in records {
-                            match dec_lease(payload) {
-                                Ok(lease) => {
-                                    leases.insert(lease.id, lease);
-                                    trusted += wire::record_span(payload.len());
-                                }
-                                Err(e) => {
-                                    telemetry.record_corruption(format!("lease record: {e}"));
-                                    break;
-                                }
-                            }
-                        }
-                        if trusted < bytes.len() {
-                            telemetry.record_tail_truncated();
-                        }
-                    }
-                    Err(e) => {
-                        telemetry.record_corruption(format!("lease header: {e}"));
-                        telemetry.record_cold_start();
-                    }
-                }
-            }
-            Ok(_) => {}
-            Err(_) => {}
-        }
-        telemetry.set_loaded(leases.len());
-        LeaseTable { path, leases, telemetry }
+        let file = Snapshot::open(dir, LEASE_FILE, TableKind::Lease, "lease", |payload| {
+            let lease = dec_lease(payload)?;
+            leases.insert(lease.id, lease);
+            Ok(())
+        });
+        file.telemetry.set_loaded(leases.len());
+        LeaseTable { file, leases }
     }
 
     /// Inserts or replaces one lease and rewrites the file.
@@ -191,20 +164,7 @@ impl LeaseTable {
     }
 
     fn flush(&self) {
-        let payloads: Vec<Vec<u8>> = self
-            .leases
-            .values()
-            .map(|lease| {
-                let mut e = Enc::new();
-                enc_lease(&mut e, lease);
-                e.into_bytes()
-            })
-            .collect();
-        if wire::rewrite_file(&self.path, TableKind::Lease, &payloads) {
-            self.telemetry.record_persisted();
-        } else {
-            self.telemetry.record_corruption("lease directory unwritable".into());
-        }
+        self.file.save(self.leases.values().map(enc_lease));
     }
 
     /// All leases, in id order.
@@ -214,18 +174,20 @@ impl LeaseTable {
 
     /// The file backing this table.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// Open/flush telemetry for this table.
     pub fn telemetry(&self) -> &StoreTelemetry {
-        &self.telemetry
+        &self.file.telemetry
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recfile::tests::{snapshot_recovery, SnapshotTable};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -248,6 +210,32 @@ mod tests {
             ttl_secs: 60,
             state: LeaseState::Active,
         }
+    }
+
+    impl SnapshotTable for LeaseTable {
+        const FILE: &'static str = LEASE_FILE;
+
+        fn open(dir: &Path) -> LeaseTable {
+            LeaseTable::open(dir)
+        }
+
+        fn fill(&mut self) {
+            self.upsert(lease(1, 7, 0..10));
+            self.upsert(lease(2, 7, 10..20));
+        }
+
+        fn len(&self) -> usize {
+            self.leases().len()
+        }
+
+        fn telemetry(&self) -> &StoreTelemetry {
+            self.telemetry()
+        }
+    }
+
+    #[test]
+    fn snapshot_recovery_suite() {
+        snapshot_recovery::<LeaseTable>(&tmp_dir("suite"));
     }
 
     #[test]

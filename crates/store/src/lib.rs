@@ -25,13 +25,18 @@
 //! the shared temp-file + rename rewrite, so a long-lived store directory
 //! can be pinned under a size budget without losing its hottest entries.
 //!
-//! **Crash consistency.** Append-only tables flush every record and frame
-//! it with a length prefix and an FNV-1a checksum; a kill mid-append tears
-//! at most the final record, which the next open truncates away. The
-//! corpus rewrites wholesale through a temp-file rename. **No store
-//! failure is an error**: corrupt, truncated, version-skewed, unwritable —
-//! every degraded path is a cold start recorded in [`StoreTelemetry`],
-//! because a fuzzing campaign must never refuse to run over a bad cache.
+//! **Crash consistency.** Every table file is a header plus records framed
+//! with a length prefix and an FNV-1a checksum, in one of two shapes. The
+//! append logs (module tables, checkpoint log) flush every record; a kill
+//! mid-append tears at most the final record, which the next open
+//! truncates away. The snapshots (corpus, frontier, leases) rewrite
+//! wholesale through a temp-file rename, so a kill mid-save leaves the
+//! previous file intact. One module, `recfile`, implements both shapes —
+//! the scan, the recovery, the append and the snapshot load/save — and
+//! each table supplies only its record codec. **No store failure is an
+//! error**: corrupt, truncated, version-skewed, unwritable — every degraded
+//! path is a cold start recorded in [`StoreTelemetry`], because a fuzzing
+//! campaign must never refuse to run over a bad cache.
 //!
 //! The wire format is hand-rolled ([`wire`], [`modser`]) — the workspace is
 //! offline by policy, so no serde; the discipline mirrors the vendor shims:
@@ -48,6 +53,7 @@ pub mod frontier;
 pub mod lease;
 pub mod modser;
 pub mod prefix;
+mod recfile;
 pub mod sanitized;
 pub mod table;
 pub mod wire;
@@ -71,7 +77,8 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// [`relock`], recording a [`StoreTelemetry`] corruption event when the
-/// lock was actually poisoned.
+/// lock was actually poisoned. The recovery clears the poison, so each
+/// poisoning is recorded once, not on every later lock.
 pub(crate) fn relock_noting<'a, T>(
     m: &'a Mutex<T>,
     telemetry: &StoreTelemetry,
@@ -79,6 +86,7 @@ pub(crate) fn relock_noting<'a, T>(
 ) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| {
         telemetry.record_corruption(format!("{what}: poisoned lock recovered"));
+        m.clear_poison();
         e.into_inner()
     })
 }

@@ -7,15 +7,14 @@
 //! [`SanKey`](ubfuzz_simcc::session::SanKey). The tables differ only in
 //! their [`TableKey`].
 //!
-//! The file is an append-only record log (see [`crate::wire`]), one record
-//! per key: `key head · source · module`. Opening streams it with one
-//! reusable buffer, validates the header and every record's checksum,
-//! truncates any torn/corrupt tail back to the longest valid prefix (via
-//! `set_len`, no rewriting), and indexes each surviving record's key. Every
-//! lookup the session cannot answer from memory asks [`Backing::fetch`]
-//! first and appends what it then computes, flushed immediately, so a kill
-//! at any instant loses at most the record being written — which the next
-//! open truncates away.
+//! The file is an append log, one record per key: `key head · source ·
+//! module`. Its scan, recovery and append are the store's shared
+//! record-file layer (`recfile`): open indexes each record's key as the
+//! scan hands it over, and a torn tail is cut back to the longest valid
+//! prefix. Every lookup the session cannot answer from memory asks
+//! [`Backing::fetch`] first and appends what it then computes, flushed
+//! immediately, so a kill at any instant loses at most the record being
+//! written — which the next open truncates away.
 //!
 //! **Memory discipline.** A store grows without bound across invocations,
 //! so open decodes no module: it keeps `key → (offset, length)` per record
@@ -25,12 +24,12 @@
 //! decoded modules.
 
 use crate::modser::{dec_module, enc_module};
+use crate::recfile;
 use crate::wire::{self, Dec, Enc, TableKind, WireError};
 use crate::{relock_noting, CompactStats, StoreTelemetry};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::hash::Hash;
-use std::io::{Read as _, Seek as _, Write as _};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -229,57 +228,31 @@ impl<K: TableKey> LogState<K> {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        let what = K::WHAT;
         let mut index = HashMap::new();
         let mut recency = HashMap::new();
         let mut clock = 0u64;
-        let mut fresh = true;
-        let mut trusted = wire::HEADER_LEN as u64;
-        let mut file_len = 0u64;
-        if let Ok(mut file) = File::open(path) {
-            file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-            let mut header = [0u8; wire::HEADER_LEN];
-            if file.read_exact(&mut header).is_err() {
-                if file_len > 0 {
-                    telemetry.record_corruption(format!("{what} header: truncated"));
-                    telemetry.record_cold_start();
-                }
-            } else if let Err(e) = wire::check_header(&header, K::KIND) {
-                telemetry.record_corruption(format!("{what} header: {e}"));
-                telemetry.record_cold_start();
-            } else {
-                fresh = false;
-                let mut buf = Vec::new();
-                while let Some((payload_off, payload_len)) =
-                    wire::read_record_at(&mut file, file_len, trusted, &mut buf)
-                {
-                    // A checksum-valid record whose key head fails to decode
-                    // means the *writer* disagreed with us — stop trusting
-                    // the rest. A module that fails to decode is only found
-                    // at fetch, and is a miss there.
-                    let key = match dec_index::<K>(&buf) {
-                        Ok(key) => key,
-                        Err(e) => {
-                            telemetry.record_corruption(format!("{what} record: {e}"));
-                            break;
-                        }
-                    };
-                    index.insert(key, (payload_off, payload_len));
+        let scan = recfile::scan(path, K::KIND, |payload, payload_off| {
+            // A checksum-valid record whose key head fails to decode means
+            // the *writer* disagreed with us — stop trusting the rest. A
+            // module that fails to decode is only found at fetch, and is a
+            // miss there.
+            match dec_index::<K>(payload) {
+                Ok(key) => {
+                    index.insert(key, (payload_off, payload.len() as u32));
                     clock += 1;
                     recency.insert(key, clock);
-                    trusted = payload_off + payload_len as u64 + 8;
+                    true
                 }
-                if trusted < file_len {
-                    telemetry.record_tail_truncated();
+                Err(e) => {
+                    telemetry.record_corruption(format!("{} record: {e}", K::WHAT));
+                    false
                 }
             }
-        }
-        let file = recover::<K>(path, fresh, trusted, file_len, telemetry);
+        });
+        scan.report(telemetry, K::WHAT);
+        let file = scan.recover(&[], telemetry, &format!("{} store", K::WHAT));
         telemetry.set_loaded(index.len());
-        let bytes = match &file {
-            Some(_) => trusted,
-            None => 0,
-        };
+        let bytes = if file.is_some() { scan.trusted } else { 0 };
         let reader = File::open(path).ok().map(Arc::new);
         LogState { file, reader, index, recency, clock, bytes }
     }
@@ -288,29 +261,15 @@ impl<K: TableKey> LogState<K> {
     /// persistence is disabled; an append failure disables persistence
     /// (the campaign keeps computing).
     fn append(&mut self, key: K::Index, payload: &[u8], telemetry: &StoreTelemetry) {
-        let Some(file) = self.file.as_mut() else { return };
+        if self.file.is_none() {
+            return;
+        }
         let _span = obs::Span::enter(Stage::StorePersist, 0);
-        let record = wire::frame(payload);
-        // The handle is O_APPEND: one write_all lands the whole record at
-        // the end of file regardless of concurrent appenders, and the
-        // handle's position afterwards is where this record ended.
-        let end = file
-            .write_all(&record)
-            .and_then(|()| file.flush())
-            .and_then(|()| file.stream_position());
-        match end {
-            Err(_) => {
-                telemetry.record_corruption(format!("{} append failed", K::WHAT));
-                self.file = None;
-            }
-            Ok(end) => {
-                let payload_off = end - record.len() as u64 + 4;
-                self.index.insert(key, (payload_off, payload.len() as u32));
-                self.bytes += record.len() as u64;
-                self.clock += 1;
-                self.recency.insert(key, self.clock);
-                telemetry.record_persisted();
-            }
+        if let Some(payload_off) = recfile::append(&mut self.file, payload, telemetry, K::WHAT) {
+            self.index.insert(key, (payload_off, payload.len() as u32));
+            self.bytes += wire::record_span(payload.len()) as u64;
+            self.clock += 1;
+            self.recency.insert(key, self.clock);
         }
     }
 
@@ -338,23 +297,20 @@ impl<K: TableKey> LogState<K> {
             kept: self.index.len(),
             evicted: 0,
         };
-        let Some(file) = self.file.as_mut() else { return noop };
-        let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let mut records: Vec<(Vec<u8>, K::Index)> = Vec::new();
-        let mut pos = wire::HEADER_LEN as u64;
-        let mut buf = Vec::new();
-        while let Some((payload_off, payload_len)) =
-            wire::read_record_at(file, file_len, pos, &mut buf)
-        {
-            match dec_index::<K>(&buf) {
-                Ok(key) => records.push((std::mem::take(&mut buf), key)),
-                Err(e) => {
-                    telemetry.record_corruption(format!("compaction record: {e}"));
-                    break;
-                }
-            }
-            pos = payload_off + payload_len as u64 + 8;
+        if self.file.is_none() {
+            return noop;
         }
+        let mut records: Vec<(Vec<u8>, K::Index)> = Vec::new();
+        recfile::scan(path, K::KIND, |payload, _| match dec_index::<K>(payload) {
+            Ok(key) => {
+                records.push((payload.to_vec(), key));
+                true
+            }
+            Err(e) => {
+                telemetry.record_corruption(format!("compaction record: {e}"));
+                false
+            }
+        });
         // Rank most-recently-hit first; open-time sequences make ties
         // impossible, but fall back to later-file-order-wins for safety.
         let mut order: Vec<usize> = (0..records.len()).collect();
@@ -383,7 +339,7 @@ impl<K: TableKey> LogState<K> {
             return noop;
         }
         // Reopen: both handles still point at the pre-rename inode.
-        self.file = OpenOptions::new().read(true).append(true).open(path).ok();
+        self.file = recfile::open_append(path);
         self.reader = File::open(path).ok().map(Arc::new);
         let mut pos = wire::HEADER_LEN as u64;
         self.index.clear();
@@ -399,45 +355,6 @@ impl<K: TableKey> LogState<K> {
             after_bytes: after,
             kept: self.index.len(),
             evicted: total - payloads.len(),
-        }
-    }
-}
-
-/// Puts a log file into an appendable state: a fresh header for missing or
-/// unusable files, or a `set_len` truncation of any untrusted tail.
-fn recover<K: TableKey>(
-    path: &Path,
-    fresh: bool,
-    trusted: u64,
-    file_len: u64,
-    telemetry: &StoreTelemetry,
-) -> Option<File> {
-    if fresh && !wire::rewrite_file(path, K::KIND, &[]) {
-        telemetry.record_corruption(format!("{} store directory unwritable", K::WHAT));
-        telemetry.record_cold_start();
-        return None;
-    }
-    // O_APPEND, not seek-to-end: with concurrent opens of one store
-    // directory (daemon workers), every append lands atomically at the
-    // current end of file instead of at a position another process may
-    // have advanced past.
-    match OpenOptions::new().read(true).append(true).open(path) {
-        Ok(file) => {
-            if !fresh && trusted < file_len {
-                let _ = file.set_len(trusted);
-            }
-            Some(file)
-        }
-        Err(_) => {
-            // Read-only store: indexed entries still fetch, but nothing new
-            // persists — flag it so `cold=...` telemetry consumers see the
-            // degradation instead of a silent no-op.
-            telemetry.record_corruption(format!(
-                "{} store not writable; persistence disabled",
-                K::WHAT
-            ));
-            telemetry.record_cold_start();
-            None
         }
     }
 }
@@ -523,11 +440,17 @@ pub(crate) mod tests {
         let session = K::session(dir, store.clone());
         session.compile(&parse("int main(void) { return 7; }").unwrap(), &cfg).unwrap();
         assert_eq!(store.telemetry().persisted(), persisted);
-        // ...and the recovery must be observable.
+        // ...and the recovery must be observable, once per poisoning.
         assert!(
             store.telemetry().events().iter().any(|e| e.contains("poisoned lock recovered")),
             "{:?}",
             store.telemetry().events()
         );
+        for _ in 0..5 {
+            store.size_bytes();
+        }
+        let events = store.telemetry().events();
+        let recovered = events.iter().filter(|e| e.contains("poisoned lock recovered")).count();
+        assert_eq!(recovered, 1, "{events:?}");
     }
 }

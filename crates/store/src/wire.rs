@@ -434,8 +434,8 @@ pub fn rewrite_file(path: &std::path::Path, kind: TableKind, payloads: &[Vec<u8>
 /// Reads the framed record whose length prefix starts at byte `pos` of
 /// `file` into `buf` (reused across calls), verifying bounds and checksum.
 /// Returns the payload's `(offset, length)`; `None` on a torn or corrupt
-/// record — the shared streaming primitive behind every table scan, so
-/// open-time memory stays O(largest record) however large the file.
+/// record — the primitive behind [`crate::recfile::scan`], every table's
+/// one record walk.
 pub fn read_record_at(
     file: &mut std::fs::File,
     file_len: u64,
@@ -463,37 +463,6 @@ pub fn read_record_at(
         return None;
     }
     Some((payload_off, len))
-}
-
-/// Iterates the valid record payloads of a file body (bytes after the
-/// header), stopping at the first torn or corrupt record.
-///
-/// Returns the payload slices and the byte offset (relative to the body)
-/// where the valid prefix ends — the truncation point recovery rewrites the
-/// file to.
-pub fn read_records(body: &[u8]) -> (Vec<&[u8]>, usize) {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    loop {
-        if body.len() - pos < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)).and_then(|p| p.checked_add(8)) else {
-            break;
-        };
-        if end > body.len() {
-            break;
-        }
-        let payload = &body[pos + 4..pos + 4 + len];
-        let sum = u64::from_le_bytes(body[pos + 4 + len..end].try_into().expect("8 bytes"));
-        if fnv1a(payload) != sum {
-            break;
-        }
-        records.push(payload);
-        pos = end;
-    }
-    (records, pos)
 }
 
 #[cfg(test)]
@@ -621,6 +590,24 @@ mod tests {
         assert_eq!(Dec::new(&bytes).count(1), Err(WireError::Corrupt("count")));
     }
 
+    /// Runs the shared record scan over a file holding a valid header and
+    /// `body`: the payloads it yields, and where its trusted prefix ends
+    /// (relative to the body).
+    fn scan_body(tag: &str, body: &[u8]) -> (Vec<Vec<u8>>, usize) {
+        let (pid, thread) = (std::process::id(), std::thread::current().id());
+        let path = std::env::temp_dir().join(format!("ubfuzz-wire-{tag}-{pid}-{thread:?}.bin"));
+        let mut file = header(TableKind::Corpus);
+        file.extend_from_slice(body);
+        std::fs::write(&path, &file).unwrap();
+        let mut records = Vec::new();
+        let scan = crate::recfile::scan(&path, TableKind::Corpus, |payload, _| {
+            records.push(payload.to_vec());
+            true
+        });
+        let _ = std::fs::remove_file(&path);
+        (records, scan.trusted as usize - HEADER_LEN)
+    }
+
     #[test]
     fn records_survive_torn_tails() {
         let mut body = Vec::new();
@@ -630,8 +617,8 @@ mod tests {
         // Torn third record: length says 100 bytes, only 3 present.
         body.extend_from_slice(&100u32.to_le_bytes());
         body.extend_from_slice(b"abc");
-        let (records, end) = read_records(&body);
-        assert_eq!(records, vec![b"first".as_slice(), b"second".as_slice()]);
+        let (records, end) = scan_body("torn", &body);
+        assert_eq!(records, vec![b"first".to_vec(), b"second".to_vec()]);
         assert_eq!(end, valid_len);
     }
 
@@ -643,8 +630,8 @@ mod tests {
         bad[n - 1] ^= 0xFF;
         body.extend_from_slice(&bad);
         body.extend_from_slice(&frame(b"unreachable"));
-        let (records, _) = read_records(&body);
-        assert_eq!(records, vec![b"ok".as_slice()]);
+        let (records, _) = scan_body("checksum", &body);
+        assert_eq!(records, vec![b"ok".to_vec()]);
     }
 
     #[test]
