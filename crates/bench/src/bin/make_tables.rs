@@ -73,6 +73,9 @@ fn main() {
     let backend = shared_backend(&CampaignConfig::builder().seeds(seeds).build(), &store);
     let backend_dyn: Arc<dyn CompilerBackend> = backend.clone();
     let campaign = || run_stored_campaign(seeds, Arc::clone(&backend_dyn), &store, strategy, san);
+    // The frontier's load-time recovery is read before the campaign re-saves
+    // the file.
+    let frontier = store.dir.as_deref().map(ubfuzz::store::FrontierStore::open);
     if args.iter().any(|a| a == "--ablation") {
         // The ablation replaces the table output but not the persistence
         // contract: prefixes still flow through the (possibly store-backed)
@@ -95,7 +98,7 @@ fn main() {
         100.0 * cache.san_reuse_ratio()
     );
     report_store_telemetry(&backend, &store);
-    report_frontier_telemetry(&store);
+    report_frontier_telemetry(frontier.as_ref());
     compact_backend_stores(&backend, &store);
 }
 

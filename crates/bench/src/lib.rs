@@ -199,7 +199,10 @@ pub fn shared_backend(cfg: &CampaignConfig, store: &StoreArgs) -> Arc<SimBackend
 /// Runs the default campaign over `backend`, checkpointing under `--resume`
 /// and merging found bugs into the store's corpus — the campaign step both
 /// binaries share. Corpus telemetry goes to stderr in the exact format the
-/// CI persistence job greps (`[store] corpus: total=… new=… known=…`).
+/// CI persistence job greps (`[store] corpus: total=… new=… known=…`),
+/// followed by `truncated=` and any recovery events of the corpus open
+/// (the campaign itself never writes the corpus, so that open sees the
+/// file as the last invocation left it).
 pub fn run_stored_campaign(
     seeds: usize,
     backend: Arc<dyn CompilerBackend>,
@@ -227,8 +230,12 @@ pub fn run_stored_campaign(
                 .field("total", corpus.len())
                 .field("new", merge.new)
                 .field("known", merge.known)
+                .field("truncated", corpus.telemetry().tail_truncated())
                 .render()
         );
+        for event in corpus.telemetry().events() {
+            eprintln!("{}", event_line("store", &event));
+        }
     }
     stats
 }
@@ -296,16 +303,19 @@ pub fn report_store_telemetry(backend: &SimBackend, store_args: &StoreArgs) {
 }
 
 /// Prints the persisted coverage-frontier telemetry line (stderr, stable
-/// format — the CI guided job greps `[store] frontier:` on the warm leg).
-/// No-op without `--store`.
-pub fn report_frontier_telemetry(store_args: &StoreArgs) {
-    let Some(dir) = &store_args.dir else { return };
-    let frontier = store::FrontierStore::open(dir);
-    let t = frontier.telemetry();
+/// format — the CI guided job greps `[store] frontier: points=[1-9]`, also
+/// on a cold first leg). `opened` is the store's frontier as opened before
+/// the campaign ran: `cold=`, `truncated=` and the events report what that
+/// open recovered, which the campaign's own re-save would hide. `points=`
+/// counts the file as the campaign left it. No-op without `--store`.
+pub fn report_frontier_telemetry(opened: Option<&store::FrontierStore>) {
+    let Some(opened) = opened else { return };
+    let dir = opened.path().parent().expect("frontier.bin lives in its store directory");
+    let t = opened.telemetry();
     eprintln!(
         "{}",
         Line::new("store", "frontier")
-            .field("points", frontier.len())
+            .field("points", store::FrontierStore::open(dir).len())
             .field("cold", t.recovered_cold())
             .field("truncated", t.tail_truncated())
             .render()

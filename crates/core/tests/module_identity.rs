@@ -9,6 +9,10 @@
 //! `pipeline::compile` and a cache-backed `CompileSession` shared by the
 //! whole sweep (so cache hits, cross-cell prefix sharing and re-stamped
 //! build identities are all covered).
+//!
+//! The same sweep runs a second time under a partial sanitization policy,
+//! so the sanitizer passes' policy-skip branches (and the skipped-site
+//! lists they record) are pinned as well as the full-policy output.
 
 use ubfuzz::minic::Program;
 use ubfuzz::seedgen::{generate_seed, SeedOptions};
@@ -46,6 +50,19 @@ const EXPECTED: [u64; 4] = [
     0x3b35ed57adefd76d,
 ];
 
+/// Per-compiler digests of the same sweep under [`PARTIAL`], recorded
+/// before the sanitizer passes' def tables were rewritten.
+const EXPECTED_PARTIAL: [u64; 4] = [
+    0xc2f17e99fa21f7ee,
+    0xffa646db1e80b050,
+    0x2330334e9981662f,
+    0xc66408e390cc3997,
+];
+
+/// The partial policy of the second sweep: about half the check sites of
+/// every sanitizer keep their check.
+const PARTIAL: SanPolicy = SanPolicy::Partial { ratio_pm: 500, salt: 7 };
+
 /// Folds one cell's outcome into a running FNV-1a digest.
 fn fold(acc: u64, cell: &Result<Module, CompileError>) -> u64 {
     let mut bytes = acc.to_le_bytes().to_vec();
@@ -56,8 +73,10 @@ fn fold(acc: u64, cell: &Result<Module, CompileError>) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Digests of the sweep with every cell compiled by `compile_cell`.
+/// Digests of the sweep under `san_policy`, every cell compiled by
+/// `compile_cell`.
 fn sweep(
+    san_policy: SanPolicy,
     mut compile_cell: impl FnMut(&Program, &CompileConfig<'_>) -> Result<Module, CompileError>,
 ) -> [u64; 4] {
     let registry = DefectRegistry::full();
@@ -80,7 +99,7 @@ fn sweep(
                             opt,
                             sanitizer,
                             registry: &registry,
-                            san_policy: SanPolicy::Full,
+                            san_policy,
                         };
                         digests[i] = fold(digests[i], &compile_cell(&u.program, &cfg));
                     }
@@ -91,25 +110,40 @@ fn sweep(
     digests
 }
 
-fn check(what: &str, digests: [u64; 4]) {
-    for ((compiler, got), want) in COMPILERS.iter().zip(digests).zip(EXPECTED) {
+fn check(what: &str, digests: [u64; 4], expected: [u64; 4]) {
+    for ((compiler, got), want) in COMPILERS.iter().zip(digests).zip(expected) {
         assert_eq!(got, want, "{what}: module bytes changed for {compiler}: {got:#018x}");
     }
 }
 
 #[test]
 fn single_shot_pipeline_matches_golden_digests() {
-    check("pipeline::compile", sweep(compile));
+    check("pipeline::compile", sweep(SanPolicy::Full, compile), EXPECTED);
 }
 
-#[test]
-fn shared_session_matches_golden_digests() {
+/// Sweeps `san_policy` through one `CompileSession` shared by every cell.
+fn session_sweep(san_policy: SanPolicy) -> [u64; 4] {
     let session = CompileSession::new();
-    let digests = sweep(|program, cfg| {
+    let digests = sweep(san_policy, |program, cfg| {
         let fp = CompileSession::fingerprint(program);
         session.compile_fp(&fp, program, cfg)
     });
     let stats = session.stats();
     assert!(stats.hits > 0, "the sweep must exercise prefix hits: {stats:?}");
-    check("CompileSession::compile_fp", digests);
+    digests
+}
+
+#[test]
+fn shared_session_matches_golden_digests() {
+    check("CompileSession::compile_fp", session_sweep(SanPolicy::Full), EXPECTED);
+}
+
+#[test]
+fn partial_policy_pipeline_matches_golden_digests() {
+    check("pipeline::compile (partial)", sweep(PARTIAL, compile), EXPECTED_PARTIAL);
+}
+
+#[test]
+fn partial_policy_session_matches_golden_digests() {
+    check("CompileSession::compile_fp (partial)", session_sweep(PARTIAL), EXPECTED_PARTIAL);
 }

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
 use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
-use ubfuzz::{persist, run_campaign, SessionStats};
+use ubfuzz::{persist, run_campaign, SanPolicy, SessionStats};
 use ubfuzz_store::BugCorpus;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -186,6 +186,28 @@ fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
     assert_eq!(rerun.bugs, fresh.bugs);
     // The recomputed outcome was appended: the next run replays it all.
     assert_eq!(render(&runner(0).expect("full replay")), render(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpointed partial-policy campaign replays every unit from its log.
+/// Its per-unit coverage deltas hold the sanitizers' `policy_skip` points,
+/// which must decode like every other point: the rerun compiles nothing
+/// and reports the same.
+#[test]
+fn checkpointed_partial_campaign_resumes_with_zero_compiles() {
+    let dir = tmp_dir("partial-resume");
+    let mut cfg = small_config(31);
+    cfg.san_policy = SanPolicy::Partial { ratio_pm: 500, salt: 3 };
+    let first = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    assert!(first.cache.misses > 0, "the first run compiles: {:?}", first.cache);
+    assert_eq!(first, run_campaign(&cfg), "checkpointing is invisible to results");
+    let replay = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    assert_eq!(first, replay);
+    assert_eq!(
+        replay.cache,
+        SessionStats::default(),
+        "a complete partial-policy log replays without compiling"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -315,6 +315,28 @@ mod tests {
         assert_ne!(f1.fingerprint(), Frontier::new().fingerprint());
     }
 
+    /// The fingerprint of a fixed frontier, recorded while coverage deltas
+    /// were still ordered sets: guided plans and checkpoint identities are
+    /// pinned to it, so a new delta representation must not move it.
+    #[test]
+    fn fingerprint_of_a_fixed_frontier_is_pinned() {
+        let covered: CovDelta = [
+            (Vendor::Llvm, "ubsan.rs", "policy_skip"),
+            (Vendor::Gcc, "rt_shadow.rs", "poison_freed"),
+            (Vendor::Gcc, "asan.rs", "policy_skip"),
+            (Vendor::Llvm, "asan.rs", "run"),
+            (Vendor::Gcc, "ubsan.rs", "off_by_one_bound"),
+            (Vendor::Llvm, "rt_msan.rs", "taint_propagated"),
+            (Vendor::Gcc, "asan.rs", "analyze_func"),
+            (Vendor::Llvm, "msan.rs", "policy_skip"),
+        ]
+        .into_iter()
+        .collect();
+        let frontier = Frontier::from_covered(covered);
+        assert_eq!(frontier.len(), 8);
+        assert_eq!(frontier.fingerprint(), 0xd8b3_7c4e_8fef_b770);
+    }
+
     #[test]
     fn strategy_names_round_trip() {
         for s in [Strategy::Uniform, Strategy::Guided] {

@@ -7,7 +7,7 @@
 //! preserve sanitizer checks.
 
 use crate::ir::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use ubfuzz_minic::types::IntType;
 
 /// Folds a binary machine operation; `None` when not foldable (division by
@@ -69,17 +69,21 @@ pub fn fold_un(op: UnKind, a: i64, ty: IntType) -> i64 {
 
 /// Constant folding + copy propagation to fixpoint within each function.
 ///
-/// The register → constant map is built once per function and extended as
-/// folds mint new constants; registers have a single definition, so an
+/// The register → constant table is indexed by register (every register
+/// is below `next_reg`, as DCE and the VM also rely on; one buffer is
+/// reused across functions). It is filled once per function and extended
+/// as folds mint new constants; registers have a single definition, so an
 /// entry never goes stale.
 pub fn constfold(m: &mut Module) -> bool {
     let mut changed = false;
+    let mut consts: Vec<Option<i64>> = Vec::new();
     for f in &mut m.funcs {
-        let mut consts: HashMap<RegId, i64> = HashMap::new();
+        consts.clear();
+        consts.resize(f.next_reg as usize, None);
         for b in &f.blocks {
             for i in &b.instrs {
                 if let (Some(d), Op::Const(v)) = (i.dst, &i.op) {
-                    consts.insert(d, *v);
+                    consts[d as usize] = Some(*v);
                 }
             }
         }
@@ -88,10 +92,13 @@ pub fn constfold(m: &mut Module) -> bool {
             for b in &mut f.blocks {
                 for i in &mut b.instrs {
                     i.op.map_operands(|o| match o {
-                        Operand::Reg(r) if consts.contains_key(&r) => {
-                            round = true;
-                            Operand::Imm(consts[&r])
-                        }
+                        Operand::Reg(r) => match consts[r as usize] {
+                            Some(v) => {
+                                round = true;
+                                Operand::Imm(v)
+                            }
+                            None => o,
+                        },
                         other => other,
                     });
                     // Fold now-constant operations.
@@ -111,7 +118,7 @@ pub fn constfold(m: &mut Module) -> bool {
                             i.op = Op::Const(v);
                             round = true;
                             if let Some(d) = i.dst {
-                                consts.insert(d, v);
+                                consts[d as usize] = Some(v);
                             }
                         }
                     }
@@ -120,15 +127,15 @@ pub fn constfold(m: &mut Module) -> bool {
                     match t {
                         Term::Br { cond, .. } => {
                             if let Operand::Reg(r) = cond {
-                                if let Some(v) = consts.get(r) {
-                                    *cond = Operand::Imm(*v);
+                                if let Some(v) = consts[*r as usize] {
+                                    *cond = Operand::Imm(v);
                                     round = true;
                                 }
                             }
                         }
                         Term::Ret(Some(Operand::Reg(r))) => {
-                            if let Some(v) = consts.get(r) {
-                                *t = Term::Ret(Some(Operand::Imm(*v)));
+                            if let Some(v) = consts[*r as usize] {
+                                *t = Term::Ret(Some(Operand::Imm(v)));
                                 round = true;
                             }
                         }
@@ -226,101 +233,151 @@ pub fn dce(m: &mut Module, remove_loads: bool) -> bool {
 }
 
 /// A symbolic memory location: (base, byte offset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Base {
     Slot(usize),
     Global(usize),
 }
 
-/// Resolves an address operand to a symbolic location using the def chain.
-fn resolve_addr(
-    defs: &HashMap<RegId, Op>,
-    addr: Operand,
-) -> Option<(Base, i64)> {
-    match addr {
-        Operand::Imm(_) => None,
-        Operand::Reg(r) => match defs.get(&r)? {
-            Op::AddrLocal(s) => Some((Base::Slot(*s), 0)),
-            Op::AddrGlobal(g) => Some((Base::Global(*g), 0)),
-            Op::PtrAdd { base, offset: Operand::Imm(o), scale } => {
-                let (b, off) = resolve_addr(defs, *base)?;
-                Some((b, off + o * scale))
+/// What an address walk needs of one register's def: a slot or global base,
+/// or a `PtrAdd` with a constant offset. Every other def resolves nowhere.
+#[derive(Debug, Clone, Copy)]
+enum AddrDef {
+    Root(Base),
+    PtrAdd { base: Operand, offset: i64, scale: i64 },
+}
+
+/// Register-indexed table of the defs [`AddrDefs::resolve`] walks: only the
+/// `AddrLocal`, `AddrGlobal` and constant-offset `PtrAdd` ops, copied out of
+/// the function (a later def of a register wins, as it would in a map).
+/// One table is refilled per function, sized by its `next_reg`.
+#[derive(Default)]
+struct AddrDefs {
+    defs: Vec<Option<AddrDef>>,
+}
+
+impl AddrDefs {
+    fn fill(&mut self, f: &Func) {
+        self.defs.clear();
+        self.defs.resize(f.next_reg as usize, None);
+        for b in &f.blocks {
+            for i in &b.instrs {
+                let Some(d) = i.dst else { continue };
+                self.defs[d as usize] = match i.op {
+                    Op::AddrLocal(s) => Some(AddrDef::Root(Base::Slot(s))),
+                    Op::AddrGlobal(g) => Some(AddrDef::Root(Base::Global(g))),
+                    Op::PtrAdd { base, offset: Operand::Imm(offset), scale } => {
+                        Some(AddrDef::PtrAdd { base, offset, scale })
+                    }
+                    _ => None,
+                };
             }
-            _ => None,
-        },
+        }
+    }
+
+    /// Resolves an address operand to a symbolic location using the def
+    /// chain.
+    fn resolve(&self, addr: Operand) -> Option<(Base, i64)> {
+        let Operand::Reg(r) = addr else { return None };
+        match self.defs[r as usize]? {
+            AddrDef::Root(base) => Some((base, 0)),
+            AddrDef::PtrAdd { base, offset, scale } => {
+                let (b, off) = self.resolve(base)?;
+                Some((b, off + offset * scale))
+            }
+        }
+    }
+}
+
+/// What memopt knows about one location in the current block: the value it
+/// holds, its access size, and the index of the store that wrote it while
+/// no load has observed that store yet.
+struct Known {
+    loc: (Base, i64),
+    val: Operand,
+    size: u8,
+    store: Option<usize>,
+}
+
+/// Records `entry` as what is known at its location, replacing any earlier
+/// entry there. A block touches few locations, so a linear scan beats
+/// hashing them.
+fn know(known: &mut Vec<Known>, entry: Known) {
+    match known.iter_mut().find(|k| k.loc == entry.loc) {
+        Some(k) => *k = entry,
+        None => known.push(entry),
     }
 }
 
 /// Block-local store-to-load forwarding, load CSE, and dead store
 /// elimination. Runs only in the early pipeline.
+///
+/// Address operands resolve through a register-indexed `AddrDefs` table
+/// filled once per function; the per-block location state is a short list;
+/// killed stores leave their block in one `retain`. All three buffers are
+/// reused across blocks and functions.
 pub fn memopt(m: &mut Module) -> bool {
     let mut changed = false;
+    let mut defs = AddrDefs::default();
+    let mut known: Vec<Known> = Vec::new();
+    let mut kill: Vec<usize> = Vec::new();
     for f in &mut m.funcs {
-        let mut defs: HashMap<RegId, Op> = HashMap::new();
-        for b in &f.blocks {
-            for i in &b.instrs {
-                if let Some(d) = i.dst {
-                    defs.insert(d, i.op.clone());
-                }
-            }
-        }
+        defs.fill(f);
         for b in &mut f.blocks {
-            // location → (value operand, size, index of defining store or None)
-            let mut known: HashMap<(Base, i64), (Operand, u8, Option<usize>)> = HashMap::new();
-            let mut kill: Vec<usize> = Vec::new();
+            known.clear();
+            kill.clear();
             for idx in 0..b.instrs.len() {
-                let (op, _loc) = (b.instrs[idx].op.clone(), b.instrs[idx].loc);
-                match &op {
+                let ins = &b.instrs[idx];
+                match ins.op {
                     Op::Load { addr, size, signed } => {
-                        if let Some(loc) = resolve_addr(&defs, *addr) {
-                            if let Some((val, vsize, _)) = known.get(&loc) {
-                                if vsize == size {
-                                    // Forward the value through a cast that
-                                    // models the store/load round-trip: the
-                                    // load's own signedness decides whether
-                                    // the truncated value re-extends with
-                                    // sign or zero.
-                                    b.instrs[idx].op = Op::Cast {
-                                        a: *val,
-                                        to: match (size, signed) {
-                                            (1, true) => IntType::CHAR,
-                                            (1, false) => IntType::UCHAR,
-                                            (2, true) => IntType::SHORT,
-                                            (2, false) => IntType::USHORT,
-                                            (4, true) => IntType::INT,
-                                            (4, false) => IntType::UINT,
-                                            (_, true) => IntType::LONG,
-                                            (_, false) => IntType::ULONG,
-                                        },
-                                    };
-                                    changed = true;
-                                    continue;
-                                }
+                        if let Some(loc) = defs.resolve(addr) {
+                            let forward = known.iter().find(|k| k.loc == loc && k.size == size);
+                            if let Some(&Known { val, .. }) = forward {
+                                // Forward the value through a cast that
+                                // models the store/load round-trip: the
+                                // load's own signedness decides whether the
+                                // truncated value re-extends with sign or
+                                // zero.
+                                b.instrs[idx].op = Op::Cast {
+                                    a: val,
+                                    to: match (size, signed) {
+                                        (1, true) => IntType::CHAR,
+                                        (1, false) => IntType::UCHAR,
+                                        (2, true) => IntType::SHORT,
+                                        (2, false) => IntType::USHORT,
+                                        (4, true) => IntType::INT,
+                                        (4, false) => IntType::UINT,
+                                        (_, true) => IntType::LONG,
+                                        (_, false) => IntType::ULONG,
+                                    },
+                                };
+                                changed = true;
+                                continue;
                             }
                             // Record loaded value for load CSE; mark every
                             // store to this location as observed.
-                            if let Some(d) = b.instrs[idx].dst {
-                                known.insert(loc, (Operand::Reg(d), *size, None));
+                            if let Some(d) = ins.dst {
+                                let val = Operand::Reg(d);
+                                know(&mut known, Known { loc, val, size, store: None });
                             }
                         } else {
                             // Unknown load: observes everything — stores
                             // before it become un-eliminable.
-                            for v in known.values_mut() {
-                                v.2 = None;
+                            for k in &mut known {
+                                k.store = None;
                             }
                         }
                     }
                     Op::Store { addr, val, size } => {
-                        if let Some(loc) = resolve_addr(&defs, *addr) {
-                            if let Some((_, psize, Some(pidx))) = known.get(&loc) {
-                                if psize == size {
-                                    // Previous store to the same location was
-                                    // never read: dead store.
-                                    kill.push(*pidx);
-                                    changed = true;
-                                }
+                        if let Some(loc) = defs.resolve(addr) {
+                            let prev = known.iter().find(|k| k.loc == loc && k.size == size);
+                            if let Some(&Known { store: Some(pidx), .. }) = prev {
+                                // Previous store to the same location was
+                                // never read: dead store.
+                                kill.push(pidx);
+                                changed = true;
                             }
-                            known.insert(loc, (*val, *size, Some(idx)));
+                            know(&mut known, Known { loc, val, size, store: Some(idx) });
                         } else {
                             // Unknown store: clobbers everything.
                             known.clear();
@@ -328,15 +385,21 @@ pub fn memopt(m: &mut Module) -> bool {
                     }
                     Op::Call { .. } | Op::Free { .. } | Op::MemCopy { .. } => known.clear(),
                     Op::LifetimeEnd(s) | Op::LifetimeStart(s) => {
-                        known.retain(|k, _| k.0 != Base::Slot(*s));
+                        known.retain(|k| k.loc.0 != Base::Slot(s));
                     }
                     _ => {}
                 }
             }
-            kill.sort_unstable();
-            kill.dedup();
-            for &i in kill.iter().rev() {
-                b.instrs.remove(i);
+            if !kill.is_empty() {
+                kill.sort_unstable();
+                kill.dedup();
+                let (mut at, mut next) = (0, 0);
+                b.instrs.retain(|_| {
+                    let dead = kill.get(next) == Some(&at);
+                    next += usize::from(dead);
+                    at += 1;
+                    !dead
+                });
             }
         }
     }
@@ -346,23 +409,28 @@ pub fn memopt(m: &mut Module) -> bool {
 /// Eliminates stores to slots that are never read and whose address never
 /// escapes — the main way the optimizer deletes UB before the sanitizer sees
 /// it (paper Fig. 3, dead `d[1] = 1`).
+///
+/// The register → slot table is indexed by register and the loaded/escaped
+/// flags by slot (slots are below `slots.len()`); all three buffers are
+/// reused across functions.
 pub fn dead_slot_elim(m: &mut Module) -> bool {
     let mut changed = false;
+    let mut addr_slot: Vec<Option<usize>> = Vec::new();
+    let (mut loaded, mut escaped): (Vec<bool>, Vec<bool>) = (Vec::new(), Vec::new());
     for f in &mut m.funcs {
         // For each slot, find whether its address (including addresses
         // derived through `PtrAdd`, i.e. element/member addresses) is only
         // used as a direct store target.
-        let mut addr_regs: HashMap<RegId, usize> = HashMap::new();
+        addr_slot.clear();
+        addr_slot.resize(f.next_reg as usize, None);
         for _ in 0..3 {
             for b in &f.blocks {
                 for i in &b.instrs {
                     match (i.dst, &i.op) {
-                        (Some(d), Op::AddrLocal(s)) => {
-                            addr_regs.insert(d, *s);
-                        }
+                        (Some(d), Op::AddrLocal(s)) => addr_slot[d as usize] = Some(*s),
                         (Some(d), Op::PtrAdd { base: Operand::Reg(r), .. }) => {
-                            if let Some(&s) = addr_regs.get(r) {
-                                addr_regs.insert(d, s);
+                            if let Some(s) = addr_slot[*r as usize] {
+                                addr_slot[d as usize] = Some(s);
                             }
                         }
                         _ => {}
@@ -370,60 +438,52 @@ pub fn dead_slot_elim(m: &mut Module) -> bool {
                 }
             }
         }
-        let mut loaded: HashSet<usize> = HashSet::new();
-        let mut escaped: HashSet<usize> = HashSet::new();
+        let nslots = f.slots.len();
+        loaded.clear();
+        loaded.resize(nslots, false);
+        escaped.clear();
+        escaped.resize(nslots, false);
+        let mark = |flags: &mut Vec<bool>, r: RegId| {
+            if let Some(s) = addr_slot[r as usize] {
+                flags[s] = true;
+            }
+        };
         for b in &f.blocks {
             for i in &b.instrs {
                 match &i.op {
-                    Op::Store { addr, val, .. } => {
+                    Op::Store { val, .. } => {
                         if let Operand::Reg(r) = val {
-                            if let Some(&s) = addr_regs.get(r) {
-                                escaped.insert(s);
-                            }
+                            mark(&mut escaped, *r);
                         }
-                        let _ = addr;
                     }
                     Op::Load { addr, .. } => {
                         if let Operand::Reg(r) = addr {
-                            if let Some(&s) = addr_regs.get(r) {
-                                loaded.insert(s);
-                            }
+                            mark(&mut loaded, *r);
                         }
                     }
                     Op::PtrAdd { base: Operand::Reg(_), offset, .. } => {
                         // Deriving an element address is fine; using a slot
                         // address as the *index* is an escape.
                         if let Operand::Reg(r) = offset {
-                            if let Some(&s) = addr_regs.get(r) {
-                                escaped.insert(s);
-                            }
+                            mark(&mut escaped, *r);
                         }
                     }
-                    other => other.for_each_reg(|r| {
-                        if let Some(&s) = addr_regs.get(&r) {
-                            escaped.insert(s);
-                        }
-                    }),
+                    other => other.for_each_reg(|r| mark(&mut escaped, r)),
                 }
             }
             if let Some(Term::Br { cond: Operand::Reg(r), .. }) = &b.term {
-                if let Some(&s) = addr_regs.get(r) {
-                    escaped.insert(s);
-                }
+                mark(&mut escaped, *r);
             }
-
         }
-        let dead: HashSet<usize> = (0..f.slots.len())
-            .filter(|s| !loaded.contains(s) && !escaped.contains(s))
-            .collect();
-        if dead.is_empty() {
+        let dead = |s: usize| !loaded[s] && !escaped[s];
+        if !(0..nslots).any(dead) {
             continue;
         }
         for b in &mut f.blocks {
             let before = b.instrs.len();
             b.instrs.retain(|i| match &i.op {
                 Op::Store { addr: Operand::Reg(r), .. } => {
-                    !addr_regs.get(r).is_some_and(|s| dead.contains(s))
+                    !addr_slot[*r as usize].is_some_and(dead)
                 }
                 _ => true,
             });
@@ -508,26 +568,30 @@ struct CountedLoop {
     trip: i64,
 }
 
-fn find_counted_loop(f: &Func, consts: &HashMap<(Base, i64), i64>) -> Option<CountedLoop> {
+/// The op that defines `r` within one block (the last def, as a map
+/// collected from the block would hold). Loop blocks are a handful of
+/// instructions, so a scan is all it takes.
+fn block_def(instrs: &[Instr], r: RegId) -> Option<&Op> {
+    instrs.iter().rev().find(|i| i.dst == Some(r)).map(|i| &i.op)
+}
+
+/// `slot_init[s]` is the constant last stored to offset 0 of slot `s`.
+fn find_counted_loop(f: &Func, slot_init: &[Option<i64>]) -> Option<CountedLoop> {
     for (ci, cb) in f.blocks.iter().enumerate() {
         let Some(Term::Br { cond: Operand::Reg(cr), then_bb, else_bb }) = cb.term else {
             continue;
         };
         // cond block: [AddrLocal(i) -> r0, Load r0 -> r1, Bin Lt r1, Imm N -> cr]
-        let defs: HashMap<RegId, &Op> = cb
-            .instrs
-            .iter()
-            .filter_map(|i| i.dst.map(|d| (d, &i.op)))
-            .collect();
+        let defs = |r| block_def(&cb.instrs, r);
         let Some(Op::Bin { op: BinKind::Lt, a: Operand::Reg(la), b: Operand::Imm(n), .. }) =
-            defs.get(&cr)
+            defs(cr)
         else {
             continue;
         };
-        let Some(Op::Load { addr: Operand::Reg(ar), .. }) = defs.get(la) else { continue };
-        let Some(Op::AddrLocal(islot)) = defs.get(ar) else { continue };
-        // Initial value from the pre-header constant map.
-        let Some(&c0) = consts.get(&(Base::Slot(*islot), 0)) else { continue };
+        let Some(Op::Load { addr: Operand::Reg(ar), .. }) = defs(*la) else { continue };
+        let Some(Op::AddrLocal(islot)) = defs(*ar) else { continue };
+        // Initial value from the pre-header constants.
+        let Some(c0) = slot_init[*islot] else { continue };
         // Body: single block that jumps to step; step: i += 1 then back.
         let body_bb = then_bb;
         let exit_bb = else_bb;
@@ -540,16 +604,12 @@ fn find_counted_loop(f: &Func, consts: &HashMap<(Base, i64), i64>) -> Option<Cou
             continue;
         }
         // Step block increments the same slot by 1.
-        let sdefs: HashMap<RegId, &Op> = f.blocks[step_bb]
-            .instrs
-            .iter()
-            .filter_map(|i| i.dst.map(|d| (d, &i.op)))
-            .collect();
+        let sdefs = |r| block_def(&f.blocks[step_bb].instrs, r);
         let mut ok = false;
         for i in &f.blocks[step_bb].instrs {
             if let Op::Store { addr: Operand::Reg(a), val: Operand::Reg(v), .. } = &i.op {
                 if let (Some(Op::AddrLocal(s)), Some(Op::Bin { op: BinKind::Add, b: Operand::Imm(1), .. })) =
-                    (sdefs.get(a), sdefs.get(v))
+                    (sdefs(*a), sdefs(*v))
                 {
                     if s == islot {
                         ok = true;
@@ -582,32 +642,33 @@ fn find_counted_loop(f: &Func, consts: &HashMap<(Base, i64), i64>) -> Option<Cou
 /// Full unrolling of canonical counted loops with trip count ≤ `threshold`.
 /// Register names are remapped per copy to preserve single assignment;
 /// source locations are preserved (debug metadata survives unrolling).
+///
+/// Loop-counter initial values come from a slot-indexed table of constant
+/// stores, resolved through the same register-indexed `AddrDefs` table
+/// memopt uses; both buffers are reused across rounds and functions.
 pub fn unroll(m: &mut Module, threshold: i64) -> bool {
     let mut changed = false;
+    let mut defs = AddrDefs::default();
+    let mut slot_init: Vec<Option<i64>> = Vec::new();
     for f in &mut m.funcs {
         for _ in 0..4 {
             // Collect constants stored to slots in blocks that jump to a
-            // cond block (loop pre-headers) — enough to see `i = 0`.
-            let mut defs: HashMap<RegId, Op> = HashMap::new();
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let Some(d) = i.dst {
-                        defs.insert(d, i.op.clone());
-                    }
-                }
-            }
-            let mut slot_consts: HashMap<(Base, i64), i64> = HashMap::new();
+            // cond block (loop pre-headers) — enough to see `i = 0`. Only
+            // offset 0 of a slot is ever a loop counter.
+            defs.fill(f);
+            slot_init.clear();
+            slot_init.resize(f.slots.len(), None);
             for b in &f.blocks {
                 for i in &b.instrs {
                     if let Op::Store { addr, val: Operand::Imm(v), .. } = &i.op {
-                        if let Some(loc) = resolve_addr(&defs, *addr) {
+                        if let Some((Base::Slot(s), 0)) = defs.resolve(*addr) {
                             // Last write wins; good enough for pre-headers.
-                            slot_consts.insert(loc, *v);
+                            slot_init[s] = Some(*v);
                         }
                     }
                 }
             }
-            let Some(cl) = find_counted_loop(f, &slot_consts) else { break };
+            let Some(cl) = find_counted_loop(f, &slot_init) else { break };
             if cl.trip > threshold {
                 break;
             }

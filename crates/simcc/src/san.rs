@@ -14,7 +14,6 @@ use crate::defects::{Defect, DefectRegistry, Trigger};
 use crate::ir::*;
 use crate::passes::blocks_in_loops;
 use crate::target::{OptLevel, Vendor};
-use std::collections::{HashMap, HashSet};
 use ubfuzz_minic::{Loc, UbKind};
 
 /// Which UB kinds each sanitizer detects (paper Table 2).
@@ -115,40 +114,126 @@ impl<'a> SanCtx<'a> {
     }
 }
 
-/// Reverse def map over a function (single-assignment registers).
-fn defs_of(f: &Func) -> HashMap<RegId, Op> {
-    let mut m = HashMap::new();
-    for b in &f.blocks {
-        for i in &b.instrs {
-            if let Some(d) = i.dst {
-                m.insert(d, i.op.clone());
-            }
-        }
-    }
-    m
+/// Register-indexed def table of one function: `ops[r]` is the op that
+/// defines register `r` (None for parameters and unused ids) and `metas[r]`
+/// its metadata (the default when `r` has no def). Every register is below
+/// the function's `next_reg`, which sizes the table. Registers are single
+/// assignment; were one defined twice, the later def wins, as it would in a
+/// map. A pass keeps one table and refills it per function, so the chain
+/// walkers below index a vector instead of hashing.
+#[derive(Default)]
+struct Defs {
+    ops: Vec<Option<Op>>,
+    metas: Vec<Meta>,
 }
 
-fn meta_of(f: &Func) -> HashMap<RegId, Meta> {
-    let mut m = HashMap::new();
-    for b in &f.blocks {
-        for i in &b.instrs {
-            if let Some(d) = i.dst {
-                m.insert(d, i.meta);
+impl Defs {
+    /// Refills the table from `f`. The defs are snapshotted before the
+    /// pass rewrites `f`; instrumentation only adds instructions without a
+    /// destination, so the snapshot stays exact for the whole pass.
+    fn fill(&mut self, f: &Func) {
+        let n = f.next_reg as usize;
+        self.ops.clear();
+        self.ops.resize(n, None);
+        self.metas.clear();
+        self.metas.resize(n, Meta::default());
+        for b in &f.blocks {
+            for i in &b.instrs {
+                if let Some(d) = i.dst {
+                    self.ops[d as usize] = Some(def_op(&i.op));
+                    self.metas[d as usize] = i.meta;
+                }
             }
         }
     }
-    m
+
+    /// The op defining `r`, if any.
+    fn get(&self, r: RegId) -> Option<&Op> {
+        self.ops[r as usize].as_ref()
+    }
+
+    /// The metadata of `r`'s def (the default when it has none).
+    fn meta(&self, r: RegId) -> Meta {
+        self.metas[r as usize]
+    }
+}
+
+/// The op a def table keeps for a definition: the op itself, except that a
+/// call keeps neither callee name nor arguments — no walker reads them, and
+/// dropping them keeps the refill free of allocations.
+fn def_op(op: &Op) -> Op {
+    match op {
+        Op::Call { .. } => Op::Call { callee: String::new(), args: Vec::new() },
+        other => other.clone(),
+    }
+}
+
+/// A set of stack slots, as a bitmap indexed by slot number.
+#[derive(Debug, Default)]
+struct SlotSet {
+    has: Vec<bool>,
+    len: usize,
+}
+
+impl SlotSet {
+    fn insert(&mut self, s: usize) {
+        if s >= self.has.len() {
+            self.has.resize(s + 1, false);
+        }
+        if !self.has[s] {
+            self.has[s] = true;
+            self.len += 1;
+        }
+    }
+
+    fn contains(&self, s: usize) -> bool {
+        self.has.get(s).copied().unwrap_or(false)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+/// The address registers ASan has already checked in the current block: a
+/// register-indexed stamp table (`stamp[r] == block` means checked), so
+/// moving on to the next block empties the set without touching it.
+#[derive(Default)]
+struct CheckedRegs {
+    stamp: Vec<usize>,
+    block: usize,
+}
+
+impl CheckedRegs {
+    /// Empties the set for a function with `next_reg` registers.
+    fn reset(&mut self, next_reg: RegId) {
+        self.stamp.clear();
+        self.stamp.resize(next_reg as usize, usize::MAX);
+    }
+
+    /// Starts block `bi` with an empty set.
+    fn enter_block(&mut self, bi: usize) {
+        self.block = bi;
+    }
+
+    fn insert(&mut self, r: RegId) {
+        self.stamp[r as usize] = self.block;
+    }
+
+    fn contains(&self, r: RegId) -> bool {
+        self.stamp[r as usize] == self.block
+    }
 }
 
 /// Walks an address operand back to its root, peeling `PtrAdd`s; returns the
 /// root op and the total constant byte offset (None when non-constant).
-fn addr_root(defs: &HashMap<RegId, Op>, addr: Operand) -> (Option<&Op>, Option<i64>) {
+fn addr_root(defs: &Defs, addr: Operand) -> (Option<&Op>, Option<i64>) {
     let mut cur = addr;
     let mut const_off: Option<i64> = Some(0);
     loop {
         match cur {
             Operand::Imm(_) => return (None, const_off),
-            Operand::Reg(r) => match defs.get(&r) {
+            Operand::Reg(r) => match defs.get(r) {
                 Some(Op::PtrAdd { base, offset, scale }) => {
                     const_off = match (const_off, offset.as_imm()) {
                         (Some(acc), Some(o)) => Some(acc + o * scale),
@@ -164,40 +249,34 @@ fn addr_root(defs: &HashMap<RegId, Op>, addr: Operand) -> (Option<&Op>, Option<i
 
 /// True if the def chain of `o` (through Bin/Cast/Un) contains an
 /// instruction whose metadata satisfies `pred`, or a matching op.
-fn chain_any(
-    defs: &HashMap<RegId, Op>,
-    metas: &HashMap<RegId, Meta>,
-    o: Operand,
-    depth: usize,
-    pred: &dyn Fn(&Op, Meta) -> bool,
-) -> bool {
+fn chain_any(defs: &Defs, o: Operand, depth: usize, pred: &dyn Fn(&Op, Meta) -> bool) -> bool {
     if depth > 8 {
         return false;
     }
     let Operand::Reg(r) = o else { return false };
-    let (Some(op), meta) = (defs.get(&r), metas.get(&r).copied().unwrap_or_default()) else {
+    let Some(op) = defs.get(r) else {
         return false;
     };
-    if pred(op, meta) {
+    if pred(op, defs.meta(r)) {
         return true;
     }
     match op {
         Op::Bin { a, b, .. } => {
-            chain_any(defs, metas, *a, depth + 1, pred) || chain_any(defs, metas, *b, depth + 1, pred)
+            chain_any(defs, *a, depth + 1, pred) || chain_any(defs, *b, depth + 1, pred)
         }
-        Op::Un { a, .. } | Op::Cast { a, .. } => chain_any(defs, metas, *a, depth + 1, pred),
+        Op::Un { a, .. } | Op::Cast { a, .. } => chain_any(defs, *a, depth + 1, pred),
         _ => false,
     }
 }
 
 /// Slots that ever hold a `malloc` result.
-fn malloc_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
-    let mut out = HashSet::new();
+fn malloc_slots(f: &Func, defs: &Defs) -> SlotSet {
+    let mut out = SlotSet::default();
     for b in &f.blocks {
         for i in &b.instrs {
             if let Op::Store { addr, val, .. } = &i.op {
                 let is_malloc = matches!(
-                    val.as_reg().and_then(|r| defs.get(&r)),
+                    val.as_reg().and_then(|r| defs.get(r)),
                     Some(Op::Malloc { .. }) | Some(Op::Cast { .. })
                         if val.as_reg().is_some_and(|r| chain_is_malloc(defs, r))
                 );
@@ -212,8 +291,8 @@ fn malloc_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
     out
 }
 
-fn chain_is_malloc(defs: &HashMap<RegId, Op>, r: RegId) -> bool {
-    match defs.get(&r) {
+fn chain_is_malloc(defs: &Defs, r: RegId) -> bool {
+    match defs.get(r) {
         Some(Op::Malloc { .. }) => true,
         Some(Op::Cast { a: Operand::Reg(r2), .. }) => chain_is_malloc(defs, *r2),
         _ => false,
@@ -221,12 +300,12 @@ fn chain_is_malloc(defs: &HashMap<RegId, Op>, r: RegId) -> bool {
 }
 
 /// Slots whose address escapes by being stored as a *value*.
-fn escaping_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
-    let mut out = HashSet::new();
+fn escaping_slots(f: &Func, defs: &Defs) -> SlotSet {
+    let mut out = SlotSet::default();
     for b in &f.blocks {
         for i in &b.instrs {
             if let Op::Store { val: Operand::Reg(r), .. } = &i.op {
-                if let Some(Op::AddrLocal(s)) = defs.get(r) {
+                if let Some(Op::AddrLocal(s)) = defs.get(*r) {
                     out.insert(*s);
                 }
             }
@@ -238,14 +317,14 @@ fn escaping_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
 /// Slots first initialized from a doubly-indirect load (`int i = *s;` where
 /// `s` is itself loaded) — the Fig. 8 shape that GCC `-O3` may legitimately
 /// transform.
-fn fig8_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
-    let mut out = HashSet::new();
+fn fig8_slots(f: &Func, defs: &Defs) -> SlotSet {
+    let mut out = SlotSet::default();
     for b in &f.blocks {
         for i in &b.instrs {
             if let Op::Store { addr, val: Operand::Reg(v), .. } = &i.op {
                 if let (Some(Op::AddrLocal(s)), Some(0)) = addr_root(defs, *addr) {
-                    if let Some(Op::Load { addr: Operand::Reg(inner), .. }) = defs.get(v) {
-                        if matches!(defs.get(inner), Some(Op::Load { .. })) {
+                    if let Some(Op::Load { addr: Operand::Reg(inner), .. }) = defs.get(*v) {
+                        if matches!(defs.get(*inner), Some(Op::Load { .. })) {
                             out.insert(*s);
                         }
                     }
@@ -262,11 +341,11 @@ fn fig8_slots(f: &Func, defs: &HashMap<RegId, Op>) -> HashSet<usize> {
 
 /// Runs the AddressSanitizer pass.
 pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
-    cov::hit(ctx.vendor, "asan.rs", "run");
+    cov::hit!(ctx.vendor, "asan.rs", "run");
     m.san.sanitizer = Some(Sanitizer::Asan);
     let active = ctx.active(Sanitizer::Asan);
     // Global red zones: odd-length arrays may get a defective gap.
-    cov::hit(ctx.vendor, "asan.rs", "global_redzones");
+    cov::hit!(ctx.vendor, "asan.rs", "global_redzones");
     for (gid, g) in m.globals.iter().enumerate() {
         if g.elem_count > 1 && g.elem_count % 2 == 1 {
             let gap = match ctx.vendor {
@@ -280,7 +359,7 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                     .map(|d| (d.id, 8)),
             };
             if let Some((id, bytes)) = gap {
-                cov::hit(ctx.vendor, "asan.rs", "odd_redzone_gap");
+                cov::hit!(ctx.vendor, "asan.rs", "odd_redzone_gap");
                 m.san.global_redzone_gaps.push((gid, bytes));
                 m.san.applied_defects.push((id, Loc::UNKNOWN));
             }
@@ -289,9 +368,12 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
     let mut applied: Vec<(&'static str, Loc)> = Vec::new();
     let mut legit: Vec<Loc> = Vec::new();
     let mut skipped: Vec<Loc> = Vec::new();
+    let mut defs = Defs::default();
+    let mut checked_regs = CheckedRegs::default();
     for f in &mut m.funcs {
-        cov::hit(ctx.vendor, "asan.rs", "analyze_func");
-        let defs = defs_of(f);
+        cov::hit!(ctx.vendor, "asan.rs", "analyze_func");
+        defs.fill(f);
+        checked_regs.reset(f.next_reg);
         let in_loop = blocks_in_loops(f);
         let mallocs = malloc_slots(f, &defs);
         let escapes = escaping_slots(f, &defs);
@@ -300,22 +382,22 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
         let nparams = f.params.len();
         for (bi, b) in f.blocks.iter_mut().enumerate() {
             let mut out: Vec<Instr> = Vec::with_capacity(b.instrs.len() * 2);
-            let mut checked_regs: HashSet<RegId> = HashSet::new();
+            checked_regs.enter_block(bi);
             for ins in b.instrs.drain(..) {
                 match &ins.op {
                     Op::Load { addr, size, .. } | Op::Store { addr, size, .. } => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "asan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "asan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
                         let write = matches!(ins.op, Op::Store { .. });
-                        cov::hit(
-                            ctx.vendor,
-                            "asan.rs",
-                            if write { "instrument_store" } else { "instrument_load" },
-                        );
+                        if write {
+                            cov::hit!(ctx.vendor, "asan.rs", "instrument_store");
+                        } else {
+                            cov::hit!(ctx.vendor, "asan.rs", "instrument_load");
+                        }
                         let (root, _coff) = addr_root(&defs, *addr);
                         let defect = active.iter().find(|d| {
                             access_trigger_matches(
@@ -327,13 +409,13 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                                 &mallocs,
                                 is_main,
                                 nparams,
-                                &mut checked_regs,
+                                &checked_regs,
                                 write,
                                 *size,
                             )
                         });
                         if let Some(d) = defect {
-                            cov::hit(ctx.vendor, "asan.rs", "defect_suppressed");
+                            cov::hit!(ctx.vendor, "asan.rs", "defect_suppressed");
                             if d.trigger == Trigger::RmwWrongLine {
                                 // Wrong-report defect: check emitted at the
                                 // wrong line.
@@ -348,8 +430,10 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                             }
                             applied.push((d.id, ins.loc));
                         } else {
-                            cov::hit(ctx.vendor, "asan.rs", "check_emitted");
-                            checked_regs.extend(addr.as_reg());
+                            cov::hit!(ctx.vendor, "asan.rs", "check_emitted");
+                            if let Some(r) = addr.as_reg() {
+                                checked_regs.insert(r);
+                            }
                             out.push(Instr {
                                 dst: None,
                                 op: Op::AsanCheck { addr: *addr, size: *size, write },
@@ -361,15 +445,15 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                     }
                     Op::MemCopy { dst, src, len } => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "asan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "asan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "asan.rs", "instrument_memcopy");
+                        cov::hit!(ctx.vendor, "asan.rs", "instrument_memcopy");
                         let tail = active.iter().find(|d| d.trigger == Trigger::StructCopyTail);
                         let checked = if let Some(d) = tail {
-                            cov::hit(ctx.vendor, "asan.rs", "memcopy_tail_truncated");
+                            cov::hit!(ctx.vendor, "asan.rs", "memcopy_tail_truncated");
                             applied.push((d.id, ins.loc));
                             (*len).min(8) as u8
                         } else {
@@ -390,7 +474,7 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                         out.push(ins);
                     }
                     Op::LifetimeStart(s) => {
-                        cov::hit(ctx.vendor, "asan.rs", "unpoison_scope");
+                        cov::hit!(ctx.vendor, "asan.rs", "unpoison_scope");
                         let s = *s;
                         out.push(ins);
                         out.push(Instr::effect(Op::AsanUnpoisonScope(s), Loc::UNKNOWN));
@@ -399,11 +483,11 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                         let s = *s;
                         let loc = ins.loc;
                         out.push(ins);
-                        let escaping = escapes.contains(&s);
+                        let escaping = escapes.contains(s);
                         let looped = in_loop[bi];
                         let scope_defect = active.iter().find(|d| match d.trigger {
                             Trigger::ScopePoisonInLoop => {
-                                looped && escaping && !fig8.contains(&s)
+                                looped && escaping && !fig8.contains(s)
                             }
                             Trigger::ScopePoisonInLoopLlvm => looped && escaping,
                             _ => false,
@@ -411,20 +495,20 @@ pub fn run_asan(m: &mut Module, ctx: &SanCtx<'_>) {
                         let legit_transform = ctx.vendor == Vendor::Gcc
                             && ctx.opt == OptLevel::O3
                             && escaping
-                            && fig8.contains(&s);
+                            && fig8.contains(s);
                         if let Some(d) = scope_defect {
-                            cov::hit(ctx.vendor, "asan.rs", "scope_defect");
+                            cov::hit!(ctx.vendor, "asan.rs", "scope_defect");
                             applied.push((d.id, loc));
                         } else if legit_transform {
                             // GCC -O3 extends the variable's lifetime out of
                             // the loop: the use-after-scope legitimately
                             // disappears while the crash site stays (the
                             // Fig. 8 invalid-report shape).
-                            cov::hit(ctx.vendor, "asan.rs", "legit_scope_extension");
+                            cov::hit!(ctx.vendor, "asan.rs", "legit_scope_extension");
                             legit.push(loc);
                         } else {
-                            cov::hit(ctx.vendor, "asan.rs", "scope_kept");
-                            cov::hit(ctx.vendor, "asan.rs", "poison_scope");
+                            cov::hit!(ctx.vendor, "asan.rs", "scope_kept");
+                            cov::hit!(ctx.vendor, "asan.rs", "poison_scope");
                             out.push(Instr::effect(Op::AsanPoisonScope(s), loc));
                         }
                     }
@@ -445,11 +529,11 @@ fn access_trigger_matches(
     ins: &Instr,
     root: Option<&Op>,
     addr: Operand,
-    defs: &HashMap<RegId, Op>,
-    mallocs: &HashSet<usize>,
+    defs: &Defs,
+    mallocs: &SlotSet,
     is_main: bool,
     nparams: usize,
-    checked_regs: &mut HashSet<RegId>,
+    checked_regs: &CheckedRegs,
     write: bool,
     size: u8,
 ) -> bool {
@@ -457,7 +541,7 @@ fn access_trigger_matches(
         Trigger::AddrFromGlobalPtrLoad => matches!(
             root,
             Some(Op::Load { addr: Operand::Reg(r), size: 8, .. })
-                if matches!(defs.get(r), Some(Op::AddrGlobal(_)))
+                if matches!(defs.get(*r), Some(Op::AddrGlobal(_)))
         ),
         Trigger::AddrFromMallocSlot => {
             // The alias-confusion shape needs at least two heap-holding
@@ -467,25 +551,25 @@ fn access_trigger_matches(
                 && matches!(
                     root,
                     Some(Op::Load { addr: Operand::Reg(r), .. })
-                        if matches!(defs.get(r), Some(Op::AddrLocal(s)) if mallocs.contains(s))
+                        if matches!(defs.get(*r), Some(Op::AddrLocal(s)) if mallocs.contains(*s))
                 )
         }
         Trigger::MemberOffsetFromLoadedPtr => {
             // p->f: PtrAdd { base: Load(..), Imm > 0, scale 1 }.
             match addr {
                 Operand::Reg(r) => matches!(
-                    defs.get(&r),
+                    defs.get(r),
                     Some(Op::PtrAdd { base: Operand::Reg(b), offset: Operand::Imm(o), scale: 1 })
-                        if *o > 0 && matches!(defs.get(b), Some(Op::Load { .. }))
+                        if *o > 0 && matches!(defs.get(*b), Some(Op::Load { .. }))
                 ),
                 _ => false,
             }
         }
         Trigger::ConstOffsetGlobal => match addr {
             Operand::Reg(r) => matches!(
-                defs.get(&r),
+                defs.get(r),
                 Some(Op::PtrAdd { base: Operand::Reg(b), offset: Operand::Imm(_), .. })
-                    if matches!(defs.get(b), Some(Op::AddrGlobal(_)))
+                    if matches!(defs.get(*b), Some(Op::AddrGlobal(_)))
             ),
             _ => false,
         },
@@ -493,19 +577,19 @@ fn access_trigger_matches(
             !is_main
                 && match addr {
                     Operand::Reg(r) => matches!(
-                        defs.get(&r),
+                        defs.get(r),
                         Some(Op::PtrAdd { base: Operand::Reg(b), offset: Operand::Imm(_), .. })
                             if matches!(
-                                defs.get(b),
+                                defs.get(*b),
                                 Some(Op::Load { addr: Operand::Reg(ar), .. })
-                                    if matches!(defs.get(ar), Some(Op::AddrLocal(s)) if *s < nparams)
+                                    if matches!(defs.get(*ar), Some(Op::AddrLocal(s)) if *s < nparams)
                             )
                     ),
                     _ => false,
                 }
         }
         Trigger::DuplicateAddrCheck => {
-            addr.as_reg().is_some_and(|r| checked_regs.contains(&r))
+            addr.as_reg().is_some_and(|r| checked_regs.contains(r))
         }
         Trigger::RmwAccess => write && ins.meta.rmw,
         Trigger::ByteAccess => size == 1 && !matches!(root, Some(Op::AddrLocal(_))),
@@ -520,15 +604,15 @@ fn access_trigger_matches(
 
 /// Runs the UndefinedBehaviorSanitizer pass.
 pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
-    cov::hit(ctx.vendor, "ubsan.rs", "run");
+    cov::hit!(ctx.vendor, "ubsan.rs", "run");
     m.san.sanitizer = Some(Sanitizer::Ubsan);
     let active = ctx.active(Sanitizer::Ubsan);
     let globals: Vec<GlobalDef> = m.globals.clone();
     let mut applied: Vec<(&'static str, Loc)> = Vec::new();
     let mut skipped: Vec<Loc> = Vec::new();
+    let mut defs = Defs::default();
     for f in &mut m.funcs {
-        let defs = defs_of(f);
-        let metas = meta_of(f);
+        defs.fill(f);
         for b in &mut f.blocks {
             let mut out: Vec<Instr> = Vec::with_capacity(b.instrs.len() * 2);
             for ins in b.instrs.drain(..) {
@@ -541,33 +625,31 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                             && ty.signed =>
                     {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "ubsan.rs", "arith_check");
+                        cov::hit!(ctx.vendor, "ubsan.rs", "arith_check");
                         let defect = active.iter().find(|d| match d.trigger {
                             // ArithFeedsGlobalStore is handled by the
                             // `ubsan_global_store_fixup` post-pass.
                             Trigger::SubWithCastOperand => {
                                 *op == BinKind::Sub
-                                    && (chain_has_cast(&defs, &metas, *a)
-                                        || chain_has_cast(&defs, &metas, *rb))
+                                    && (chain_has_cast(&defs, *a) || chain_has_cast(&defs, *rb))
                             }
                             Trigger::MulWithNarrowOperand => {
                                 *op == BinKind::Mul
-                                    && (chain_is_narrow(&defs, &metas, *a)
-                                        || chain_is_narrow(&defs, &metas, *rb))
+                                    && (chain_is_narrow(&defs, *a) || chain_is_narrow(&defs, *rb))
                             }
                             Trigger::InlinedArith => ins.meta.inlined,
                             _ => false,
                         });
                         if let Some(d) = defect {
-                            cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                             applied.push((d.id, ins.loc));
                         } else {
-                            cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                             out.push(Instr::effect(
                                 Op::UbsanCheckArith { op: *op, a: *a, b: *rb, ty: *ty },
                                 ins.loc,
@@ -578,32 +660,32 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                     // Division and remainder.
                     Op::Bin { op: op @ (BinKind::Div | BinKind::Rem), a, b: rb, ty } => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "ubsan.rs", "div_check");
+                        cov::hit!(ctx.vendor, "ubsan.rs", "div_check");
                         let defect = active.iter().find(|d| match d.trigger {
                             Trigger::BoolWidenedDivisor => {
-                                chain_any(&defs, &metas, *rb, 0, &|_, m| m.bool_widened)
+                                chain_any(&defs, *rb, 0, &|_, m| m.bool_widened)
                             }
                             Trigger::RemUnchecked => *op == BinKind::Rem,
                             _ => false,
                         });
                         if let Some(d) = defect {
-                            cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                             applied.push((d.id, ins.loc));
                         } else {
                             let wrong_line =
                                 active.iter().find(|d| d.trigger == Trigger::DivWrongLine);
                             let mut loc = ins.loc;
                             if let Some(d) = wrong_line {
-                                cov::hit(ctx.vendor, "ubsan.rs", "wrong_line_emitted");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "wrong_line_emitted");
                                 loc.line = loc.line.saturating_sub(1);
                                 applied.push((d.id, ins.loc));
                             } else {
-                                cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                             }
                             out.push(Instr::effect(
                                 Op::UbsanCheckDiv { a: *a, divisor: *rb, ty: *ty },
@@ -617,24 +699,24 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                         if ins.meta.sanitize =>
                     {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "ubsan.rs", "shift_check");
+                        cov::hit!(ctx.vendor, "ubsan.rs", "shift_check");
                         let bits = ty.promoted().width.bits() as u8;
                         let defect = active.iter().find(|d| match d.trigger {
                             Trigger::CharShiftAmount => ins.meta.char_shift_amount,
                             Trigger::LongShift => bits == 64,
-                            Trigger::ShiftAmountCast => chain_has_cast(&defs, &metas, *rb),
+                            Trigger::ShiftAmountCast => chain_has_cast(&defs, *rb),
                             _ => false,
                         });
                         if let Some(d) = defect {
-                            cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                             applied.push((d.id, ins.loc));
                         } else {
-                            cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                             out.push(Instr::effect(
                                 Op::UbsanCheckShift { amount: *rb, bits },
                                 ins.loc,
@@ -645,19 +727,19 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                     // Negation overflow.
                     Op::Un { op: UnKind::Neg, a, ty } if ins.meta.sanitize && ty.signed => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "ubsan.rs", "neg_check");
+                        cov::hit!(ctx.vendor, "ubsan.rs", "neg_check");
                         let defect =
                             active.iter().find(|d| d.trigger == Trigger::NegationUnchecked);
                         if let Some(d) = defect {
-                            cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                             applied.push((d.id, ins.loc));
                         } else {
-                            cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                             out.push(Instr::effect(Op::UbsanCheckNeg { a: *a, ty: *ty }, ins.loc));
                         }
                         out.push(ins);
@@ -667,17 +749,17 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                         let (root, _) = addr_root(&defs, *addr);
                         if let Some(Op::Load { .. }) = root {
                             if !ctx.policy.keeps(&f.name, ins.loc) {
-                                cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                                 skipped.push(ins.loc);
                                 out.push(ins);
                                 continue;
                             }
-                            cov::hit(ctx.vendor, "ubsan.rs", "null_check");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "null_check");
                             let rmw_defect = active.iter().find(|d| {
                                 d.trigger == Trigger::RmwNullCheck && ins.meta.rmw
                             });
                             if let Some(d) = rmw_defect {
-                                cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                                 applied.push((d.id, ins.loc));
                             } else {
                                 let after_offset = active
@@ -692,7 +774,7 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                                 } else {
                                     root_reg(&defs, *addr)
                                 };
-                                cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                                 out.push(Instr::effect(
                                     Op::UbsanCheckNull { addr: checked },
                                     ins.loc,
@@ -703,7 +785,7 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                     }
                     // Array bound checks ride on address computations.
                     Op::PtrAdd { base: Operand::Reg(br), offset, scale } if *scale > 0 => {
-                        let bound = match defs.get(br) {
+                        let bound = match defs.get(*br) {
                             Some(Op::AddrGlobal(g)) => {
                                 let gd = &globals[*g];
                                 (gd.elem_count > 1 && gd.elem_size as i64 == *scale)
@@ -718,14 +800,14 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                         };
                         if let Some(bound) = bound {
                             if !ctx.policy.keeps(&f.name, ins.loc) {
-                                cov::hit(ctx.vendor, "ubsan.rs", "policy_skip");
+                                cov::hit!(ctx.vendor, "ubsan.rs", "policy_skip");
                                 skipped.push(ins.loc);
                                 out.push(ins);
                                 continue;
                             }
-                            cov::hit(ctx.vendor, "ubsan.rs", "bound_check");
+                            cov::hit!(ctx.vendor, "ubsan.rs", "bound_check");
                             let is_global_array =
-                                matches!(defs.get(br), Some(Op::AddrGlobal(_)));
+                                matches!(defs.get(*br), Some(Op::AddrGlobal(_)));
                             let defect = active.iter().find(|d| match d.trigger {
                                 Trigger::IndexIsSumOfLoads => {
                                     index_is_sum_of_loads(&defs, *offset)
@@ -735,7 +817,7 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                             });
                             match defect {
                                 Some(d) if d.trigger == Trigger::BoundOffByOne => {
-                                    cov::hit(ctx.vendor, "ubsan.rs", "off_by_one_bound");
+                                    cov::hit!(ctx.vendor, "ubsan.rs", "off_by_one_bound");
                                     applied.push((d.id, ins.loc));
                                     out.push(Instr::effect(
                                         Op::UbsanCheckBound { idx: *offset, bound: bound + 1 },
@@ -743,11 +825,11 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
                                     ));
                                 }
                                 Some(d) => {
-                                    cov::hit(ctx.vendor, "ubsan.rs", "defect_suppressed");
+                                    cov::hit!(ctx.vendor, "ubsan.rs", "defect_suppressed");
                                     applied.push((d.id, ins.loc));
                                 }
                                 None => {
-                                    cov::hit(ctx.vendor, "ubsan.rs", "check_emitted");
+                                    cov::hit!(ctx.vendor, "ubsan.rs", "check_emitted");
                                     out.push(Instr::effect(
                                         Op::UbsanCheckBound { idx: *offset, bound },
                                         ins.loc,
@@ -768,11 +850,11 @@ pub fn run_ubsan(m: &mut Module, ctx: &SanCtx<'_>) {
 }
 
 /// The root pointer value of an address chain (for null checks).
-fn root_reg(defs: &HashMap<RegId, Op>, addr: Operand) -> Operand {
+fn root_reg(defs: &Defs, addr: Operand) -> Operand {
     let mut cur = addr;
     loop {
         match cur {
-            Operand::Reg(r) => match defs.get(&r) {
+            Operand::Reg(r) => match defs.get(r) {
                 Some(Op::PtrAdd { base, .. }) => cur = *base,
                 _ => return cur,
             },
@@ -781,31 +863,23 @@ fn root_reg(defs: &HashMap<RegId, Op>, addr: Operand) -> Operand {
     }
 }
 
-fn chain_has_cast(
-    defs: &HashMap<RegId, Op>,
-    metas: &HashMap<RegId, Meta>,
-    o: Operand,
-) -> bool {
-    chain_any(defs, metas, o, 0, &|op, _| matches!(op, Op::Cast { .. }))
+fn chain_has_cast(defs: &Defs, o: Operand) -> bool {
+    chain_any(defs, o, 0, &|op, _| matches!(op, Op::Cast { .. }))
 }
 
-fn chain_is_narrow(
-    defs: &HashMap<RegId, Op>,
-    metas: &HashMap<RegId, Meta>,
-    o: Operand,
-) -> bool {
-    chain_any(defs, metas, o, 0, &|op, _| {
+fn chain_is_narrow(defs: &Defs, o: Operand) -> bool {
+    chain_any(defs, o, 0, &|op, _| {
         matches!(op, Op::Load { size: 1 | 2, .. })
             || matches!(op, Op::Cast { to, .. } if to.width.bits() <= 16)
     })
 }
 
-fn index_is_sum_of_loads(defs: &HashMap<RegId, Op>, idx: Operand) -> bool {
+fn index_is_sum_of_loads(defs: &Defs, idx: Operand) -> bool {
     let Operand::Reg(r) = idx else { return false };
-    match defs.get(&r) {
+    match defs.get(r) {
         Some(Op::Bin { op: BinKind::Add, a: Operand::Reg(x), b: Operand::Reg(y), .. }) => {
-            matches!(defs.get(x), Some(Op::Load { .. }))
-                && matches!(defs.get(y), Some(Op::Load { .. }))
+            matches!(defs.get(*x), Some(Op::Load { .. }))
+                && matches!(defs.get(*y), Some(Op::Load { .. }))
         }
         _ => false,
     }
@@ -822,18 +896,23 @@ pub fn ubsan_global_store_fixup(m: &mut Module, ctx: &SanCtx<'_>) {
         return;
     };
     let mut applied = Vec::new();
+    let mut defs = Defs::default();
     for f in &mut m.funcs {
-        let defs = defs_of(f);
+        defs.fill(f);
         for b in &mut f.blocks {
-            // Registers stored directly to globals.
-            let mut global_fed: HashSet<RegId> = HashSet::new();
-            for i in &b.instrs {
-                if let Op::Store { addr, val: Operand::Reg(v), .. } = &i.op {
-                    if matches!(addr_root(&defs, *addr).0, Some(Op::AddrGlobal(_))) {
-                        global_fed.insert(*v);
+            // Registers stored directly to globals (a handful per block).
+            let global_fed: Vec<RegId> = b
+                .instrs
+                .iter()
+                .filter_map(|i| match &i.op {
+                    Op::Store { addr, val: Operand::Reg(v), .. }
+                        if matches!(addr_root(&defs, *addr).0, Some(Op::AddrGlobal(_))) =>
+                    {
+                        Some(*v)
                     }
-                }
-            }
+                    _ => None,
+                })
+                .collect();
             // Map check → guarded register (the following Bin's dst).
             let dst_for: Vec<((BinKind, Operand, Operand), RegId)> = b
                 .instrs
@@ -867,15 +946,15 @@ pub fn ubsan_global_store_fixup(m: &mut Module, ctx: &SanCtx<'_>) {
 
 /// Runs the MemorySanitizer pass (LLVM only; the pipeline rejects GCC+MSan).
 pub fn run_msan(m: &mut Module, ctx: &SanCtx<'_>) {
-    cov::hit(ctx.vendor, "msan.rs", "run");
+    cov::hit!(ctx.vendor, "msan.rs", "run");
     m.san.sanitizer = Some(Sanitizer::Msan);
     let active = ctx.active(Sanitizer::Msan);
     if let Some(d) = active.iter().find(|d| d.trigger == Trigger::MsanSubConst) {
-        cov::hit(ctx.vendor, "msan.rs", "policy_defective");
+        cov::hit!(ctx.vendor, "msan.rs", "policy_defective");
         m.san.msan_policy.sub_const_fully_defined = true;
         m.san.applied_defects.push((d.id, Loc::UNKNOWN));
     } else {
-        cov::hit(ctx.vendor, "msan.rs", "policy_correct");
+        cov::hit!(ctx.vendor, "msan.rs", "policy_correct");
     }
     let mut skipped: Vec<Loc> = Vec::new();
     for f in &mut m.funcs {
@@ -885,10 +964,10 @@ pub fn run_msan(m: &mut Module, ctx: &SanCtx<'_>) {
                 let cond = *cond;
                 let loc = b.instrs.last().map_or(Loc::UNKNOWN, |i| i.loc);
                 if !ctx.policy.keeps(&f.name, loc) {
-                    cov::hit(ctx.vendor, "msan.rs", "policy_skip");
+                    cov::hit!(ctx.vendor, "msan.rs", "policy_skip");
                     skipped.push(loc);
                 } else {
-                    cov::hit(ctx.vendor, "msan.rs", "branch_check");
+                    cov::hit!(ctx.vendor, "msan.rs", "branch_check");
                     b.instrs.push(Instr::effect(
                         Op::MsanCheck { val: cond, what: MsanUse::Branch },
                         loc,
@@ -901,12 +980,12 @@ pub fn run_msan(m: &mut Module, ctx: &SanCtx<'_>) {
                 match &ins.op {
                     Op::Bin { op: BinKind::Div | BinKind::Rem, b: rb, .. } => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "msan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "msan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "msan.rs", "div_check");
+                        cov::hit!(ctx.vendor, "msan.rs", "div_check");
                         out.push(Instr::effect(
                             Op::MsanCheck { val: *rb, what: MsanUse::Divisor },
                             ins.loc,
@@ -915,12 +994,12 @@ pub fn run_msan(m: &mut Module, ctx: &SanCtx<'_>) {
                     }
                     Op::Print { val } => {
                         if !ctx.policy.keeps(&f.name, ins.loc) {
-                            cov::hit(ctx.vendor, "msan.rs", "policy_skip");
+                            cov::hit!(ctx.vendor, "msan.rs", "policy_skip");
                             skipped.push(ins.loc);
                             out.push(ins);
                             continue;
                         }
-                        cov::hit(ctx.vendor, "msan.rs", "output_check");
+                        cov::hit!(ctx.vendor, "msan.rs", "output_check");
                         out.push(Instr::effect(
                             Op::MsanCheck { val: *val, what: MsanUse::Output },
                             ins.loc,

@@ -26,6 +26,13 @@ use ubfuzz_simcc::passes::{fold_bin, fold_un};
 use ubfuzz_simcc::target::Vendor;
 use ubfuzz_simcc::{cov, Sanitizer};
 
+/// The coverage point of a runtime report entry in `rt_report.rs`.
+macro_rules! report_point {
+    ($name:literal) => {
+        cov::point!("rt_report.rs", $name)
+    };
+}
+
 /// What a sanitizer report says happened (the "ERROR:" line of real ASan/
 /// UBSan output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,7 +338,7 @@ impl<'m> Vm<'m> {
         }
         // Poison global red zones (ASan), honouring defective gaps.
         if self.asan {
-            cov::hit(self.vendor, "rt_shadow.rs", "poison_global_redzone");
+            cov::hit!(self.vendor, "rt_shadow.rs", "poison_global_redzone");
             for (gi, g) in self.m.globals.iter().enumerate() {
                 let gap = self
                     .m
@@ -381,7 +388,7 @@ impl<'m> Vm<'m> {
         for s in &f.slots {
             let a = self.alloc_region(s.size as usize, false);
             if self.asan {
-                cov::hit(self.vendor, "rt_shadow.rs", "poison_stack_redzone");
+                cov::hit!(self.vendor, "rt_shadow.rs", "poison_stack_redzone");
                 self.poison_range(a + s.size as usize, GAP, PoisonTag::StackRz);
             }
             frame.slot_addr.push(a);
@@ -455,8 +462,10 @@ impl<'m> Vm<'m> {
         Ok(addr as usize)
     }
 
-    fn report(&self, kind: ReportKind, loc: Loc, point: &'static str) -> Stop {
-        cov::hit(self.vendor, "rt_report.rs", point);
+    /// Stops with a sanitizer report, hitting the runtime's report point
+    /// (named with [`report_point!`]).
+    fn report(&self, kind: ReportKind, loc: Loc, point: cov::PointId) -> Stop {
+        cov::hit(self.vendor, point);
         let sanitizer = self.m.san.sanitizer.unwrap_or(Sanitizer::Asan);
         Stop::Report(SanReport { sanitizer, kind, loc })
     }
@@ -472,13 +481,13 @@ impl<'m> Vm<'m> {
                     && *op == BinKind::Sub
                     && matches!(b, Operand::Imm(_))
                 {
-                    cov::hit(self.vendor, "rt_msan.rs", "taint_sub_const_cleared");
+                    cov::hit!(self.vendor, "rt_msan.rs", "taint_sub_const_cleared");
                     false
                 } else {
                     if self.msan {
-                        cov::hit(self.vendor, "rt_msan.rs", "taint_bin");
+                        cov::hit!(self.vendor, "rt_msan.rs", "taint_bin");
                         if ta || tb {
-                            cov::hit(self.vendor, "rt_msan.rs", "taint_propagated");
+                            cov::hit!(self.vendor, "rt_msan.rs", "taint_propagated");
                         }
                     }
                     ta || tb
@@ -535,7 +544,7 @@ impl<'m> Vm<'m> {
                 };
                 let taint = self.shadow[a..a + *size as usize].iter().any(|d| !d);
                 if self.msan {
-                    cov::hit(self.vendor, "rt_msan.rs", "taint_load");
+                    cov::hit!(self.vendor, "rt_msan.rs", "taint_load");
                 }
                 self.set(frame, ins.dst, v, taint);
             }
@@ -549,7 +558,7 @@ impl<'m> Vm<'m> {
                     *s = !tv;
                 }
                 if self.msan {
-                    cov::hit(self.vendor, "rt_msan.rs", "taint_store");
+                    cov::hit!(self.vendor, "rt_msan.rs", "taint_store");
                 }
             }
             Op::MemCopy { dst, src, len } => {
@@ -578,7 +587,7 @@ impl<'m> Vm<'m> {
                 let start = self.alloc_region(size, false);
                 self.heap.push(HeapBlock { start, size, freed: false });
                 if self.asan {
-                    cov::hit(self.vendor, "rt_shadow.rs", "poison_heap_redzone");
+                    cov::hit!(self.vendor, "rt_shadow.rs", "poison_heap_redzone");
                     self.poison_range(start + size, GAP, PoisonTag::HeapRz);
                 }
                 self.set(frame, ins.dst, start as i64, false);
@@ -590,21 +599,21 @@ impl<'m> Vm<'m> {
                 }
                 let Some(idx) = self.heap.iter().position(|h| h.start == va as usize) else {
                     return Err(if self.asan {
-                        self.report(ReportKind::BadFree, loc, "report_uaf")
+                        self.report(ReportKind::BadFree, loc, report_point!("report_uaf"))
                     } else {
                         Stop::Crash(CrashKind::Segv, loc)
                     });
                 };
                 if self.heap[idx].freed {
                     return Err(if self.asan {
-                        self.report(ReportKind::BadFree, loc, "report_uaf")
+                        self.report(ReportKind::BadFree, loc, report_point!("report_uaf"))
                     } else {
                         Stop::Crash(CrashKind::Segv, loc)
                     });
                 }
                 self.heap[idx].freed = true;
                 if self.asan {
-                    cov::hit(self.vendor, "rt_shadow.rs", "poison_freed");
+                    cov::hit!(self.vendor, "rt_shadow.rs", "poison_freed");
                     let (s, n) = (self.heap[idx].start, self.heap[idx].size);
                     self.poison_range(s, n, PoisonTag::Freed);
                 }
@@ -623,12 +632,12 @@ impl<'m> Vm<'m> {
             }
             Op::LifetimeEnd(_) => {}
             Op::AsanUnpoisonScope(s) => {
-                cov::hit(self.vendor, "rt_shadow.rs", "unpoison_scope");
+                cov::hit!(self.vendor, "rt_shadow.rs", "unpoison_scope");
                 let a = frame.slot_addr[*s];
                 self.poison_range(a, f.slots[*s].size as usize, PoisonTag::Clean);
             }
             Op::AsanPoisonScope(s) => {
-                cov::hit(self.vendor, "rt_shadow.rs", "poison_scope");
+                cov::hit!(self.vendor, "rt_shadow.rs", "poison_scope");
                 let a = frame.slot_addr[*s];
                 self.poison_range(a, f.slots[*s].size as usize, PoisonTag::Scope);
             }
@@ -642,24 +651,28 @@ impl<'m> Vm<'m> {
                         .find(|t| **t != PoisonTag::Clean);
                     match bad {
                         Some(tag) => {
-                            cov::hit(self.vendor, "rt_shadow.rs", "shadow_poisoned");
+                            cov::hit!(self.vendor, "rt_shadow.rs", "shadow_poisoned");
                             let (kind, point) = match tag {
                                 PoisonTag::StackRz => {
-                                    (ReportKind::StackBufOverflow, "report_overflow")
+                                    (ReportKind::StackBufOverflow, report_point!("report_overflow"))
                                 }
                                 PoisonTag::GlobalRz => {
-                                    (ReportKind::GlobalBufOverflow, "report_overflow")
+                                    (ReportKind::GlobalBufOverflow, report_point!("report_overflow"))
                                 }
                                 PoisonTag::HeapRz => {
-                                    (ReportKind::HeapBufOverflow, "report_overflow")
+                                    (ReportKind::HeapBufOverflow, report_point!("report_overflow"))
                                 }
-                                PoisonTag::Freed => (ReportKind::UseAfterFree, "report_uaf"),
-                                PoisonTag::Scope => (ReportKind::UseAfterScope, "report_uas"),
+                                PoisonTag::Freed => {
+                                    (ReportKind::UseAfterFree, report_point!("report_uaf"))
+                                }
+                                PoisonTag::Scope => {
+                                    (ReportKind::UseAfterScope, report_point!("report_uas"))
+                                }
                                 PoisonTag::Clean => unreachable!(),
                             };
                             return Err(self.report(kind, loc, point));
                         }
-                        None => cov::hit(self.vendor, "rt_shadow.rs", "shadow_clean"),
+                        None => cov::hit!(self.vendor, "rt_shadow.rs", "shadow_clean"),
                     }
                 }
             }
@@ -674,48 +687,80 @@ impl<'m> Vm<'m> {
                     _ => 0,
                 };
                 if !ty.contains(wide) {
-                    return Err(self.report(ReportKind::SignedIntOverflow, loc, "report_arith"));
+                    return Err(self.report(
+                        ReportKind::SignedIntOverflow,
+                        loc,
+                        report_point!("report_arith"),
+                    ));
                 }
             }
             Op::UbsanCheckNeg { a, ty } => {
                 let (va, _) = self.value(frame, *a);
                 if ty.wrap(va as i128) == ty.min_value() {
-                    return Err(self.report(ReportKind::NegOverflow, loc, "report_neg"));
+                    return Err(self.report(
+                        ReportKind::NegOverflow,
+                        loc,
+                        report_point!("report_neg"),
+                    ));
                 }
             }
             Op::UbsanCheckShift { amount, bits } => {
                 let (va, _) = self.value(frame, *amount);
                 if va < 0 || va >= *bits as i64 {
-                    return Err(self.report(ReportKind::ShiftOob, loc, "report_shift"));
+                    return Err(self.report(
+                        ReportKind::ShiftOob,
+                        loc,
+                        report_point!("report_shift"),
+                    ));
                 }
             }
             Op::UbsanCheckDiv { a, divisor, ty } => {
                 let (vd, _) = self.value(frame, *divisor);
                 if ty.wrap(vd as i128) == 0 {
-                    return Err(self.report(ReportKind::DivByZero, loc, "report_div"));
+                    return Err(self.report(
+                        ReportKind::DivByZero,
+                        loc,
+                        report_point!("report_div"),
+                    ));
                 }
                 let (va, _) = self.value(frame, *a);
                 if ty.signed && ty.wrap(va as i128) == ty.min_value() && ty.wrap(vd as i128) == -1
                 {
-                    return Err(self.report(ReportKind::SignedIntOverflow, loc, "report_div"));
+                    return Err(self.report(
+                        ReportKind::SignedIntOverflow,
+                        loc,
+                        report_point!("report_div"),
+                    ));
                 }
             }
             Op::UbsanCheckNull { addr } => {
                 let (va, _) = self.value(frame, *addr);
                 if va == 0 {
-                    return Err(self.report(ReportKind::NullDeref, loc, "report_null"));
+                    return Err(self.report(
+                        ReportKind::NullDeref,
+                        loc,
+                        report_point!("report_null"),
+                    ));
                 }
             }
             Op::UbsanCheckBound { idx, bound } => {
                 let (vi, _) = self.value(frame, *idx);
                 if vi < 0 || vi as u64 >= *bound {
-                    return Err(self.report(ReportKind::ArrayBound, loc, "report_bound"));
+                    return Err(self.report(
+                        ReportKind::ArrayBound,
+                        loc,
+                        report_point!("report_bound"),
+                    ));
                 }
             }
             Op::MsanCheck { val, .. } => {
                 let (_, t) = self.value(frame, *val);
                 if t {
-                    return Err(self.report(ReportKind::UninitUse, loc, "report_msan"));
+                    return Err(self.report(
+                        ReportKind::UninitUse,
+                        loc,
+                        report_point!("report_msan"),
+                    ));
                 }
             }
         }

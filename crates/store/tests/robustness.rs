@@ -12,8 +12,10 @@ use ubfuzz_simcc::defects::DefectRegistry;
 use ubfuzz_simcc::pipeline::{compile, CompileConfig};
 use ubfuzz_simcc::session::{Backing, CompileSession, PrefixCell};
 use ubfuzz_simcc::target::{OptLevel, Vendor};
-use ubfuzz_simcc::Sanitizer;
-use ubfuzz_store::{modser, wire, CampaignLog, PrefixStore, SanitizedStore, Store, UnitOutcome};
+use ubfuzz_simcc::{CovDelta, Sanitizer};
+use ubfuzz_store::{
+    modser, wire, CampaignLog, FrontierStore, PrefixStore, SanitizedStore, Store, UnitOutcome,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -267,6 +269,70 @@ fn fresh_store_writes_the_v3_fixture_byte_for_byte() {
         let (w, n) = (written.len(), pinned.len());
         assert!(written == pinned, "{name}: {w} B written, {n} B pinned");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixed delta behind `fixtures/v3-store/frontier.bin`: points of
+/// every kind, both vendors, and the sanitizers' `policy_skip` points.
+fn fixture_delta() -> CovDelta {
+    [
+        (Vendor::Gcc, "asan.rs", "policy_skip"),
+        (Vendor::Gcc, "asan.rs", "run"),
+        (Vendor::Gcc, "rt_report.rs", "report_overflow"),
+        (Vendor::Gcc, "ubsan.rs", "bound_check"),
+        (Vendor::Llvm, "msan.rs", "policy_skip"),
+        (Vendor::Llvm, "msan.rs", "run"),
+        (Vendor::Llvm, "rt_shadow.rs", "shadow_clean"),
+        (Vendor::Llvm, "ubsan.rs", "check_emitted"),
+        (Vendor::Llvm, "ubsan.rs", "policy_skip"),
+    ]
+    .into_iter()
+    .collect()
+}
+
+/// A frontier holding the sanitizers' `policy_skip` points (hit under a
+/// partial sanitization policy) saves and reopens whole: every point is a
+/// registered one, so none of them reads as corruption.
+#[test]
+fn frontier_with_policy_skip_points_round_trips() {
+    let dir = tmp_dir("frontier-policy");
+    let delta: CovDelta = [
+        (Vendor::Gcc, "asan.rs", "policy_skip"),
+        (Vendor::Gcc, "asan.rs", "run"),
+        (Vendor::Llvm, "msan.rs", "policy_skip"),
+        (Vendor::Llvm, "ubsan.rs", "policy_skip"),
+    ]
+    .into_iter()
+    .collect();
+    FrontierStore::open(&dir).save(&delta);
+    let reopened = FrontierStore::open(&dir);
+    let t = reopened.telemetry();
+    assert_eq!((delta.len(), t.loaded()), (4, 4), "points saved vs loaded");
+    assert!(!t.tail_truncated() && !t.recovered_cold(), "{:?}", t.events());
+    assert_eq!(reopened.covered(), &delta);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fixtures/v3-store/frontier.bin` is [`fixture_delta`] as the store
+/// wrote it before coverage deltas became bitsets: a fresh save writes
+/// the same bytes, and an open of the fixture reads the same delta back.
+#[test]
+fn frontier_fixture_is_written_and_read_byte_for_byte() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-store");
+    let dir = tmp_dir("frontier-writer");
+    FrontierStore::open(&dir).save(&fixture_delta());
+    let written = std::fs::read(dir.join("frontier.bin")).unwrap();
+    let pinned = std::fs::read(fixture.join("frontier.bin")).unwrap();
+    let (w, n) = (written.len(), pinned.len());
+    assert!(written == pinned, "frontier.bin: {w} B written, {n} B pinned");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("frontier-reader");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(fixture.join("frontier.bin"), dir.join("frontier.bin")).unwrap();
+    let reopened = FrontierStore::open(&dir);
+    assert_eq!(reopened.covered(), &fixture_delta());
+    assert!(reopened.telemetry().events().is_empty(), "{:?}", reopened.telemetry().events());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
