@@ -1,5 +1,5 @@
-//! Smoke benchmark: sequential vs. unit-executor campaign throughput, with
-//! the staged-compile cache on and off, plus a cold-vs-warm persistent-store
+//! Smoke benchmark: sequential vs. unit-executor campaign throughput, on a
+//! cached and an uncached backend, plus a cold-vs-warm persistent-store
 //! comparison.
 //!
 //! Run with `cargo bench --bench campaign_smoke` to measure, or with
@@ -17,8 +17,9 @@
 
 use criterion::{criterion_group, Criterion};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
-use ubfuzz::campaign::{run_campaign, CampaignConfig};
+use ubfuzz::campaign::{run_campaign, CampaignConfig, ParallelCampaign};
 use ubfuzz::SimBackend;
 
 const SEEDS: usize = 8;
@@ -35,11 +36,7 @@ fn bench_campaign(c: &mut Criterion) {
     for shards in [2usize, 4] {
         g.bench_function(format!("sharded{shards}_{SEEDS}seeds"), |b| {
             b.iter(|| {
-                let stats = CampaignConfig::builder()
-                    .seeds(SEEDS)
-                    .workers(shards)
-                    .build_runner()
-                    .run();
+                let stats = ParallelCampaign::new(config()).with_shards(shards).run();
                 assert!(
                     stats.cache.hits > 0,
                     "default campaign must reuse compile prefixes: {:?}",
@@ -53,11 +50,9 @@ fn bench_campaign(c: &mut Criterion) {
     // counters prove which side actually cached.
     g.bench_function(format!("sharded4_nocache_{SEEDS}seeds"), |b| {
         b.iter(|| {
-            let stats = CampaignConfig::builder()
-                .seeds(SEEDS)
-                .workers(4)
-                .cache(false)
-                .build_runner()
+            let stats = ParallelCampaign::new(config())
+                .with_shards(4)
+                .with_backend(Arc::new(SimBackend::uncached()))
                 .run();
             assert_eq!(stats.cache.hits, 0, "disabled cache must stay cold");
             assert_eq!(stats.cache.misses, 0, "disabled cache records nothing");
@@ -86,18 +81,15 @@ fn timed_run_with(
 ) -> (f64, ubfuzz::CampaignStats) {
     let mut builder = CampaignConfig::builder().seeds(SEEDS);
     if explicit_oracle {
-        builder = builder.oracle(std::sync::Arc::new(ubfuzz::OracleStack::standard()));
+        builder = builder.oracle(Arc::new(ubfuzz::OracleStack::standard()));
     }
     let cfg = builder.build();
     let runner = match store {
         Some(dir) => {
-            let backend = std::sync::Arc::new(SimBackend::with_store_capacity(
-                dir,
-                cfg.prefix_key_bound(),
-            ));
-            ubfuzz::ParallelCampaign::new(cfg).with_backend(backend).with_shards(4)
+            let backend = Arc::new(SimBackend::with_store_capacity(dir, cfg.prefix_key_bound()));
+            ParallelCampaign::new(cfg).with_backend(backend).with_shards(4)
         }
-        None => ubfuzz::ParallelCampaign::new(cfg).with_shards(4),
+        None => ParallelCampaign::new(cfg).with_shards(4),
     };
     let start = Instant::now();
     let stats = runner.run();
@@ -212,13 +204,9 @@ fn emit_bench_json() {
     // Stage-time profile: the same campaign once more under a metrics
     // sink. Telemetry is an observer — the profiled run must equal the
     // unprofiled one (CampaignStats equality ignores telemetry fields).
-    let sink = std::sync::Arc::new(ubfuzz::obs::MetricsSink::new());
-    let profiled = CampaignConfig::builder()
-        .seeds(SEEDS)
-        .workers(4)
-        .recorder(sink.clone())
-        .build_runner()
-        .run();
+    let sink = Arc::new(ubfuzz::obs::MetricsSink::new());
+    let profiled =
+        ParallelCampaign::new(config()).with_shards(4).with_recorder(sink.clone()).run();
     assert_eq!(profiled, nostore, "metrics recorder must not change results");
     let profile = sink.snapshot();
     for stage in [

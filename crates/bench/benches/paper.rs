@@ -2,7 +2,7 @@
 //! table/figure regeneration, at reduced sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ubfuzz::campaign::{run_campaign, CampaignConfig, GeneratorChoice};
+use ubfuzz::campaign::{run_campaign, CampaignConfig, GeneratorChoice, ParallelCampaign};
 use ubfuzz::report;
 use ubfuzz_detectors::campaign::{
     run_memcheck_campaign, run_static_campaign, DetectorCampaignConfig,
@@ -114,7 +114,7 @@ fn bench_tables(c: &mut Criterion) {
         b.iter(|| report::table4(&report::generator_comparison(2)))
     });
     g.bench_function("table5_coverage_2seeds", |b| {
-        b.iter(|| report::coverage_experiment(2))
+        b.iter(|| report::coverage_experiment(&SimBackend::new(), 2))
     });
     g.bench_function("table6_categories_2seeds", |b| {
         b.iter(|| {
@@ -126,8 +126,11 @@ fn bench_tables(c: &mut Criterion) {
     for (name, generator) in
         [("music", GeneratorChoice::Music), ("csmith_nosafe", GeneratorChoice::CsmithNoSafe)]
     {
-        g.bench_function(format!("baseline_campaign_2seeds/{name}"), |b| {
-            b.iter(|| report::baseline_campaign(generator, 2))
+        g.bench_function(format!("generator_campaign_2seeds/{name}"), |b| {
+            b.iter(|| {
+                let cfg = CampaignConfig::builder().seeds(2).generator(generator).build();
+                ParallelCampaign::new(cfg).run()
+            })
         });
     }
     // §4.4: discrepancy triage statistics (selected vs. dropped).
@@ -221,10 +224,10 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("fig7_bugs_per_kind", |b| b.iter(|| report::fig7(&stats)));
     g.bench_function("fig9_tracker_history", |b| b.iter(report::fig9));
     g.bench_function("fig10_affected_versions", |b| {
-        b.iter(|| report::fig10(&stats, &registry))
+        b.iter(|| report::fig10(&stats, &registry, &SimBackend::new()))
     });
     g.bench_function("fig11_affected_levels", |b| {
-        b.iter(|| report::fig11(&stats, &registry))
+        b.iter(|| report::fig11(&stats, &registry, &SimBackend::new()))
     });
     g.finish();
 }

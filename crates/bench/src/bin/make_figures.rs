@@ -42,16 +42,16 @@ fn main() {
             let stats = campaign();
             match figure {
                 7 => print!("{}", report::fig7(&stats)),
-                10 => print!("{}", report::fig10_with(&stats, &registry, backend.as_ref())),
-                _ => print!("{}", report::fig11_with(&stats, &registry, backend.as_ref())),
+                10 => print!("{}", report::fig10(&stats, &registry, backend.as_ref())),
+                _ => print!("{}", report::fig11(&stats, &registry, backend.as_ref())),
             }
         }
         _ => {
             let stats = campaign();
             print!("{}", report::fig7(&stats));
             print!("{}", report::fig9());
-            print!("{}", report::fig10_with(&stats, &registry, backend.as_ref()));
-            print!("{}", report::fig11_with(&stats, &registry, backend.as_ref()));
+            print!("{}", report::fig10(&stats, &registry, backend.as_ref()));
+            print!("{}", report::fig11(&stats, &registry, backend.as_ref()));
         }
     }
     report_store_telemetry(&backend, &store);

@@ -80,7 +80,7 @@ fn main() {
         // The ablation replaces the table output but not the persistence
         // contract: prefixes still flow through the (possibly store-backed)
         // backend, so fall through to the telemetry tail below.
-        print!("{}", report::oracle_ablation_with(Arc::clone(&backend_dyn), seeds));
+        print!("{}", report::oracle_ablation(Arc::clone(&backend_dyn), seeds));
     } else {
         run_tables(table, seeds, &backend, &campaign, sink.as_deref());
     }
@@ -141,7 +141,7 @@ fn run_tables(
             print!("{}", report::oracle_stats(&stats));
         }
         4 => print!("{}", report::table4(&report::generator_comparison(seeds.min(200)))),
-        5 => print!("{}", report::coverage_experiment_with(backend.as_ref(), seeds.min(20))),
+        5 => print!("{}", report::coverage_experiment(backend.as_ref(), seeds.min(20))),
         6 => print!("{}", report::table6(&campaign())),
         7 => print!("{}", table7(seeds)),
         9 => print!("{}", table9(seeds)),
@@ -159,7 +159,7 @@ fn run_tables(
             print!("{}", report::table4(&report::generator_comparison((seeds / 3).max(2))));
             print!(
                 "{}",
-                report::coverage_experiment_with(backend.as_ref(), (seeds / 6).max(2))
+                report::coverage_experiment(backend.as_ref(), (seeds / 6).max(2))
             );
             print!("{}", report::table6(&stats));
             print!("{}", table7((seeds / 3).max(2)));

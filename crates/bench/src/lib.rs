@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
-use ubfuzz::campaign::{CampaignConfig, CampaignStats};
+use ubfuzz::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
 use ubfuzz::obs::{
     self, event_line, Fanout, Line, MetricsSink, MetricsSnapshot, Recorder, Stage, TraceRecorder,
 };
@@ -210,16 +210,18 @@ pub fn run_stored_campaign(
     strategy: Strategy,
     san: SanPolicy,
 ) -> CampaignStats {
-    let mut builder = CampaignConfig::builder()
+    let cfg = CampaignConfig::builder()
         .seeds(seeds)
         .backend(backend)
         .strategy(strategy)
-        .san_policy(san);
+        .san_policy(san)
+        .build();
+    let mut runner = ParallelCampaign::new(cfg);
     if store_args.resume {
-        builder =
-            builder.checkpoint(store_args.dir.as_deref().expect("--resume implies --store"));
+        let dir = store_args.dir.as_deref().expect("--resume implies --store");
+        runner = runner.with_checkpoint(dir);
     }
-    let stats = builder.build_runner().run();
+    let stats = runner.run();
     report_expected_misses(&stats);
     if let Some(dir) = &store_args.dir {
         let mut corpus = store::BugCorpus::open(dir);
@@ -377,23 +379,23 @@ impl StrategyComparison {
 /// whole comparison is deterministic: a second invocation over a fresh store
 /// reproduces it bit-for-bit.
 pub fn compare_strategies(warm_seeds: usize, eval_seeds: usize, dir: &Path) -> StrategyComparison {
-    let _warm = CampaignConfig::builder()
-        .seeds(warm_seeds)
-        .checkpoint(dir)
-        .build_runner()
+    let _warm = ParallelCampaign::new(CampaignConfig::builder().seeds(warm_seeds).build())
+        .with_checkpoint(dir)
         .run();
     let eval = |strategy: Strategy| {
-        let mut builder = CampaignConfig::builder()
+        let cfg = CampaignConfig::builder()
             .seeds(eval_seeds)
             .first_seed(warm_seeds as u64)
-            .strategy(strategy);
+            .strategy(strategy)
+            .build();
+        let mut runner = ParallelCampaign::new(cfg);
         if strategy == Strategy::Guided {
             // Checkpointing is what routes the store directory (and with it
             // the persisted frontier) into the runner; the uniform leg stays
             // storeless so it cannot see the warm-up at all.
-            builder = builder.checkpoint(dir);
+            runner = runner.with_checkpoint(dir);
         }
-        builder.build_runner().run()
+        runner.run()
     };
     let uniform = eval(Strategy::Uniform);
     let guided = eval(Strategy::Guided);
@@ -459,12 +461,9 @@ pub fn compare_policies(seeds: usize, dir: &Path) -> PolicyComparison {
         let capacity = CampaignConfig::builder().seeds(seeds).build().prefix_key_bound();
         let backend: Arc<dyn CompilerBackend> =
             Arc::new(SimBackend::with_store_capacity(dir, capacity));
-        CampaignConfig::builder()
-            .seeds(seeds)
-            .backend(backend)
-            .san_policy(policy)
-            .build_runner()
-            .run()
+        let cfg =
+            CampaignConfig::builder().seeds(seeds).backend(backend).san_policy(policy).build();
+        ParallelCampaign::new(cfg).run()
     };
     let full = leg(SanPolicy::Full);
     let partial = leg(SanPolicy::Partial { ratio_pm: 500, salt: 0 });

@@ -5,8 +5,9 @@
 //! cargo run --release --example parallel_campaign -- [seeds] [workers]
 //! ```
 
-use ubfuzz::campaign::CampaignConfig;
-use ubfuzz::run_campaign;
+use std::sync::Arc;
+use ubfuzz::campaign::{CampaignConfig, ParallelCampaign};
+use ubfuzz::{run_campaign, SimBackend};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -19,16 +20,13 @@ fn main() {
     let t_seq = t0.elapsed();
 
     let t0 = std::time::Instant::now();
-    let parallel =
-        CampaignConfig::builder().seeds(seeds).workers(workers).build_runner().run();
+    let parallel = ParallelCampaign::new(cfg.clone()).with_shards(workers).run();
     let t_par = t0.elapsed();
 
     let t0 = std::time::Instant::now();
-    let uncached = CampaignConfig::builder()
-        .seeds(seeds)
-        .workers(workers)
-        .cache(false)
-        .build_runner()
+    let uncached = ParallelCampaign::new(cfg)
+        .with_shards(workers)
+        .with_backend(Arc::new(SimBackend::uncached()))
         .run();
     let t_nocache = t0.elapsed();
 

@@ -1,5 +1,14 @@
 //! The automated testing loop (paper §4.1 "Testing process") plus bug
 //! deduplication/attribution.
+//!
+//! A campaign is described by a [`CampaignConfig`] (built with
+//! [`CampaignConfig::builder`]) and run by one of two drivers:
+//! [`run_campaign`], the sequential reference loop, or [`ParallelCampaign`],
+//! the one parallel runner (worker count, checkpoint directory, unit
+//! budget). Where prefixes are cached is the backend's choice
+//! ([`CampaignConfig::backend`]): no backend means a cached [`SimBackend`]
+//! for the runner and an uncached one for the reference loop, and an
+//! uncached parallel run passes `SimBackend::uncached()` explicitly.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -72,11 +81,13 @@ pub struct CampaignConfig {
     /// campaigns sample distinct site subsets while any one campaign
     /// replays the same subset at every worker count.
     pub san_policy: SanPolicy,
-    /// The compilation/execution backend. `None` (the default) lets each
-    /// runner construct its own [`SimBackend`] whose cache matches the
-    /// runner's cache toggle; an explicit backend is shared as-is — its
-    /// cache (if any) persists across every run over this config, which is
-    /// what cross-campaign prefix reuse builds on.
+    /// The compilation/execution backend, and with it the compile-cache
+    /// choice. `None` (the default) gives [`ParallelCampaign`] a fresh
+    /// cached [`SimBackend`] per run (session sized by
+    /// [`CampaignConfig::prefix_key_bound`]) and [`run_campaign`] an
+    /// uncached one; an explicit backend is shared as-is — its cache (if
+    /// any) persists across every run over this config, which is what
+    /// cross-campaign prefix reuse builds on.
     pub backend: Option<Arc<dyn CompilerBackend>>,
     /// The test oracle judging each program's compiled matrix. `None` (the
     /// default) is the paper's crash-site-mapping stack
@@ -154,16 +165,15 @@ impl CampaignConfig {
             .max(ubfuzz_simcc::session::CompileSession::DEFAULT_CAPACITY)
     }
 
-    /// The backend this config's campaigns compile and execute on: the
-    /// configured one, or a fresh [`SimBackend`] whose session is sized by
-    /// [`CampaignConfig::prefix_key_bound`], cache on or off per `cache`.
-    pub(crate) fn resolve_backend(&self, cache: bool) -> Arc<dyn CompilerBackend> {
+    /// The backend this config's parallel campaigns compile and execute
+    /// on: the configured one, or a fresh cached [`SimBackend`] whose
+    /// session is sized by [`CampaignConfig::prefix_key_bound`].
+    pub(crate) fn resolve_backend(&self) -> Arc<dyn CompilerBackend> {
         match &self.backend {
             Some(b) => Arc::clone(b),
-            None if cache => Arc::new(SimBackend::with_session(
+            None => Arc::new(SimBackend::with_session(
                 ubfuzz_simcc::session::CompileSession::with_capacity(self.prefix_key_bound()),
             )),
-            None => Arc::new(SimBackend::uncached()),
         }
     }
 
@@ -198,26 +208,11 @@ impl CampaignConfig {
     }
 }
 
-/// Builder for [`CampaignConfig`] — and, via
-/// [`CampaignConfigBuilder::build_runner`], for a configured
-/// [`ParallelCampaign`] (worker count and cache toggle included).
-#[derive(Debug, Clone)]
+/// Builder for [`CampaignConfig`]. Runner settings (worker count,
+/// checkpoint directory) belong to [`ParallelCampaign`], not the config.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignConfigBuilder {
     cfg: CampaignConfig,
-    workers: Option<usize>,
-    cache: bool,
-    checkpoint: Option<std::path::PathBuf>,
-}
-
-impl Default for CampaignConfigBuilder {
-    fn default() -> CampaignConfigBuilder {
-        CampaignConfigBuilder {
-            cfg: CampaignConfig::default(),
-            workers: None,
-            cache: true,
-            checkpoint: None,
-        }
-    }
 }
 
 impl CampaignConfigBuilder {
@@ -296,47 +291,9 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Worker count for [`CampaignConfigBuilder::build_runner`] (defaults to
-    /// one per core).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Cache toggle for [`CampaignConfigBuilder::build_runner`] (defaults to
-    /// enabled). Only meaningful without an explicit backend — a configured
-    /// backend owns its own cache policy.
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Checkpoint/resume directory for
-    /// [`CampaignConfigBuilder::build_runner`] (see
-    /// [`ParallelCampaign::with_checkpoint`]).
-    pub fn checkpoint(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.checkpoint = Some(dir.into());
-        self
-    }
-
     /// The finished configuration.
     pub fn build(self) -> CampaignConfig {
         self.cfg
-    }
-
-    /// A [`ParallelCampaign`] over the finished configuration, with the
-    /// builder's worker count, cache toggle and checkpoint directory
-    /// applied. Without an explicit backend, the runner's compile session
-    /// is auto-sized from the config ([`CampaignConfig::prefix_key_bound`]).
-    pub fn build_runner(self) -> ParallelCampaign {
-        let mut runner = ParallelCampaign::new(self.cfg).with_cache(self.cache);
-        if let Some(workers) = self.workers {
-            runner = runner.with_shards(workers);
-        }
-        if let Some(dir) = self.checkpoint {
-            runner = runner.with_checkpoint(dir);
-        }
-        runner
     }
 }
 
@@ -465,17 +422,14 @@ pub(crate) fn test_matrix(
 /// ([`ParallelCampaign`]) is property-tested against. Without an explicit
 /// backend in the config it compiles on an uncached [`SimBackend`], so
 /// equivalence checks exercise the cache on one side only.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
-    run_campaign_on(cfg.resolve_backend(false).as_ref(), cfg)
-}
-
-/// [`run_campaign`] over an explicit backend (ignoring `cfg.backend`).
 ///
 /// The sequential path is storeless, so a guided config plans against the
 /// cold frontier — exactly what a parallel guided run over a fresh (or
 /// absent) store does, preserving the sequential≡parallel property.
-pub fn run_campaign_on(backend: &dyn CompilerBackend, cfg: &CampaignConfig) -> CampaignStats {
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
     let _obs = cfg.recorder.clone().map(obs::attach);
+    let backend = cfg.backend.clone().unwrap_or_else(|| Arc::new(SimBackend::uncached()));
+    let backend = backend.as_ref();
     let toolchains = backend.toolchains();
     let oracle = cfg.resolve_oracle();
     let ctx = CampaignCtx { cfg, backend, oracle: oracle.as_ref() };
@@ -506,7 +460,7 @@ pub fn run_campaign_on(backend: &dyn CompilerBackend, cfg: &CampaignConfig) -> C
 /// The merged [`CampaignStats`] is **identical** to what [`run_campaign`]
 /// produces for the same config — same bugs, same order, same test cases,
 /// same `missed_at`/`duplicates` — so the paper's tables and figures are
-/// reproducible at any worker count, with the compile cache on or off:
+/// reproducible at any worker count, on a cached or an uncached backend:
 ///
 /// * every seed id derives its own deterministic RNG from the campaign seed,
 ///   so thread scheduling cannot perturb any generated program;
@@ -515,13 +469,16 @@ pub fn run_campaign_on(backend: &dyn CompilerBackend, cfg: &CampaignConfig) -> C
 ///   state never changes what a unit returns);
 /// * the oracle and dedup/attribution stage consumes unit results in exactly
 ///   the sequential loop's order.
+///
+/// This is the one way to configure a parallel run:
+/// `ParallelCampaign::new(cfg).with_shards(n).with_checkpoint(dir)`. An
+/// uncached run is `.with_backend(Arc::new(SimBackend::uncached()))`.
 #[derive(Debug, Clone)]
 pub struct ParallelCampaign {
-    config: CampaignConfig,
-    shards: usize,
-    cache: bool,
-    checkpoint: Option<std::path::PathBuf>,
-    unit_budget: Option<u64>,
+    pub(crate) config: CampaignConfig,
+    pub(crate) shards: usize,
+    pub(crate) checkpoint: Option<std::path::PathBuf>,
+    pub(crate) unit_budget: Option<u64>,
 }
 
 /// A checkpointed campaign stopped before completing every unit (only
@@ -544,11 +501,11 @@ impl std::fmt::Display for CampaignInterrupted {
 impl std::error::Error for CampaignInterrupted {}
 
 impl ParallelCampaign {
-    /// A runner over `config` with one worker per available core and the
-    /// compile cache enabled.
+    /// A runner over `config` with one worker per available core. Without
+    /// a backend in `config` it compiles on a fresh cached [`SimBackend`].
     pub fn new(config: CampaignConfig) -> ParallelCampaign {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ParallelCampaign { config, shards, cache: true, checkpoint: None, unit_budget: None }
+        ParallelCampaign { config, shards, checkpoint: None, unit_budget: None }
     }
 
     /// Overrides the worker count (must be nonzero). The name is historical:
@@ -560,15 +517,8 @@ impl ParallelCampaign {
         self
     }
 
-    /// Enables or disables the staged-compile cache (enabled by default).
-    /// Only meaningful without an explicit backend in the config — a
-    /// configured backend owns its own cache policy.
-    pub fn with_cache(mut self, cache: bool) -> ParallelCampaign {
-        self.cache = cache;
-        self
-    }
-
-    /// Sets an explicit compilation/execution backend (shared across runs).
+    /// Sets an explicit compilation/execution backend (shared across runs),
+    /// which also decides whether compiles are cached.
     pub fn with_backend(mut self, backend: Arc<dyn CompilerBackend>) -> ParallelCampaign {
         self.config.backend = Some(backend);
         self
@@ -607,21 +557,6 @@ impl ParallelCampaign {
         self
     }
 
-    /// The effective worker count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether the compile cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache
-    }
-
-    /// The campaign configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
     /// Runs the campaign on the unit executor and merges in seed order.
     ///
     /// # Panics
@@ -650,25 +585,6 @@ impl ParallelCampaign {
     pub fn run_planned(&self, plan: &crate::executor::CampaignPlan) -> CampaignStats {
         self.try_run_planned(Some(plan)).expect("campaign interrupted by unit budget")
     }
-
-    fn try_run_planned(
-        &self,
-        plan: Option<&crate::executor::CampaignPlan>,
-    ) -> Result<CampaignStats, CampaignInterrupted> {
-        crate::executor::run_unit_campaign_checkpointed(
-            &self.config,
-            self.shards,
-            self.cache,
-            self.checkpoint.as_deref(),
-            self.unit_budget,
-            plan,
-        )
-    }
-}
-
-/// Convenience wrapper: a parallel run of `cfg` over `shards` workers.
-pub fn run_parallel_campaign(cfg: &CampaignConfig, shards: usize) -> CampaignStats {
-    ParallelCampaign::new(cfg.clone()).with_shards(shards).run()
 }
 
 pub(crate) fn dedup_key(
@@ -1102,7 +1018,10 @@ mod tests {
     fn cache_toggle_preserves_results() {
         let cfg = CampaignConfig::builder().seeds(2).build();
         let cached = ParallelCampaign::new(cfg.clone()).with_shards(2).run();
-        let uncached = ParallelCampaign::new(cfg).with_shards(2).with_cache(false).run();
+        let uncached = ParallelCampaign::new(cfg)
+            .with_shards(2)
+            .with_backend(Arc::new(SimBackend::uncached()))
+            .run();
         assert_eq!(cached, uncached);
         assert!(cached.cache.hits > 0);
         assert_eq!(uncached.cache, SessionStats::default());

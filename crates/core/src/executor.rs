@@ -1,7 +1,7 @@
 //! The unified campaign task executor: fine-grained streaming execution
 //! with a canonical-order merge, checkpointing and resume.
 //!
-//! [`run_unit_campaign`] decomposes a campaign into three stages:
+//! [`ParallelCampaign::run`] decomposes a campaign into three stages:
 //!
 //! 1. **Generate** — one task per seed id, producing that seed's UB programs
 //!    (each seed id derives its own RNG stream from the campaign seed, so
@@ -17,16 +17,22 @@
 //!    compiled matrix and feeds it to [`crate::campaign::oracle_one`] — the
 //!    *same* function the sequential loop runs — so discrepancy counts,
 //!    crash-site mapping and dedup/attribution are bit-identical to
-//!    [`crate::campaign::run_campaign`] at any worker count, cache on or
-//!    off.
+//!    [`crate::campaign::run_campaign`] at any worker count, on a cached
+//!    or an uncached backend.
 //!
-//! **Checkpointing** ([`run_unit_campaign_checkpointed`] with a store
-//! directory): every completed unit is appended to a
+//! **Checkpointing** ([`ParallelCampaign::with_checkpoint`]): every
+//! completed unit is appended to a
 //! [`CampaignLog`] keyed by the campaign fingerprint, and units a previous
 //! invocation logged are *replayed* instead of recompiled. Because unit
 //! planning is deterministic and replay is byte-faithful, a campaign killed
 //! at any point and relaunched over the same store produces a final report
 //! bit-identical to an uninterrupted run.
+//!
+//! **Worker ranges** ([`run_unit_range`]): a campaign-service worker runs
+//! stages 1 and 2 over its leased unit range into its own checkpoint shard,
+//! without the oracle. It shares the merge's plan step and its
+//! compute-and-record step, so a unit a worker logged replays in the merge
+//! exactly as if the merge had computed it.
 //!
 //! The determinism argument, in one line: stages 1 and 2 are pure functions
 //! of their task inputs (the cache and the checkpoint log memoize a
@@ -36,7 +42,7 @@
 
 use crate::campaign::{
     compile_cell, generate_programs, oracle_one, test_matrix, CampaignConfig, CampaignCtx,
-    CampaignInterrupted, CampaignStats,
+    CampaignInterrupted, CampaignStats, ParallelCampaign,
 };
 use ubfuzz_oracle::CompiledCell;
 use crate::persist::campaign_fingerprint;
@@ -117,12 +123,12 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// Plans `cfg` without compiling anything: generation runs on one
-    /// thread per available core, on the backend a cached run of `cfg`
-    /// resolves (so program fingerprints match the run's). `store_dir`
+    /// thread per available core, on the backend a run of `cfg` resolves
+    /// (so program fingerprints match the run's). `store_dir`
     /// matters for guided configs: the plan depends on the persisted
     /// frontier.
     pub fn new(cfg: &CampaignConfig, store_dir: Option<&Path>) -> CampaignPlan {
-        let backend = cfg.resolve_backend(true);
+        let backend = cfg.resolve_backend();
         let guidance = cfg.resolve_guidance(&starting_frontier(store_dir));
         build_plan(cfg, &Executor::auto(), backend.as_ref(), guidance.as_ref())
     }
@@ -197,6 +203,64 @@ fn starting_frontier(store_dir: Option<&Path>) -> Frontier {
     }
 }
 
+/// The plan step shared by the merge and a worker's range: resolves the
+/// guidance `cfg` plans under from the starting `frontier`, then returns
+/// `given` when it is that plan (same fingerprint — a stale plan is
+/// ignored, never mixed in) or builds the plan into `slot`.
+fn resolve_plan<'a>(
+    cfg: &CampaignConfig,
+    exec: &Executor,
+    backend: &dyn CompilerBackend,
+    frontier: &Frontier,
+    given: Option<&'a CampaignPlan>,
+    slot: &'a mut Option<CampaignPlan>,
+) -> &'a CampaignPlan {
+    let guidance = cfg.resolve_guidance(frontier);
+    let fingerprint = campaign_fingerprint(cfg, &backend.toolchains(), guidance.as_ref());
+    match given {
+        Some(plan) if plan.fingerprint == fingerprint => plan,
+        _ => slot.insert(build_plan(cfg, exec, backend, guidance.as_ref())),
+    }
+}
+
+/// The compute step shared by the merge and a worker's range: compiles and
+/// runs unit `i` of `plan`, then checkpoints it into `log` — `Unsupported`
+/// for a failed cell, `Done` when the artifact carries a module. A
+/// module-less artifact (an opaque native binary) cannot be replayed
+/// faithfully, so it stays unlogged and a resume recomputes it. Returns the
+/// cell, its coverage delta, and whether the outcome is now in the log.
+fn compute_unit(
+    cfg: &CampaignConfig,
+    backend: &dyn CompilerBackend,
+    plan: &CampaignPlan,
+    i: usize,
+    log: Option<&CampaignLog>,
+) -> (Option<(Artifact, RunOutcome)>, CovDelta, bool) {
+    let unit = &plan.units[i];
+    let (cell, delta) = compile_cell(
+        backend,
+        &cfg.registry,
+        cfg.effective_san_policy(),
+        &plan.fingerprints[unit.pi],
+        &plan.programs[unit.pi].program,
+        unit.sanitizer,
+        unit.compiler,
+        unit.opt,
+    );
+    let logged = log.is_some_and(|log| {
+        let outcome = match &cell {
+            None => UnitOutcome::Unsupported,
+            Some((artifact, result)) => match artifact.module() {
+                Some(module) => UnitOutcome::Done(module.clone(), result.clone(), delta.clone()),
+                None => return false,
+            },
+        };
+        log.record(i, &outcome);
+        true
+    });
+    (cell, delta, logged)
+}
+
 /// Plan addressing for the campaign service: the campaign fingerprint (the
 /// checkpoint log identity) and the planned unit count of
 /// [`CampaignPlan::new`]. `cache` is accepted for callers that predate the
@@ -221,276 +285,206 @@ pub struct RangeStats {
 /// the canonical-order path, so the merged report is bit-identical to a
 /// single-process run). Units any existing shard already completed are
 /// skipped, which is what makes a re-issued lease over a half-finished
-/// range cheap.
+/// range cheap. Compiles run on the backend `cfg` resolves.
 pub fn run_unit_range(
     cfg: &CampaignConfig,
     workers: usize,
-    cache: bool,
     store_dir: &Path,
     shard: u64,
     range: std::ops::Range<usize>,
 ) -> RangeStats {
     let _obs = cfg.recorder.clone().map(obs::attach);
     let exec = Executor::new(workers);
-    let backend = cfg.resolve_backend(cache);
+    let backend = cfg.resolve_backend();
     let backend = backend.as_ref();
-    let frontier = starting_frontier(Some(store_dir));
-    let guidance = cfg.resolve_guidance(&frontier);
-    let plan = build_plan(cfg, &exec, backend, guidance.as_ref());
+    let mut owned = None;
+    let plan =
+        resolve_plan(cfg, &exec, backend, &starting_frontier(Some(store_dir)), None, &mut owned);
     let log = CampaignLog::open_shard(store_dir, plan.fingerprint, plan.units.len(), shard);
     let indices: Vec<usize> = range.filter(|i| *i < plan.units.len()).collect();
-    let plan = &plan;
     let log = &log;
     let outcomes = exec.map(indices, |_, i| {
         let _obs = cfg.recorder.clone().map(obs::attach);
         if log.has_replay(i) {
             return false;
         }
-        let unit = &plan.units[i];
-        let (cell, delta) = compile_cell(
-            backend,
-            &cfg.registry,
-            cfg.effective_san_policy(),
-            &plan.fingerprints[unit.pi],
-            &plan.programs[unit.pi].program,
-            unit.sanitizer,
-            unit.compiler,
-            unit.opt,
-        );
-        match &cell {
-            None => log.record(i, &UnitOutcome::Unsupported),
-            Some((artifact, result)) => {
-                // Module-less artifacts (opaque native binaries) cannot be
-                // replayed faithfully; the merge recomputes them.
-                if let Some(module) = artifact.module() {
-                    log.record(
-                        i,
-                        &UnitOutcome::Done(module.clone(), result.clone(), delta),
-                    );
-                }
-            }
-        }
+        compute_unit(cfg, backend, plan, i, Some(log));
         true
     });
     let computed = outcomes.iter().filter(|fresh| **fresh).count();
     RangeStats { computed, replayed: outcomes.len() - computed }
 }
 
-/// Runs `cfg` over `workers` work-stealing threads, compile cache on or off
-/// (the toggle selects the default [`ubfuzz_backend::SimBackend`]'s session
-/// mode; an explicit `cfg.backend` owns its own cache policy). Output is
-/// bit-identical to [`crate::campaign::run_campaign`].
-pub fn run_unit_campaign(cfg: &CampaignConfig, workers: usize, cache: bool) -> CampaignStats {
-    run_unit_campaign_checkpointed(cfg, workers, cache, None, None, None)
-        .expect("uncheckpointed campaigns have no budget to exhaust")
-}
+impl ParallelCampaign {
+    /// The merge: runs this campaign over `self.shards` work-stealing
+    /// threads. With a checkpoint directory every completed unit is
+    /// checkpointed there and compatible prior checkpoints are replayed;
+    /// the unit budget (testing hook) bounds the *newly computed* units
+    /// before the run reports [`CampaignInterrupted`]. `given` is used
+    /// instead of planning again when it is the plan this run resolves.
+    pub(crate) fn try_run_planned(
+        &self,
+        given: Option<&CampaignPlan>,
+    ) -> Result<CampaignStats, CampaignInterrupted> {
+        let cfg = &self.config;
+        let workers = self.shards;
+        let store_dir = self.checkpoint.as_deref();
+        // Scope the campaign's recorder to this (consumer) thread for the
+        // whole run: store opens, replay spans and oracle spans all land in
+        // it. Unit tasks re-attach per task — worker threads are
+        // executor-internal.
+        let _obs = cfg.recorder.clone().map(obs::attach);
+        let exec = Executor::new(workers);
+        let backend = cfg.resolve_backend();
+        let backend = backend.as_ref();
+        let oracle = cfg.resolve_oracle();
+        let ctx = CampaignCtx { cfg, backend, oracle: oracle.as_ref() };
+        // Counters are monotone and may be shared across campaigns (one
+        // backend can back every `make_tables` entry point); report this
+        // run's delta.
+        let cache_before = backend.prefix_cache().map(|c| c.stats()).unwrap_or_default();
 
-/// [`run_unit_campaign`] with persistence: when `store_dir` is given, every
-/// completed unit is checkpointed there and compatible prior checkpoints
-/// are replayed; `unit_budget` (testing hook) bounds the *newly computed*
-/// units before the run reports [`CampaignInterrupted`]. `plan`, when
-/// given, is used instead of planning again — provided its fingerprint is
-/// the one this run resolves (a stale plan is ignored, never mixed in).
-pub fn run_unit_campaign_checkpointed(
-    cfg: &CampaignConfig,
-    workers: usize,
-    cache: bool,
-    store_dir: Option<&Path>,
-    unit_budget: Option<u64>,
-    plan: Option<&CampaignPlan>,
-) -> Result<CampaignStats, CampaignInterrupted> {
-    // Scope the campaign's recorder to this (consumer) thread for the whole
-    // run: store opens, replay spans and oracle spans all land in it. Unit
-    // tasks re-attach per task — worker threads are executor-internal.
-    let _obs = cfg.recorder.clone().map(obs::attach);
-    let exec = Executor::new(workers);
-    let backend = cfg.resolve_backend(cache);
-    let backend = backend.as_ref();
-    let oracle = cfg.resolve_oracle();
-    let ctx = CampaignCtx { cfg, backend, oracle: oracle.as_ref() };
-    // Counters are monotone and may be shared across campaigns (one backend
-    // can back every `make_tables` entry point); report this run's delta.
-    let cache_before = backend.prefix_cache().map(|c| c.stats()).unwrap_or_default();
+        // The frontier snapshot this campaign starts from (and, when
+        // guided, plans against); per-unit deltas are absorbed during the
+        // merge and the union is persisted back on successful completion.
+        let mut frontier_store = store_dir.map(FrontierStore::open);
+        let mut frontier = frontier_store
+            .as_ref()
+            .map(|s| Frontier::from_covered(s.covered().clone()))
+            .unwrap_or_default();
 
-    // The frontier snapshot this campaign starts from (and, when guided,
-    // plans against); per-unit deltas are absorbed during the merge and
-    // the union is persisted back on successful completion.
-    let mut frontier_store = store_dir.map(FrontierStore::open);
-    let mut frontier = frontier_store
-        .as_ref()
-        .map(|s| Frontier::from_covered(s.covered().clone()))
-        .unwrap_or_default();
-    let guidance = cfg.resolve_guidance(&frontier);
+        // Stages 1 + planning: the deterministic decomposition shared with
+        // the campaign service's workers. Group order (and unit order
+        // within a group) is exactly the sequential loop's iteration order;
+        // the streaming merge below relies on it.
+        let mut owned = None;
+        let plan = resolve_plan(cfg, &exec, backend, &frontier, given, &mut owned);
+        let CampaignPlan { programs, units, groups, .. } = plan;
 
-    // Stages 1 + planning: the deterministic decomposition shared with the
-    // campaign service's workers. Group order (and unit order within a
-    // group) is exactly the sequential loop's iteration order; the
-    // streaming merge below relies on it.
-    let fingerprint = campaign_fingerprint(cfg, &backend.toolchains(), guidance.as_ref());
-    let owned;
-    let plan = match plan {
-        Some(plan) if plan.fingerprint == fingerprint => plan,
-        _ => {
-            owned = build_plan(cfg, &exec, backend, guidance.as_ref());
-            &owned
+        // The checkpoint log identifies the campaign by the full plan
+        // identity — config fingerprint plus the resolved toolchain set
+        // (unit indices map to matrix cells through `toolchains()`) — and
+        // the plan size; an incompatible log on disk cold-starts rather
+        // than mixes.
+        let log = store_dir.map(|dir| CampaignLog::open(dir, plan.fingerprint, units.len()));
+        let budget = AtomicU64::new(self.unit_budget.unwrap_or(u64::MAX));
+
+        // Seed/program tallies are generation facts, independent of compile
+        // results; fill them exactly as the sequential loop would.
+        let mut stats = CampaignStats { seeds: cfg.seeds, ..CampaignStats::default() };
+        for u in programs {
+            *stats.ub_programs.entry(u.kind).or_default() += 1;
         }
-    };
-    let CampaignPlan { programs, fingerprints, units, groups, .. } = plan;
+        stats.units = units.len();
 
-    // The checkpoint log identifies the campaign by the full plan identity
-    // — config fingerprint plus the resolved toolchain set (unit indices
-    // map to matrix cells through `toolchains()`) — and the plan size; an
-    // incompatible log on disk cold-starts rather than mixes.
-    let log = store_dir.map(|dir| CampaignLog::open(dir, fingerprint, units.len()));
-    let budget = AtomicU64::new(unit_budget.unwrap_or(u64::MAX));
-
-    // Seed/program tallies are generation facts, independent of compile
-    // results; fill them exactly as the sequential loop would.
-    let mut stats = CampaignStats { seeds: cfg.seeds, ..CampaignStats::default() };
-    for u in programs {
-        *stats.ub_programs.entry(u.kind).or_default() += 1;
-    }
-    stats.units = units.len();
-
-    // Stages 2+3, overlapped: workers compute (or replay) units; the
-    // consumer below reassembles each group's matrix in canonical order and
-    // runs the oracle as soon as the group completes.
-    let mut bug_index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut starved = false;
-    let mut completed_cells = 0usize;
-    let mut gi = 0usize;
-    let mut group_cells: Vec<CompiledCell> = Vec::new();
-    let window = workers.saturating_mul(STREAM_WINDOW_PER_WORKER).max(1);
-    let total_units = units.len();
-    exec.map_consume(
-        units.iter().collect(),
-        window,
-        |i, unit| {
-            let _obs = cfg.recorder.clone().map(obs::attach);
-            // Replay beats recompute: a prior invocation already paid for
-            // this unit. `take_replay` moves the outcome out of the log, so
-            // replayed modules live only as long as their trip through the
-            // bounded stream — resume memory stays O(window).
-            if let Some(log) = &log {
-                // Only an actual replay opens a `Replay` span — units with
-                // nothing logged fall through to the compute path unspanned.
-                if log.has_replay(i) {
-                    let _replay = obs::Span::enter(Stage::Replay, i as u64);
-                    match log.take_replay(i) {
-                        Some(UnitOutcome::Unsupported) => {
-                            return UnitResult::Cell(
-                                unit.compiler,
-                                unit.opt,
-                                None,
-                                true,
-                                CovDelta::new(),
-                            )
-                        }
-                        Some(UnitOutcome::Done(module, result, delta)) => {
-                            return UnitResult::Cell(
-                                unit.compiler,
-                                unit.opt,
-                                Some((Artifact::Sim(module), result)),
-                                true,
-                                delta,
-                            )
-                        }
-                        None => {}
-                    }
-                }
-            }
-            // Claim budget *before* computing, so a "kill" stops work.
-            if budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                .is_err()
-            {
-                return UnitResult::Starved;
-            }
-            let (cell, delta) = compile_cell(
-                backend,
-                &cfg.registry,
-                cfg.effective_san_policy(),
-                &fingerprints[unit.pi],
-                &programs[unit.pi].program,
-                unit.sanitizer,
-                unit.compiler,
-                unit.opt,
-            );
-            let mut logged = false;
-            if let Some(log) = &log {
-                // Module-less artifacts (opaque native binaries) cannot be
-                // replayed faithfully; leave them unlogged so resume
-                // recomputes them.
-                match &cell {
-                    None => {
-                        log.record(i, &UnitOutcome::Unsupported);
-                        logged = true;
-                    }
-                    Some((artifact, result)) => {
-                        if let Some(module) = artifact.module() {
-                            log.record(
-                                i,
-                                &UnitOutcome::Done(
-                                    module.clone(),
-                                    result.clone(),
-                                    delta.clone(),
-                                ),
-                            );
-                            logged = true;
+        // Stages 2+3, overlapped: workers compute (or replay) units; the
+        // consumer below reassembles each group's matrix in canonical order
+        // and runs the oracle as soon as the group completes.
+        let mut bug_index: BTreeMap<String, usize> = BTreeMap::new();
+        let mut starved = false;
+        let mut completed_cells = 0usize;
+        let mut gi = 0usize;
+        let mut group_cells: Vec<CompiledCell> = Vec::new();
+        let window = workers.saturating_mul(STREAM_WINDOW_PER_WORKER).max(1);
+        let total_units = units.len();
+        exec.map_consume(
+            units.iter().collect(),
+            window,
+            |i, unit| {
+                let _obs = cfg.recorder.clone().map(obs::attach);
+                // Replay beats recompute: a prior invocation already paid
+                // for this unit. `take_replay` moves the outcome out of the
+                // log, so replayed modules live only as long as their trip
+                // through the bounded stream — resume memory stays
+                // O(window).
+                if let Some(log) = &log {
+                    // Only an actual replay opens a `Replay` span — units
+                    // with nothing logged fall through to the compute path
+                    // unspanned.
+                    if log.has_replay(i) {
+                        let _replay = obs::Span::enter(Stage::Replay, i as u64);
+                        match log.take_replay(i) {
+                            Some(UnitOutcome::Unsupported) => {
+                                return UnitResult::Cell(
+                                    unit.compiler,
+                                    unit.opt,
+                                    None,
+                                    true,
+                                    CovDelta::new(),
+                                )
+                            }
+                            Some(UnitOutcome::Done(module, result, delta)) => {
+                                return UnitResult::Cell(
+                                    unit.compiler,
+                                    unit.opt,
+                                    Some((Artifact::Sim(module), result)),
+                                    true,
+                                    delta,
+                                )
+                            }
+                            None => {}
                         }
                     }
                 }
-            }
-            UnitResult::Cell(unit.compiler, unit.opt, cell, logged, delta)
-        },
-        |i, result| {
-            match result {
-                UnitResult::Starved => starved = true,
-                UnitResult::Cell(compiler, opt, cell, logged, delta) => {
-                    completed_cells += usize::from(logged);
+                // Claim budget *before* computing, so a "kill" stops work.
+                if budget
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                    .is_err()
+                {
+                    return UnitResult::Starved;
+                }
+                let (cell, delta, logged) = compute_unit(cfg, backend, plan, i, log.as_ref());
+                UnitResult::Cell(unit.compiler, unit.opt, cell, logged, delta)
+            },
+            |i, result| {
+                match result {
+                    UnitResult::Starved => starved = true,
+                    UnitResult::Cell(compiler, opt, cell, logged, delta) => {
+                        completed_cells += usize::from(logged);
+                        if !starved {
+                            frontier.absorb(&delta);
+                            if let Some((artifact, outcome)) = cell {
+                                group_cells.push(CompiledCell { compiler, opt, artifact, outcome });
+                            }
+                        }
+                    }
+                }
+                // Group boundary: the oracle consumes the finished matrix.
+                // (A starved run keeps consuming — cheaply — so the stream
+                // drains, but files no results: the partial campaign is
+                // reported as interrupted, never as a report.)
+                while gi < groups.len() && groups[gi].units.end == i + 1 {
                     if !starved {
-                        frontier.absorb(&delta);
-                        if let Some((artifact, outcome)) = cell {
-                            group_cells.push(CompiledCell { compiler, opt, artifact, outcome });
-                        }
+                        let g = &groups[gi];
+                        oracle_one(
+                            &ctx,
+                            &programs[g.pi],
+                            g.sanitizer,
+                            &group_cells,
+                            &mut stats,
+                            &mut bug_index,
+                        );
                     }
+                    group_cells.clear();
+                    gi += 1;
                 }
-            }
-            // Group boundary: the oracle consumes the finished matrix. (A
-            // starved run keeps consuming — cheaply — so the stream drains,
-            // but files no results: the partial campaign is reported as
-            // interrupted, never as a report.)
-            while gi < groups.len() && groups[gi].units.end == i + 1 {
-                if !starved {
-                    let g = &groups[gi];
-                    oracle_one(
-                        &ctx,
-                        &programs[g.pi],
-                        g.sanitizer,
-                        &group_cells,
-                        &mut stats,
-                        &mut bug_index,
-                    );
-                }
-                group_cells.clear();
-                gi += 1;
-            }
-        },
-    );
+            },
+        );
 
-    stats.cache =
-        backend.prefix_cache().map(|c| c.stats()).unwrap_or_default() - cache_before;
-    if starved {
-        // Interrupted: the checkpoint log holds every completed unit's
-        // delta, so the resume reconstructs the frontier; persisting a
-        // partial union here would hand the *next* campaign a frontier no
-        // finished run ever produced.
-        return Err(CampaignInterrupted { completed: completed_cells, total: total_units });
+        stats.cache =
+            backend.prefix_cache().map(|c| c.stats()).unwrap_or_default() - cache_before;
+        if starved {
+            // Interrupted: the checkpoint log holds every completed unit's
+            // delta, so the resume reconstructs the frontier; persisting a
+            // partial union here would hand the *next* campaign a frontier
+            // no finished run ever produced.
+            return Err(CampaignInterrupted { completed: completed_cells, total: total_units });
+        }
+        stats.frontier_points = frontier.len();
+        stats.frontier_fingerprint = frontier.fingerprint();
+        if let Some(fs) = frontier_store.as_mut() {
+            fs.save(frontier.covered());
+        }
+        Ok(stats)
     }
-    stats.frontier_points = frontier.len();
-    stats.frontier_fingerprint = frontier.fingerprint();
-    if let Some(fs) = frontier_store.as_mut() {
-        fs.save(frontier.covered());
-    }
-    Ok(stats)
 }

@@ -5,12 +5,12 @@
 //! their shapes against the paper's numbers (see EXPERIMENTS.md for the
 //! paper-vs-measured record).
 
-use crate::campaign::{CampaignConfig, CampaignStats, GeneratorChoice};
+use crate::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
 use crate::history;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use ubfuzz_backend::{CompileRequest, CompilerBackend, RunRequest, SimBackend};
+use ubfuzz_backend::{CompileRequest, CompilerBackend, RunRequest};
 use ubfuzz_exec::Executor;
 use ubfuzz_oracle::OracleStack;
 use ubfuzz_minic::{parse, UbKind};
@@ -189,16 +189,13 @@ fn shorten(name: &str) -> String {
 /// three sanitizers of every `(vendor, opt)` cell. Coverage is unaffected by
 /// either: hit points live only in the sanitizer passes and the runtime
 /// (never the cached prefix), and the collector is an order-insensitive set.
-pub fn coverage_experiment(seeds: usize) -> String {
-    coverage_experiment_with(&SimBackend::new(), seeds)
-}
-
-/// [`coverage_experiment`] over an explicit backend — share one backend
-/// across table entry points and the sanitizer-independent compile prefixes
-/// persist between them. (The coverage counters themselves are the
-/// simulated toolchains' measurement substrate; a foreign backend compiles
-/// and runs the same mix but contributes no self-coverage.)
-pub fn coverage_experiment_with(backend: &dyn CompilerBackend, seeds: usize) -> String {
+///
+/// Share one backend across table entry points and the
+/// sanitizer-independent compile prefixes persist between them. (The
+/// coverage counters themselves are the simulated toolchains' measurement
+/// substrate; a foreign backend compiles and runs the same mix but
+/// contributes no self-coverage.)
+pub fn coverage_experiment(backend: &dyn CompilerBackend, seeds: usize) -> String {
     let registry = DefectRegistry::full();
     let exec = Executor::auto();
     let toolchains = backend.toolchains();
@@ -348,15 +345,10 @@ pub fn fig9() -> String {
 }
 
 /// Fig. 10: stable compiler versions affected by each found bug, *measured*
-/// by re-running every bug's test case against every stable version.
-pub fn fig10(stats: &CampaignStats, registry: &DefectRegistry) -> String {
-    fig10_with(stats, registry, &SimBackend::new())
-}
-
-/// [`fig10`] over an explicit backend; the stable-version replays recompile
-/// every bug's test case, so a shared cached backend dedups their prefixes
-/// against the campaign that found them.
-pub fn fig10_with(
+/// by re-running every bug's test case against every stable version. The
+/// replays recompile every bug's test case on `backend`, so a shared cached
+/// backend dedups their prefixes against the campaign that found them.
+pub fn fig10(
     stats: &CampaignStats,
     registry: &DefectRegistry,
     backend: &dyn CompilerBackend,
@@ -396,13 +388,8 @@ pub fn fig10_with(
 }
 
 /// Fig. 11: optimization levels affected, measured by re-running every bug's
-/// test case at every level on the development compiler.
-pub fn fig11(stats: &CampaignStats, registry: &DefectRegistry) -> String {
-    fig11_with(stats, registry, &SimBackend::new())
-}
-
-/// [`fig11`] over an explicit backend.
-pub fn fig11_with(
+/// test case at every level on the development compiler, on `backend`.
+pub fn fig11(
     stats: &CampaignStats,
     registry: &DefectRegistry,
     backend: &dyn CompilerBackend,
@@ -480,22 +467,18 @@ pub fn oracle_stats(stats: &CampaignStats) -> String {
 /// infeasible" triage burden the paper motivates the oracle with — while
 /// crash-site mapping files none, except the engineered Fig. 8
 /// invalid-report shape when a seed happens to produce it.
-pub fn oracle_ablation(seeds: usize) -> String {
-    oracle_ablation_with(Arc::new(SimBackend::new()), seeds)
-}
-
-/// [`oracle_ablation`] over an explicit (shared) backend — both stacks
-/// recompile the same matrix, so the second run is served from the
-/// backend's prefix cache.
-pub fn oracle_ablation_with(backend: Arc<dyn CompilerBackend>, seeds: usize) -> String {
+///
+/// Both stacks recompile the same matrix on `backend`, so the second run is
+/// served from the backend's prefix cache.
+pub fn oracle_ablation(backend: Arc<dyn CompilerBackend>, seeds: usize) -> String {
     let campaign = |oracle: OracleStack| {
-        CampaignConfig::builder()
+        let cfg = CampaignConfig::builder()
             .seeds(seeds)
             .registry(DefectRegistry::pristine())
             .backend(Arc::clone(&backend))
             .oracle(Arc::new(oracle))
-            .build_runner()
-            .run()
+            .build();
+        ParallelCampaign::new(cfg).run()
     };
     let stats = campaign(OracleStack::standard());
     let naive = campaign(OracleStack::naive());
@@ -517,47 +500,11 @@ pub fn oracle_ablation_with(backend: Arc<dyn CompilerBackend>, seeds: usize) -> 
     out
 }
 
-/// Convenience: run a default campaign sized for quick regeneration.
-///
-/// Runs on the parallel unit executor with the compile cache enabled —
-/// output is bit-identical to [`run_campaign`] by the executor's
-/// determinism property, so regenerated tables/figures match the
-/// sequential loop's.
-pub fn default_campaign(seeds: usize) -> CampaignStats {
-    CampaignConfig::builder().seeds(seeds).build_runner().run()
-}
-
-/// [`default_campaign`] over an explicit (shared) backend — `make_tables`
-/// threads one backend through every entry point so hot compile prefixes
-/// persist across tables (`stats.cache` still reports per-run deltas).
-pub fn default_campaign_with(backend: Arc<dyn CompilerBackend>, seeds: usize) -> CampaignStats {
-    CampaignConfig::builder().seeds(seeds).backend(backend).build_runner().run()
-}
-
-/// Convenience: run a baseline campaign (§4.3) on the parallel unit
-/// executor.
-pub fn baseline_campaign(generator: GeneratorChoice, seeds: usize) -> CampaignStats {
-    CampaignConfig::builder().seeds(seeds).generator(generator).build_runner().run()
-}
-
-/// [`baseline_campaign`] over an explicit (shared) backend.
-pub fn baseline_campaign_with(
-    backend: Arc<dyn CompilerBackend>,
-    generator: GeneratorChoice,
-    seeds: usize,
-) -> CampaignStats {
-    CampaignConfig::builder()
-        .seeds(seeds)
-        .generator(generator)
-        .backend(backend)
-        .build_runner()
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
+    use ubfuzz_backend::SimBackend;
 
     #[test]
     fn table2_matches_paper_matrix() {
@@ -600,7 +547,7 @@ mod tests {
             "optimization artifacts exist even with correct sanitizers"
         );
         assert!(stats.bugs.iter().all(|b| b.invalid), "only Fig. 8 shapes may be filed");
-        let text = oracle_ablation(6);
+        let text = oracle_ablation(Arc::new(SimBackend::new()), 6);
         assert!(text.contains("naive oracle would file:  "), "{text}");
         assert!(text.contains(&format!("discrepancies observed:   {}", stats.discrepancies)));
     }

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
-use ubfuzz::campaign::CampaignConfig;
-use ubfuzz::{report, run_campaign, run_campaign_on};
+use ubfuzz::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
+use ubfuzz::{report, run_campaign};
 use ubfuzz_simcc::defects::DefectRegistry;
 use ubfuzz_simcc::session::CompileSession;
 
@@ -20,6 +20,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A default campaign of `seeds` seeds on `backend`, as `make_tables` runs
+/// one per table entry point.
+fn campaign_on(backend: &Arc<dyn CompilerBackend>, seeds: usize) -> CampaignStats {
+    let cfg = CampaignConfig::builder().seeds(seeds).backend(Arc::clone(backend)).build();
+    ParallelCampaign::new(cfg).run()
 }
 
 /// One backend across `make_tables`-style entry points: the second campaign
@@ -36,7 +43,7 @@ fn shared_backend_reuses_prefixes_across_table_entry_points() {
         Arc::new(SimBackend::with_store_capacity(&dir, capacity));
 
     // Table 3 path (6 seeds: enough for attributable bugs to replay below).
-    let stats_t3 = report::default_campaign_with(Arc::clone(&backend), 6);
+    let stats_t3 = campaign_on(&backend, 6);
     let after_t3 = backend.prefix_cache().expect("sim caches").stats();
     assert!(after_t3.misses > 0, "first campaign fills the cache: {after_t3:?}");
     assert!(after_t3.hits > 0, "sanitizer matrix already shares prefixes: {after_t3:?}");
@@ -46,7 +53,7 @@ fn shared_backend_reuses_prefixes_across_table_entry_points() {
     // Warm sanitizer cells hit the *sanitize-stage* layer and never reach
     // the prefix layer, so reuse shows up in `san_hits` while the prefix
     // counters stay frozen.
-    let stats_t6 = report::default_campaign_with(Arc::clone(&backend), 6);
+    let stats_t6 = campaign_on(&backend, 6);
     let after_t6 = backend.prefix_cache().expect("sim caches").stats();
     assert_eq!(stats_t3, stats_t6, "shared cache must not change results");
     assert_eq!(
@@ -66,7 +73,7 @@ fn shared_backend_reuses_prefixes_across_table_entry_points() {
     // The Fig. 11 replay recompiles found-bug test cases; on the shared
     // backend its lookups keep hitting the campaign's cached stages.
     let registry = DefectRegistry::full();
-    let fig11_shared = report::fig11_with(&stats_t3, &registry, backend.as_ref());
+    let fig11_shared = report::fig11(&stats_t3, &registry, backend.as_ref());
     let after_fig = backend.prefix_cache().expect("sim caches").stats();
     assert!(!stats_t3.bugs.is_empty(), "campaign found bugs to replay");
     assert!(
@@ -74,18 +81,18 @@ fn shared_backend_reuses_prefixes_across_table_entry_points() {
         "figure replays reuse the cache: {after_fig:?}"
     );
     // And rendering through the shared backend matches the standalone path.
-    assert_eq!(fig11_shared, report::fig11(&stats_t3, &registry));
+    assert_eq!(fig11_shared, report::fig11(&stats_t3, &registry, &SimBackend::new()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `run_campaign_on` with an explicit backend matches the default-resolved
-/// sequential reference, report text included.
+/// `run_campaign` over a config carrying an explicit cached backend matches
+/// the default-resolved sequential reference, report text included.
 #[test]
 fn explicit_backend_sequential_run_matches_default() {
     let cfg = CampaignConfig::builder().seeds(SEEDS).build();
     let reference = run_campaign(&cfg);
-    let cached = SimBackend::new();
-    let on_cached = run_campaign_on(&cached, &cfg);
+    let cached = CampaignConfig { backend: Some(Arc::new(SimBackend::new())), ..cfg.clone() };
+    let on_cached = run_campaign(&cached);
     assert_eq!(reference, on_cached);
     assert!(on_cached.cache.hits > 0, "explicit cached backend records telemetry");
     assert_eq!(reference.cache, ubfuzz::SessionStats::default(), "reference stays uncached");
@@ -201,10 +208,10 @@ fn partial_toolchain_backend_keeps_parallel_equal_to_sequential() {
 /// (coverage points never live in the cached prefix).
 #[test]
 fn coverage_experiment_is_backend_share_invariant() {
-    let fresh = report::coverage_experiment(2);
-    let backend = SimBackend::new();
+    let fresh = report::coverage_experiment(&SimBackend::new(), 2);
+    let backend = Arc::new(SimBackend::new());
     // Warm the backend with an unrelated campaign first.
-    let _ = run_campaign_on(&backend, &CampaignConfig::builder().seeds(1).build());
-    let shared = report::coverage_experiment_with(&backend, 2);
+    let _ = run_campaign(&CampaignConfig::builder().seeds(1).backend(backend.clone()).build());
+    let shared = report::coverage_experiment(backend.as_ref(), 2);
     assert_eq!(fresh, shared);
 }

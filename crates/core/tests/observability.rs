@@ -6,7 +6,7 @@
 //! 1. **Byte identity** — a campaign run under a JSONL trace recorder (or
 //!    a metrics sink) produces the same results and the same rendered
 //!    report bytes as an uninstrumented run, at worker counts 1/2/8/16
-//!    with the staged-compile cache on and off (the same grid as
+//!    on a cached and an uncached backend (the same grid as
 //!    `parallel.rs`).
 //! 2. **Merge algebra** — per-worker latency histograms folded in any
 //!    order equal the histogram of all samples recorded in one place, so
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
 use ubfuzz::obs::{Event, Histogram, MetricsSink, Recorder, Stage, TraceRecorder};
-use ubfuzz::run_campaign;
+use ubfuzz::{run_campaign, SimBackend};
 
 fn small_config(first_seed: u64, generator: GeneratorChoice) -> CampaignConfig {
     // Mirrors `parallel.rs`: small programs keep each full campaign fast;
@@ -38,6 +38,17 @@ fn small_config(first_seed: u64, generator: GeneratorChoice) -> CampaignConfig {
             ..ubfuzz::ubgen::GenOptions::default()
         })
         .build()
+}
+
+/// A runner over `cfg` at `workers`: on the default cached backend, or on
+/// an explicitly uncached one.
+fn runner(cfg: &CampaignConfig, workers: usize, cache: bool) -> ParallelCampaign {
+    let runner = ParallelCampaign::new(cfg.clone()).with_shards(workers);
+    if cache {
+        runner
+    } else {
+        runner.with_backend(Arc::new(SimBackend::uncached()))
+    }
 }
 
 /// A `Write` target the test can read back after the recorder flushed.
@@ -65,11 +76,7 @@ fn traced_campaign_output_is_byte_identical() {
         for cache in [true, false] {
             let buf = SharedBuf::default();
             let trace = Arc::new(TraceRecorder::new(Box::new(buf.clone())));
-            let traced = ParallelCampaign::new(cfg.clone())
-                .with_recorder(trace.clone())
-                .with_shards(workers)
-                .with_cache(cache)
-                .run();
+            let traced = runner(&cfg, workers, cache).with_recorder(trace.clone()).run();
             assert_eq!(
                 sequential, traced,
                 "trace changed results at {workers} workers (cache {cache})"

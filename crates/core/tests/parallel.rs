@@ -3,8 +3,8 @@
 //!
 //! Same deduplicated bug reports — same order, same test cases, same
 //! `missed_at`/`duplicates` — and same counters, for the same campaign
-//! seed, at worker counts 1/2/8/16, with the staged-compile cache enabled
-//! *and* disabled, and with an explicitly shared [`SimBackend`] standing in
+//! seed, at worker counts 1/2/8/16, on a cached *and* an uncached backend,
+//! and with an explicitly shared [`SimBackend`] standing in
 //! for the default per-run one. This is what keeps the paper's Table 3/4/6
 //! and figure outputs reproducible under parallelism — and what pins the
 //! `CompilerBackend` refactor to the pre-refactor behavior.
@@ -40,6 +40,17 @@ fn small_config(first_seed: u64, generator: GeneratorChoice) -> CampaignConfig {
         .build()
 }
 
+/// A runner over `cfg` at `workers`: on the default cached backend, or on
+/// an explicitly uncached one.
+fn runner(cfg: &CampaignConfig, workers: usize, cache: bool) -> ParallelCampaign {
+    let runner = ParallelCampaign::new(cfg.clone()).with_shards(workers);
+    if cache {
+        runner
+    } else {
+        runner.with_backend(Arc::new(SimBackend::uncached()))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, .. ProptestConfig::default() })]
 
@@ -57,10 +68,7 @@ proptest! {
             for cache in [true, false] {
                 // Reuse the exact `cfg` the sequential side ran — the
                 // property must compare the same config on both sides.
-                let parallel = ParallelCampaign::new(cfg.clone())
-                    .with_shards(workers)
-                    .with_cache(cache)
-                    .run();
+                let parallel = runner(&cfg, workers, cache).run();
                 prop_assert_eq!(
                     &sequential, &parallel,
                     "first_seed {} diverges at {} workers (cache {})",
@@ -116,8 +124,7 @@ fn parallel_campaign_equals_sequential_at_high_worker_count() {
     let cfg = small_config(7, GeneratorChoice::Ubfuzz);
     let sequential = run_campaign(&cfg);
     for cache in [true, false] {
-        let parallel =
-            ParallelCampaign::new(cfg.clone()).with_shards(workers).with_cache(cache).run();
+        let parallel = runner(&cfg, workers, cache).run();
         assert_eq!(sequential, parallel, "{workers} workers diverge (cache {cache})");
         assert_eq!(ubfuzz::report::table3(&sequential), ubfuzz::report::table3(&parallel));
         if cache {

@@ -3,8 +3,8 @@
 //! The instrumented site subset is a pure function of `(campaign seed,
 //! salt, function id, site loc)` — no worker count, schedule, or cache
 //! state participates. So a partial-policy campaign must equal its
-//! sequential run at worker counts 1/2/8/16, with the staged-compile cache
-//! enabled *and* disabled, down to the per-sanitizer expected-miss
+//! sequential run at worker counts 1/2/8/16, on a cached *and* an uncached
+//! backend, down to the per-sanitizer expected-miss
 //! accounting (telemetry is excluded from `CampaignStats` equality, so the
 //! property compares it explicitly). And the boundary policies collapse:
 //! `partial:1.0` is byte-identical to `full`, `partial:0.0` to `none`.
@@ -13,8 +13,9 @@
 //! full generate→compile→run→oracle campaigns.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
-use ubfuzz::{run_campaign, SanPolicy};
+use ubfuzz::{run_campaign, SanPolicy, SimBackend};
 
 fn small_config(first_seed: u64, policy: SanPolicy) -> CampaignConfig {
     // Mirrors `parallel.rs`: small programs keep each case fast; the
@@ -38,6 +39,17 @@ fn small_config(first_seed: u64, policy: SanPolicy) -> CampaignConfig {
         .build()
 }
 
+/// A runner over `cfg` at `workers`: on the default cached backend, or on
+/// an explicitly uncached one.
+fn runner(cfg: &CampaignConfig, workers: usize, cache: bool) -> ParallelCampaign {
+    let runner = ParallelCampaign::new(cfg.clone()).with_shards(workers);
+    if cache {
+        runner
+    } else {
+        runner.with_backend(Arc::new(SimBackend::uncached()))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
 
@@ -55,10 +67,7 @@ proptest! {
         let sequential = run_campaign(&cfg);
         for workers in [1usize, 2, 8, 16] {
             for cache in [true, false] {
-                let parallel = ParallelCampaign::new(cfg.clone())
-                    .with_shards(workers)
-                    .with_cache(cache)
-                    .run();
+                let parallel = runner(&cfg, workers, cache).run();
                 prop_assert_eq!(
                     &sequential, &parallel,
                     "seed {} {} diverges at {} workers (cache {})",

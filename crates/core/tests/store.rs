@@ -288,3 +288,35 @@ fn sessions_auto_size_from_the_campaign_config() {
     let juliet = CampaignConfig::builder().generator(GeneratorChoice::Juliet).build();
     assert!(juliet.prefix_key_bound() >= 2048);
 }
+
+/// The campaign service's order, in process: the primary log is opened for
+/// the plan, two workers compute disjoint halves of the unit range into
+/// their own shards, a re-issued range replays instead of recomputing, and
+/// the checkpointed merge over the shard union compiles nothing and equals
+/// the sequential reference.
+#[test]
+fn worker_ranges_then_merge_compile_nothing() {
+    let dir = tmp_dir("worker-ranges");
+    let mut cfg = small_config(37);
+    cfg.gen_options.max_per_kind = 1;
+    let plan = ubfuzz::executor::CampaignPlan::new(&cfg, Some(&dir));
+    let units = plan.units();
+    assert!(units > 1, "the plan splits into two ranges");
+    drop(ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), units));
+
+    let mid = units / 2;
+    let first = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 1, 0..mid);
+    let second = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 2, mid..units);
+    assert_eq!(first.computed + first.replayed, mid);
+    assert_eq!(second.computed + second.replayed, units - mid);
+    assert_eq!(first.computed + second.computed, units, "fresh shards compute every unit");
+
+    let reissued = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 1, 0..mid);
+    assert_eq!(reissued.computed, 0, "a re-issued range recomputes nothing");
+    assert_eq!(reissued.replayed, mid);
+
+    let merged = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    assert_eq!(merged, run_campaign(&cfg));
+    assert_eq!(merged.cache, SessionStats::default(), "the merge replays every unit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

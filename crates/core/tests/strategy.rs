@@ -4,7 +4,7 @@
 //! Guided planning is a pure function of `(campaign first seed, frontier
 //! snapshot at campaign start)`, so for a fixed seed and a fixed persisted
 //! frontier the guided campaign must reproduce bit-identically at worker
-//! counts 1/2/8/16, with the staged-compile cache enabled *and* disabled —
+//! counts 1/2/8/16, on a cached *and* an uncached backend —
 //! the same contract `parallel.rs` pins for the uniform reference. And a
 //! guided campaign planning against a *cold* frontier degenerates to the
 //! uniform plan exactly, which is what keeps `Strategy::Uniform` (and every
@@ -14,9 +14,10 @@
 //! full generate→compile→run→oracle campaigns.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use ubfuzz::campaign::{CampaignConfig, ParallelCampaign};
 use ubfuzz::store::{frontier::FRONTIER_FILE, FrontierStore};
-use ubfuzz::{run_campaign, Strategy};
+use ubfuzz::{run_campaign, SimBackend, Strategy};
 
 fn small_config(first_seed: u64, strategy: Strategy) -> CampaignConfig {
     CampaignConfig::builder()
@@ -35,6 +36,17 @@ fn small_config(first_seed: u64, strategy: Strategy) -> CampaignConfig {
             ..ubfuzz::ubgen::GenOptions::default()
         })
         .build()
+}
+
+/// A runner over `cfg` at `workers`: on the default cached backend, or on
+/// an explicitly uncached one.
+fn runner(cfg: &CampaignConfig, workers: usize, cache: bool) -> ParallelCampaign {
+    let runner = ParallelCampaign::new(cfg.clone()).with_shards(workers);
+    if cache {
+        runner
+    } else {
+        runner.with_backend(Arc::new(SimBackend::uncached()))
+    }
 }
 
 /// A store directory whose frontier was warmed by a uniform campaign over
@@ -56,7 +68,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
 
     /// Fixed seed + fixed persisted frontier ⇒ bit-identical guided runs at
-    /// every worker count, cache on and off.
+    /// every worker count, cached and uncached.
     #[test]
     fn guided_campaign_is_deterministic(first_seed in 0u64..400) {
         let first_seed: u64 = first_seed;
@@ -71,11 +83,7 @@ proptest! {
                 // union, so restore the warm-up snapshot between runs.
                 let mut store = FrontierStore::open(&dir);
                 store.save(&frontier0);
-                let guided = ParallelCampaign::new(cfg.clone())
-                    .with_shards(workers)
-                    .with_cache(cache)
-                    .with_checkpoint(&dir)
-                    .run();
+                let guided = runner(&cfg, workers, cache).with_checkpoint(&dir).run();
                 // The checkpoint log now holds this run; sweep it so the
                 // next configuration computes instead of replaying.
                 for entry in std::fs::read_dir(&dir).unwrap() {
@@ -129,8 +137,7 @@ fn frontier_union_matches_between_sequential_and_parallel() {
     let sequential = run_campaign(&cfg);
     assert!(sequential.frontier_points > 0, "campaigns cover coverage points");
     for cache in [true, false] {
-        let parallel =
-            ParallelCampaign::new(cfg.clone()).with_shards(4).with_cache(cache).run();
+        let parallel = runner(&cfg, 4, cache).run();
         assert_eq!(
             sequential.frontier_points, parallel.frontier_points,
             "frontier size diverges (cache {cache})"

@@ -132,11 +132,6 @@ impl LeaseLedger {
             .all(|l| matches!(l.status, LeaseStatus::Done | LeaseStatus::Failed))
     }
 
-    /// Whether any lease is still claimable.
-    pub fn has_pending(&self) -> bool {
-        self.leases.iter().any(|l| l.status == LeaseStatus::Pending)
-    }
-
     /// All leases, in issue order.
     pub fn leases(&self) -> &[Lease] {
         &self.leases

@@ -440,6 +440,18 @@ struct Worker {
     child: Child,
 }
 
+/// Reclaims `w`'s lease: kills and reaps the process (a no-op for one that
+/// already exited), fails the lease so its range is re-issued under a
+/// fresh id, and marks it reclaimed in the lease table.
+fn reclaim(w: &mut Worker, ledger: &mut LeaseLedger, table: &mut LeaseTable, shared: &Shared) {
+    let _reclaim = obs::Span::enter(Stage::LeaseReclaim, w.lease_id);
+    let _ = w.child.kill();
+    let _ = w.child.wait();
+    ledger.fail(w.lease_id);
+    table.set_state(w.lease_id, LeaseState::Reclaimed);
+    relock(shared).leases_reclaimed += 1;
+}
+
 /// Runs one campaign end to end: carve, spawn, reclaim, merge.
 fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     // The scheduler thread's own sink: lease lifecycle spans, store opens
@@ -507,12 +519,7 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
         }
         if failed {
             for w in &mut active {
-                let _reclaim = obs::Span::enter(Stage::LeaseReclaim, w.lease_id);
-                let _ = w.child.kill();
-                let _ = w.child.wait();
-                ledger.fail(w.lease_id);
-                table.set_state(w.lease_id, LeaseState::Reclaimed);
-                relock(shared).leases_reclaimed += 1;
+                reclaim(w, &mut ledger, &mut table, shared);
             }
             active.clear();
             break;
@@ -585,27 +592,13 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
                     table.set_state(lease_id, LeaseState::Done);
                     active.swap_remove(i);
                 }
-                Some(_) => {
-                    // Nonzero exit or signal death (SIGKILL lands here):
-                    // re-issue the range under a fresh lease id.
-                    let _reclaim = obs::Span::enter(Stage::LeaseReclaim, lease_id);
-                    ledger.fail(lease_id);
-                    table.set_state(lease_id, LeaseState::Reclaimed);
+                // Nonzero exit or signal death (SIGKILL lands here), or an
+                // overrun deadline: re-issue the range under a fresh lease id.
+                _ if exited.is_some() || expired.contains(&lease_id) => {
+                    reclaim(&mut active.swap_remove(i), &mut ledger, &mut table, shared);
                     reissued += 1;
-                    relock(shared).leases_reclaimed += 1;
-                    active.swap_remove(i);
                 }
-                None if expired.contains(&lease_id) => {
-                    let _reclaim = obs::Span::enter(Stage::LeaseReclaim, lease_id);
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    ledger.fail(lease_id);
-                    table.set_state(lease_id, LeaseState::Reclaimed);
-                    reissued += 1;
-                    relock(shared).leases_reclaimed += 1;
-                    active.swap_remove(i);
-                }
-                None => i += 1,
+                _ => i += 1,
             }
         }
 

@@ -15,7 +15,8 @@
 //! * [`worker`] — the worker-mode entry
 //!   ([`ubfuzz::executor::run_unit_range`] behind flag parsing): compile
 //!   and checkpoint only, no oracle. Merging is the daemon's job — once
-//!   every lease is done it replays the shard union through the canonical
+//!   every lease is done it replays the shard union through
+//!   [`ubfuzz::ParallelCampaign::run_planned`], the canonical
 //!   sequential-order path, so the merged report is **bit-identical** to a
 //!   single-process run of the same configuration.
 //! * [`protocol`] / [`client`] — the line-based request protocol and the

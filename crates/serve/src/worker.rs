@@ -7,8 +7,10 @@
 //! open-time replay scan unions every sibling shard — a worker re-issued
 //! over a half-finished range only pays for the missing units.
 //!
-//! The worker runs [`ubfuzz::executor::run_unit_range`]: compile and
-//! record only, **no oracle** — merging is the daemon's job. Its stdout is
+//! The worker runs [`ubfuzz::executor::run_unit_range`] over a
+//! store-backed `SimBackend` (the backend is where the compile cache is
+//! chosen): compile and record only, **no oracle** — merging is the
+//! daemon's job, through the same plan and record steps. Its stdout is
 //! the completion receipt the daemon parses: one `computed=N replayed=N`
 //! line followed by `metric …` lines ([`ubfuzz::obs::MetricsSnapshot::
 //! encode_lines`]) carrying the per-stage latency histograms sampled in
@@ -102,7 +104,7 @@ pub fn worker_main(args: &[String]) -> i32 {
     // records), warming every sibling and the daemon's merge pass.
     let backend = SimBackend::with_store_capacity(&store, cfg.prefix_key_bound());
     cfg.backend = Some(Arc::new(backend));
-    let stats = run_unit_range(&cfg, threads.max(1), true, &store, shard, start..end);
+    let stats = run_unit_range(&cfg, threads.max(1), &store, shard, start..end);
     println!("computed={} replayed={}", stats.computed, stats.replayed);
     print!("{}", sink.snapshot().encode_lines());
     0

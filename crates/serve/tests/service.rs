@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ubfuzz::backend::SimBackend;
-use ubfuzz::campaign::{CampaignConfig, CampaignStats};
+use ubfuzz::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
 use ubfuzz::executor::plan_campaign;
 use ubfuzz::report;
 use ubfuzz::store::CampaignLog;
@@ -59,7 +59,8 @@ fn daemon_config(tag: &str) -> DaemonConfig {
 fn single_process_report() -> &'static str {
     static REFERENCE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let stats: CampaignStats = CampaignConfig::builder().seeds(3).build_runner().run();
+        let stats: CampaignStats =
+            ParallelCampaign::new(CampaignConfig::builder().seeds(3).build()).run();
         format!("{}{}", report::table3(&stats), report::oracle_stats(&stats))
     })
 }
@@ -396,11 +397,9 @@ fn concurrent_store_opens_survive_racing_and_killed_workers() {
 
     // The merge replays the union; its report matches a fresh run.
     let backend = SimBackend::with_store_capacity(&dir, cfg.prefix_key_bound());
-    let merged = CampaignConfig::builder()
-        .seeds(seeds)
-        .backend(Arc::new(backend))
-        .checkpoint(&dir)
-        .build_runner()
+    let merged = ParallelCampaign::new(CampaignConfig::builder().seeds(seeds).build())
+        .with_backend(Arc::new(backend))
+        .with_checkpoint(&dir)
         .run();
     let rendered = format!("{}{}", report::table3(&merged), report::oracle_stats(&merged));
     assert_eq!(rendered, single_process_report());

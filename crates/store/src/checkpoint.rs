@@ -327,11 +327,6 @@ impl CampaignLog {
         self.replayed
     }
 
-    /// Total units in the plan this log was opened for.
-    pub fn planned(&self) -> usize {
-        self.prior.len()
-    }
-
     /// The writer stamp this log appends (0 = primary, else the shard id).
     pub fn writer_id(&self) -> u64 {
         self.writer_id

@@ -42,7 +42,6 @@
 //! offline by policy, so no serde; the discipline mirrors the vendor shims:
 //! small, explicit, and replaceable.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use ubfuzz_obs as obs;
@@ -174,61 +173,6 @@ pub struct CompactStats {
     pub evicted: usize,
 }
 
-/// A store directory: the root handle the binaries hold.
-///
-/// Thin by design — each table owns its own file, recovery and telemetry;
-/// `Store` just fixes the layout so every consumer agrees on paths.
-#[derive(Debug, Clone)]
-pub struct Store {
-    dir: PathBuf,
-}
-
-impl Store {
-    /// Opens (creating if needed) the store rooted at `dir`. Never fails;
-    /// an uncreatable directory degrades each table to its in-memory
-    /// behavior.
-    pub fn open(dir: impl AsRef<Path>) -> Store {
-        let dir = dir.as_ref().to_path_buf();
-        let _ = std::fs::create_dir_all(&dir);
-        Store { dir }
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Opens the persistent prefix cache table.
-    pub fn prefix(&self) -> PrefixStore {
-        PrefixStore::open(&self.dir)
-    }
-
-    /// Opens the persistent post-sanitize module cache table.
-    pub fn sanitized(&self) -> SanitizedStore {
-        SanitizedStore::open(&self.dir)
-    }
-
-    /// Opens the campaign checkpoint log for a campaign plan.
-    pub fn campaign_log(&self, config_fp: u64, units: usize) -> CampaignLog {
-        CampaignLog::open(&self.dir, config_fp, units)
-    }
-
-    /// Opens the bug corpus table.
-    pub fn corpus(&self) -> BugCorpus {
-        BugCorpus::open(&self.dir)
-    }
-
-    /// Opens the campaign lease table (daemon-mode bookkeeping).
-    pub fn leases(&self) -> LeaseTable {
-        LeaseTable::open(&self.dir)
-    }
-
-    /// Opens the coverage frontier table (guided-generation steering).
-    pub fn frontier(&self) -> FrontierStore {
-        FrontierStore::open(&self.dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +181,12 @@ mod tests {
     fn store_layout_is_stable() {
         let dir = std::env::temp_dir().join(format!("ubfuzz-store-root-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Store::open(&dir);
-        assert_eq!(store.prefix().path(), dir.join("prefix.bin"));
-        assert_eq!(store.sanitized().path(), dir.join("sanitized.bin"));
-        assert_eq!(store.campaign_log(0, 0).path(), dir.join("campaign.bin"));
-        assert_eq!(store.corpus().path(), dir.join("corpus.bin"));
-        assert_eq!(store.leases().path(), dir.join("leases.bin"));
-        assert_eq!(store.frontier().path(), dir.join("frontier.bin"));
+        assert_eq!(PrefixStore::open(&dir).path(), dir.join("prefix.bin"));
+        assert_eq!(SanitizedStore::open(&dir).path(), dir.join("sanitized.bin"));
+        assert_eq!(CampaignLog::open(&dir, 0, 0).path(), dir.join("campaign.bin"));
+        assert_eq!(BugCorpus::open(&dir).path(), dir.join("corpus.bin"));
+        assert_eq!(LeaseTable::open(&dir).path(), dir.join("leases.bin"));
+        assert_eq!(FrontierStore::open(&dir).path(), dir.join("frontier.bin"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

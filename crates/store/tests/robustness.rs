@@ -14,7 +14,7 @@ use ubfuzz_simcc::session::{Backing, CompileSession, PrefixCell};
 use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::{CovDelta, Sanitizer};
 use ubfuzz_store::{
-    modser, wire, CampaignLog, FrontierStore, PrefixStore, SanitizedStore, Store, UnitOutcome,
+    modser, wire, BugCorpus, CampaignLog, FrontierStore, PrefixStore, SanitizedStore, UnitOutcome,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -371,14 +371,13 @@ fn store_open_never_errors_on_garbage() {
     for name in ["prefix.bin", "campaign.bin", "corpus.bin"] {
         std::fs::write(dir.join(name), b"\xFF\x00garbage everywhere").unwrap();
     }
-    let store = Store::open(&dir);
-    let prefix = store.prefix();
+    let prefix = PrefixStore::open(&dir);
     assert_eq!(prefix.telemetry().loaded(), 0);
     assert!(prefix.telemetry().recovered_cold());
-    let log = store.campaign_log(1, 4);
+    let log = CampaignLog::open(&dir, 1, 4);
     assert_eq!(log.replayed(), 0);
     assert!(log.telemetry().recovered_cold());
-    let corpus = store.corpus();
+    let corpus = BugCorpus::open(&dir);
     assert!(corpus.is_empty());
     assert!(corpus.telemetry().recovered_cold());
     let _ = std::fs::remove_dir_all(&dir);
