@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
 use ubfuzz::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
+use ubfuzz::executor::CampaignPlan;
 use ubfuzz::obs::{
     self, event_line, Fanout, Line, MetricsSink, MetricsSnapshot, Recorder, Stage, TraceRecorder,
 };
@@ -202,7 +203,10 @@ pub fn shared_backend(cfg: &CampaignConfig, store: &StoreArgs) -> Arc<SimBackend
 /// CI persistence job greps (`[store] corpus: total=… new=… known=…`),
 /// followed by `truncated=` and any recovery events of the corpus open
 /// (the campaign itself never writes the corpus, so that open sees the
-/// file as the last invocation left it).
+/// file as the last invocation left it). Under `--resume` a
+/// `[store] campaign: replayed=… cold=… truncated=…` line and its events
+/// come first: the checkpoint log as this invocation found it, opened on
+/// the plan the campaign then runs.
 pub fn run_stored_campaign(
     seeds: usize,
     backend: Arc<dyn CompilerBackend>,
@@ -216,12 +220,14 @@ pub fn run_stored_campaign(
         .strategy(strategy)
         .san_policy(san)
         .build();
-    let mut runner = ParallelCampaign::new(cfg);
-    if store_args.resume {
+    let stats = if store_args.resume {
         let dir = store_args.dir.as_deref().expect("--resume implies --store");
-        runner = runner.with_checkpoint(dir);
-    }
-    let stats = runner.run();
+        let plan = CampaignPlan::new(&cfg, Some(dir));
+        report_checkpoint_recovery(&store::CampaignLog::open(dir, plan.fingerprint(), plan.units()));
+        ParallelCampaign::new(cfg).with_checkpoint(dir).run_planned(&plan)
+    } else {
+        ParallelCampaign::new(cfg).run()
+    };
     report_expected_misses(&stats);
     if let Some(dir) = &store_args.dir {
         let mut corpus = store::BugCorpus::open(dir);
@@ -240,6 +246,24 @@ pub fn run_stored_campaign(
         }
     }
     stats
+}
+
+/// Prints the checkpoint log's load-time recovery (stderr): how many units
+/// it holds for replay, whether it cold-started, whether a torn tail was
+/// cut, and the recovery events.
+fn report_checkpoint_recovery(log: &store::CampaignLog) {
+    let t = log.telemetry();
+    eprintln!(
+        "{}",
+        Line::new("store", "campaign")
+            .field("replayed", log.replayed())
+            .field("cold", t.recovered_cold())
+            .field("truncated", t.tail_truncated())
+            .render()
+    );
+    for event in t.events() {
+        eprintln!("{}", event_line("store", &event));
+    }
 }
 
 /// Prints the partial-sanitization expected-miss accounting (stderr,

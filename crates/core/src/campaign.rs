@@ -453,7 +453,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
     stats
 }
 
-/// The parallel campaign runner: a work-stealing executor over fine-grained
+/// The parallel campaign runner: an ordered task executor over fine-grained
 /// `(seed, program, compiler, opt, sanitizer)` compile units, with results
 /// merged back in canonical seed order (see [`crate::executor`]).
 ///
@@ -509,7 +509,7 @@ impl ParallelCampaign {
     }
 
     /// Overrides the worker count (must be nonzero). The name is historical:
-    /// workers no longer own seed ranges, they steal compile units, so even
+    /// workers no longer own seed ranges, they claim compile units, so even
     /// a 1-seed campaign spreads across all of them.
     pub fn with_shards(mut self, shards: usize) -> ParallelCampaign {
         assert!(shards > 0, "shard count must be nonzero");

@@ -316,7 +316,7 @@ pub fn run_unit_range(
 }
 
 impl ParallelCampaign {
-    /// The merge: runs this campaign over `self.shards` work-stealing
+    /// The merge: runs this campaign over `self.shards` executor
     /// threads. With a checkpoint directory every completed unit is
     /// checkpointed there and compatible prior checkpoints are replayed;
     /// the unit budget (testing hook) bounds the *newly computed* units

@@ -113,7 +113,7 @@ proptest! {
 }
 
 /// The high-width determinism gate CI runs: many more workers than tasks per
-/// group, so the work-stealing path is exercised hard. Worker count is
+/// group, so the executor's claiming is exercised hard. Worker count is
 /// overridable via `UBFUZZ_TEST_WORKERS` (CI pins 16).
 #[test]
 fn parallel_campaign_equals_sequential_at_high_worker_count() {

@@ -51,7 +51,7 @@ pub struct DetectorCampaignConfig {
     pub registry: DetectorDefectRegistry,
     /// Also replay the fixed trigger corpus.
     pub include_triggers: bool,
-    /// Work-stealing executor width; `0` means one worker per core. Output
+    /// Executor width; `0` means one worker per core. Output
     /// is bit-identical at every worker count (the executor merges results
     /// in canonical program order).
     pub workers: usize,
@@ -300,7 +300,7 @@ pub fn run_memcheck_campaign(cfg: &DetectorCampaignConfig) -> DetectorCampaignSt
     let tool_b =
         MemcheckConfig { registry: DetectorDefectRegistry::pristine(), ..MemcheckConfig::default() };
     // Fine-grained units — one (program, opt) compile+dual-run per task —
-    // drained by the work-stealing executor; the oracle below consumes them
+    // drained by the ordered executor; the oracle below consumes them
     // in canonical program order, so output matches the sequential loop
     // bit-for-bit. The DBI engines instrument the compiled module, so
     // backends with opaque artifacts contribute no cells (the campaign

@@ -1,35 +1,33 @@
-//! A deterministic work-stealing task executor.
+//! A deterministic ordered task executor.
 //!
 //! Every campaign runner in the workspace has the same shape: a statically
 //! known list of independent tasks (compile-and-run cells, seed expansions,
 //! analyzer invocations) whose results must be *merged in task order* so the
-//! output is bit-identical to the sequential loop. [`Executor::map`] provides
-//! exactly that contract:
+//! output is bit-identical to the sequential loop. One scheduling engine
+//! provides exactly that contract, in two shapes:
 //!
-//! * tasks are indexed `0..n` and the result vector is returned in index
-//!   order, so thread scheduling can never reorder observable output;
-//! * workers start with contiguous chunks of the index space (good locality
-//!   for per-seed task runs) and **steal from the back** of other workers'
-//!   deques when they run dry, which smooths imbalance at any granularity —
-//!   the motivation for moving the campaign from per-seed shards to
-//!   per-compile units.
+//! * [`Executor::map_consume`] streams results to a consumer in index
+//!   order while workers claim tasks in index order, at most `window`
+//!   ahead of the consumer, so memory is bounded whatever the task count;
+//! * [`Executor::map`] collects that stream into a vector (a window of the
+//!   whole task list).
 //!
-//! The implementation is plain `std`: mutex-guarded deques, scoped threads.
-//! Task sets are in the thousands at most and each task is a full
-//! compile+run pipeline, so queue overhead is noise.
+//! Tasks are indexed `0..n`, so thread scheduling can never reorder
+//! observable output. Claiming from one shared counter balances uneven
+//! task costs without any per-worker queues.
+//!
+//! The implementation is plain `std`: one mutex-guarded claim state, two
+//! condvars, scoped threads. Task sets are in the thousands at most and
+//! each task is a full compile+run pipeline, so claim overhead is noise.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-pub mod lease;
-pub use lease::{LeaseLedger, LeaseStatus};
 
 /// Poison-recovering lock. A panicking task must abort *its* unit of work,
 /// not every later lock acquisition: the executor already propagates panics
-/// deliberately (AbortGuard / the completion count), so the poison flag
-/// carries no extra information — recover the guard and move on. The state
-/// behind these locks (task slots, result slots, counters) stays consistent
-/// across an unwind because each critical section is a single take/store.
+/// deliberately (through [`AbortGuard`]), so the poison flag carries no
+/// extra information — recover the guard and move on. The state behind
+/// these locks (task slots, result slots, counters) stays consistent across
+/// an unwind because each critical section is a single take/store.
 trait Relock<T> {
     fn relock(&self) -> MutexGuard<'_, T>;
 }
@@ -40,10 +38,10 @@ impl<T> Relock<T> for Mutex<T> {
     }
 }
 
-/// A work-stealing executor with a fixed worker count.
+/// An ordered task executor with a fixed worker count.
 ///
 /// Construction is cheap; the threads live only for the duration of each
-/// [`Executor::map`] call.
+/// [`Executor::map_consume`] (or [`Executor::map`]) call.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -71,7 +69,8 @@ impl Executor {
     /// `f` receives `(task index, task)` and must be pure with respect to
     /// shared state for the output to be deterministic (interior-mutability
     /// telemetry like cache counters is fine; anything order-dependent is
-    /// not).
+    /// not). Tasks run on executor threads, never the caller's, so a task
+    /// that wants a thread-scoped recorder attaches it itself.
     pub fn map<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -79,83 +78,26 @@ impl Executor {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 || n == 1 {
-            return tasks.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let workers = self.workers.min(n);
-        // Each task is claimed exactly once by taking it out of its slot;
-        // results land in the slot of the same index.
-        let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Initial distribution: contiguous chunks, earlier workers take the
-        // remainder (mirrors the old per-seed shard split).
-        let queues: Vec<Mutex<VecDeque<usize>>> = chunk_ranges(n, workers)
-            .into_iter()
-            .map(|r| Mutex::new(r.collect()))
-            .collect();
-        let progress = Progress { done: Mutex::new(0), cv: Condvar::new() };
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let results = &results;
-                let queues = &queues;
-                let progress = &progress;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let Some(i) = next_task(queues, w) else {
-                        // Every queue looked empty — but a thief may hold a
-                        // just-stolen batch outside any queue, so "empty
-                        // everywhere" is not proof of completion. Park until
-                        // all tasks are done (exit) or another completion
-                        // lands (rescan: any in-flight batch is queued by
-                        // then or soon after).
-                        if progress.wait_or_done(n) {
-                            return;
-                        }
-                        continue;
-                    };
-                    let task = slots[i]
-                        .relock()
-                        .take()
-                        .expect("task claimed twice");
-                    // Count the completion even if `f` unwinds, so parked
-                    // peers exit and the scope re-raises the panic instead
-                    // of deadlocking on a count that can never be reached.
-                    let _completed = progress.complete_on_drop();
-                    let r = f(i, task);
-                    *results[i].relock() = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).expect("task completed"))
-            .collect()
+        let mut out = Vec::with_capacity(n);
+        self.map_consume(tasks, n, f, |_, r| out.push(r));
+        out
     }
 
     /// Runs `f` over every task and feeds the results to `consume` **in
     /// task order**, holding at most `window` completed-but-unconsumed
     /// results at any moment.
     ///
-    /// This is the streaming sibling of [`Executor::map`]: instead of
-    /// buffering all `n` results and returning them, the consumer (running
-    /// on the calling thread) overlaps with the workers, and memory is
-    /// capped at `window` results regardless of `n`. Tasks are claimed in
-    /// index order — a worker that would run more than `window` tasks ahead
-    /// of the consumer parks until the consumer catches up, and because
-    /// claims are ordered, the task the consumer is waiting on is always
-    /// the one a non-parked worker holds (no deadlock at any `window ≥ 1`).
+    /// The consumer (running on the calling thread) overlaps with the
+    /// workers, and memory is capped at `window` results regardless of `n`.
+    /// Tasks are claimed in index order — a worker that would run more than
+    /// `window` tasks ahead of the consumer parks until the consumer catches
+    /// up, and because claims are ordered, the task the consumer is waiting
+    /// on is always the one a non-parked worker holds (no deadlock at any
+    /// `window ≥ 1`).
     ///
-    /// Ordered claiming trades the chunked locality of [`Executor::map`]
-    /// for the bound; campaign tasks are full compile+run pipelines, so the
-    /// shared-counter contention is noise.
-    ///
-    /// Determinism contract: identical to [`Executor::map`] — `consume`
-    /// observes exactly the sequence `(0, f(0, t0)), (1, f(1, t1)), …`
-    /// whatever the worker count or scheduling.
+    /// Determinism contract: `consume` observes exactly the sequence
+    /// `(0, f(0, t0)), (1, f(1, t1)), …` whatever the worker count or
+    /// scheduling.
     pub fn map_consume<T, R, F, C>(&self, tasks: Vec<T>, window: usize, f: F, mut consume: C)
     where
         T: Send,
@@ -305,114 +247,10 @@ impl Drop for AbortGuard<'_> {
     }
 }
 
-/// Completion tracking: how many tasks have finished (successfully or by
-/// panic), with a condvar so idle workers park instead of busy-spinning
-/// through queue scans while the tail of the task set executes.
-struct Progress {
-    done: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Progress {
-    /// Returns `true` once all `n` tasks have completed. Otherwise blocks
-    /// until the next completion (or a spurious wakeup) and returns whether
-    /// everything finished by then — on `false` the caller rescans the
-    /// queues for newly landed stolen work.
-    fn wait_or_done(&self, n: usize) -> bool {
-        let mut done = self.done.relock();
-        if *done < n {
-            done = self.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-        *done == n
-    }
-
-    /// A guard that records one completion when dropped — including during
-    /// unwinding, which is what keeps a panicking task from stranding the
-    /// other workers in [`Progress::wait_or_done`].
-    fn complete_on_drop(&self) -> CompleteGuard<'_> {
-        CompleteGuard(self)
-    }
-}
-
-struct CompleteGuard<'a>(&'a Progress);
-
-impl Drop for CompleteGuard<'_> {
-    fn drop(&mut self) {
-        *self.0.done.relock() += 1;
-        self.0.cv.notify_all();
-    }
-}
-
-/// Pops the next task index for worker `w`: front of its own deque, else
-/// steal the back half of the first non-empty victim. Returns `None` when
-/// every deque looked empty during the scan; the caller decides whether that
-/// means "done" (all tasks completed) or "retry" (a stolen batch was in
-/// flight between two locks).
-fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    loop {
-        if let Some(i) = queues[w].relock().pop_front() {
-            return Some(i);
-        }
-        let mut stolen: VecDeque<usize> = VecDeque::new();
-        for off in 1..queues.len() {
-            let v = (w + off) % queues.len();
-            let mut victim = queues[v].relock();
-            if victim.is_empty() {
-                continue;
-            }
-            // Victim keeps the front half, thief takes the back half (all of
-            // it when only one task remains).
-            let keep = victim.len() / 2;
-            stolen = victim.split_off(keep);
-            break;
-        }
-        if stolen.is_empty() {
-            return None;
-        }
-        let first = stolen.pop_front();
-        queues[w].relock().extend(stolen);
-        if let Some(i) = first {
-            return Some(i);
-        }
-    }
-}
-
-/// Splits `0..n` into at most `parts` contiguous, near-equal, non-empty
-/// ranges (earlier ranges take the remainder).
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.min(n.max(1)).max(1);
-    let base = n / parts;
-    let rem = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < rem);
-        if len == 0 {
-            continue;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn chunk_ranges_are_contiguous_and_balanced() {
-        assert_eq!(chunk_ranges(10, 3), vec![0..4, 4..7, 7..10]);
-        assert_eq!(chunk_ranges(4, 8), vec![0..1, 1..2, 2..3, 3..4]);
-        assert_eq!(chunk_ranges(0, 4), Vec::<std::ops::Range<usize>>::new());
-        let ranges = chunk_ranges(17, 4);
-        assert_eq!(ranges.first().unwrap().start, 0);
-        assert_eq!(ranges.last().unwrap().end, 17);
-        for pair in ranges.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
-    }
 
     #[test]
     fn map_preserves_task_order() {
@@ -448,12 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn imbalanced_tasks_are_stolen() {
-        // One pathological chunk (all the work at the front) still completes
-        // and preserves order; with more workers than the slow chunk's share
-        // the steal path must engage for the run to finish at all quickly —
-        // we only assert correctness here, the balancing is observable in
-        // the campaign benches.
+    fn imbalanced_tasks_complete_in_order() {
+        // All the work at the front still completes and preserves order:
+        // idle workers keep claiming past the slow tasks — we only assert
+        // correctness here, the balancing is observable in the campaign
+        // benches.
         let exec = Executor::new(4);
         let out = exec.map((0..64).collect(), |i, t: usize| {
             if i < 8 {
@@ -467,9 +304,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "panicked")]
     fn panicking_task_propagates_instead_of_hanging() {
-        // The completion guard must count a panicked task, so parked workers
-        // drain the rest and exit, and the scope re-raises the panic — a
-        // hang here (test timeout) is the deadlock regression.
+        // The abort guard must wake the consumer and parked workers, so the
+        // scope re-raises the panic — a hang here (test timeout) is the
+        // deadlock regression.
         let exec = Executor::new(4);
         let _ = exec.map((0..64).collect(), |i, t: usize| {
             if i == 13 {

@@ -181,10 +181,11 @@ pub fn set_global(recorder: Arc<dyn Recorder>) -> bool {
 ///
 /// Attaching is idempotent per recorder instance: if this exact `Arc` is
 /// already on the thread's stack, no new frame is pushed and the guard is
-/// a no-op. Events are delivered to every frame, so without this a
-/// single-worker executor — whose tasks run inline on the already-attached
-/// consumer thread and re-attach the campaign recorder per task — would
-/// double-count every span. Distinct recorders still compose.
+/// a no-op. Events are delivered to every frame, so without this a caller
+/// that already holds the campaign recorder — the daemon's scheduler
+/// thread, which attaches its sink and then runs a merge that scopes the
+/// same recorder again — would double-count every span. Distinct recorders
+/// still compose.
 #[must_use = "the recorder detaches when the guard drops"]
 pub fn attach(recorder: Arc<dyn Recorder>) -> AttachGuard {
     let pushed = RECORDERS.with(|r| {
@@ -806,10 +807,10 @@ mod tests {
 
     #[test]
     fn reattaching_the_same_recorder_records_once() {
-        // The single-worker executor runs tasks inline on the consumer
-        // thread, which already holds the campaign recorder; the per-task
-        // re-attach must not add a second delivery frame — and its guard
-        // must not pop the outer frame when it drops.
+        // A thread that already holds the campaign recorder (the daemon's
+        // scheduler thread running a merge) attaches it again; the nested
+        // attach must not add a second delivery frame — and its guard must
+        // not pop the outer frame when it drops.
         let rec = Arc::new(CountingRecorder::default());
         {
             let _outer = attach(rec.clone());

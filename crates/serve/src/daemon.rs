@@ -8,14 +8,16 @@
 //!    core, no compilation — for its fingerprint and unit count, and opens
 //!    the store's primary checkpoint log so an incompatible log (and its
 //!    shards) is swept before workers arrive;
-//! 2. carves `0..units` into contiguous leases
-//!    ([`LeaseLedger::carve`]), numbered past everything in the store's
-//!    durable [`LeaseTable`] so checkpoint shard files never collide;
+//! 2. carves `0..units` into contiguous leases in the store's
+//!    [`LeaseTable`] ([`LeaseTable::carve`]), numbered past every lease
+//!    already there so checkpoint shard files never collide;
 //! 3. spawns one worker *process* per lease (`<worker-bin> worker …`,
 //!    defaulting to the daemon's own binary) and polls: a clean exit
 //!    completes the lease; a nonzero exit, a SIGKILL, or a blown deadline
 //!    reclaims it — the range is re-issued under a fresh lease id and the
-//!    replacement's shard replay skips whatever the dead worker finished;
+//!    replacement's shard replay skips whatever the dead worker finished.
+//!    A worker that cannot be spawned is reclaimed the same way; past a
+//!    re-issue cap the campaign fails instead of retrying forever;
 //! 4. merges by replaying the shard union through the canonical
 //!    sequential-order path ([`ParallelCampaign::run_planned`] over the
 //!    plan from step 1, with a checkpoint over the same store), so the
@@ -29,10 +31,12 @@
 //! `err too-long`), so a silent or runaway client cannot stall the rest.
 //!
 //! Backpressure is a bounded submission queue: `SUBMIT` beyond the cap is
-//! answered `err busy`. Lease state is mirrored into the store's
-//! [`LeaseTable`] (`leases.bin`) for post-mortem observability; scheduling
-//! truth lives in the in-memory ledger, so a daemon restart simply
-//! re-carves and replays.
+//! answered `err busy`. The lease ledger is the store's [`LeaseTable`]:
+//! every grant, completion, and reclaim of a granted lease rewrites
+//! `leases.bin`, so a post-mortem sees who held what, and `STATUS` renders
+//! the same records.
+//! Completed work lives in the checkpoint shards, so a daemon restart
+//! simply re-carves and replays.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -45,10 +49,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ubfuzz::campaign::{CampaignConfig, ParallelCampaign};
 use ubfuzz::executor::CampaignPlan;
 use ubfuzz::obs::{self, MetricsSnapshot, Stage};
-use ubfuzz::store::{BugCorpus, CampaignLog, FrontierStore, LeaseRecord, LeaseState, LeaseTable};
+use ubfuzz::store::{BugCorpus, CampaignLog, FrontierStore, LeaseRecord, LeaseTable};
 use ubfuzz::{SanPolicy, Strategy};
 use ubfuzz::{persist, report};
-use ubfuzz_exec::LeaseLedger;
 
 use crate::protocol::{parse_request, Request};
 
@@ -63,7 +66,7 @@ pub struct DaemonConfig {
     pub store: PathBuf,
     /// Worker processes per campaign when `SUBMIT` has no `workers=`.
     pub workers: usize,
-    /// Work-stealing threads inside each worker process.
+    /// Executor threads inside each worker process.
     pub worker_threads: usize,
     /// Lease time-to-live: an active worker past its deadline is killed
     /// and its range re-issued.
@@ -117,17 +120,6 @@ impl Phase {
     }
 }
 
-/// One lease as shown by `STATUS` (`pid=` is what a supervisor — or the CI
-/// kill leg — targets).
-#[derive(Debug, Clone)]
-struct LeaseView {
-    id: u64,
-    start: usize,
-    end: usize,
-    pid: u32,
-    state: &'static str,
-}
-
 /// One submitted campaign.
 #[derive(Debug)]
 struct CampaignView {
@@ -147,7 +139,9 @@ struct CampaignView {
     /// updated to the merged campaign's final count once done.
     frontier: usize,
     report: Option<String>,
-    leases: Vec<LeaseView>,
+    /// This run's leases as of the last scheduling tick (`pid=` is what a
+    /// supervisor — or the CI kill leg — targets).
+    leases: Vec<LeaseRecord>,
     /// Per-stage latency histograms and counters: the scheduler thread's
     /// own sink (lease lifecycle + merge) folded with every worker
     /// receipt, in lease-completion order (histogram merge is commutative,
@@ -376,7 +370,12 @@ fn render_status(st: &State) -> String {
         for l in &c.leases {
             out.push_str(&format!(
                 "lease id={} campaign={} start={} end={} pid={} state={}\n",
-                l.id, c.id, l.start, l.end, l.pid, l.state
+                l.id,
+                c.id,
+                l.start,
+                l.end,
+                l.pid,
+                l.state.name()
             ));
         }
     }
@@ -441,14 +440,13 @@ struct Worker {
 }
 
 /// Reclaims `w`'s lease: kills and reaps the process (a no-op for one that
-/// already exited), fails the lease so its range is re-issued under a
-/// fresh id, and marks it reclaimed in the lease table.
-fn reclaim(w: &mut Worker, ledger: &mut LeaseLedger, table: &mut LeaseTable, shared: &Shared) {
+/// already exited) and marks the lease reclaimed, re-issuing its range
+/// under a fresh id.
+fn reclaim(w: &mut Worker, table: &mut LeaseTable, shared: &Shared) {
     let _reclaim = obs::Span::enter(Stage::LeaseReclaim, w.lease_id);
     let _ = w.child.kill();
     let _ = w.child.wait();
-    ledger.fail(w.lease_id);
-    table.set_state(w.lease_id, LeaseState::Reclaimed);
+    table.reclaim(w.lease_id);
     relock(shared).leases_reclaimed += 1;
 }
 
@@ -490,7 +488,7 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     drop(CampaignLog::open(&config.store, fingerprint, units));
     let mut table = LeaseTable::open(&config.store);
     table.retain_campaign(fingerprint);
-    let mut ledger = LeaseLedger::carve(units, workers, table.next_id());
+    table.carve(fingerprint, units, workers, config.ttl_secs);
 
     {
         let mut st = relock(shared);
@@ -508,60 +506,46 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     let mut computed = 0usize;
     let mut replayed = 0usize;
     let mut reissued = 0u64;
-    let mut failed = false;
 
-    loop {
-        if relock(shared).shutdown {
-            failed = true;
-        }
-        if reissued > reissue_cap {
-            failed = true;
-        }
-        if failed {
+    let failed = loop {
+        if relock(shared).shutdown || reissued > reissue_cap {
             for w in &mut active {
-                reclaim(w, &mut ledger, &mut table, shared);
+                reclaim(w, &mut table, shared);
             }
-            active.clear();
-            break;
+            table.cancel_pending();
+            break true;
         }
 
-        // Keep `workers` processes in flight while leases are pending.
-        while active.len() < workers {
-            let now = unix_now();
-            let Some(lease) = ledger.claim(0, now, config.ttl_secs) else { break };
+        // Keep `workers` processes in flight while leases are pending. A
+        // spawn failure re-issues the lease and counts against the cap
+        // right here, so a worker binary that never starts fails the
+        // campaign instead of spinning this loop.
+        while active.len() < workers && reissued <= reissue_cap {
+            let Some(lease) = table.next_pending().cloned() else { break };
             let _issue = obs::Span::enter(Stage::LeaseIssue, lease.id);
-            match spawn_worker(config, seeds, first_seed, strategy, san, lease.id, &lease.range)
-            {
+            let now = unix_now();
+            match spawn_worker(config, seeds, first_seed, strategy, san, &lease) {
                 Ok(child) => {
-                    table.upsert(LeaseRecord {
-                        id: lease.id,
-                        campaign_fp: fingerprint,
-                        start: lease.range.start as u64,
-                        end: lease.range.end as u64,
-                        pid: child.id() as u64,
-                        granted: now,
-                        ttl_secs: config.ttl_secs,
-                        state: LeaseState::Active,
-                    });
+                    table.claim(lease.id, child.id() as u64, now);
                     active.push(Worker { lease_id: lease.id, child });
                     relock(shared).leases_issued += 1;
                 }
                 Err(e) => {
                     eprintln!("[serve] campaign {id}: worker spawn failed: {e}");
-                    ledger.fail(lease.id);
+                    table.reclaim(lease.id);
                     reissued += 1;
                     relock(shared).leases_reclaimed += 1;
                 }
             }
         }
 
-        if active.is_empty() && ledger.all_done() {
-            break;
+        if active.is_empty() && table.all_done() {
+            break false;
         }
 
         std::thread::sleep(Duration::from_millis(20));
         let now = unix_now();
-        let expired = ledger.expired(now);
+        let expired = table.expired(now);
         // One heartbeat span per liveness sweep over live workers: its
         // histogram is how long the daemon spends probing children, its
         // count is the number of scheduling ticks the campaign took.
@@ -588,24 +572,23 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
                         replayed += r;
                         worker_metrics.merge(&parse_receipt_metrics(&receipt));
                     }
-                    ledger.complete(lease_id);
-                    table.set_state(lease_id, LeaseState::Done);
+                    table.complete(lease_id);
                     active.swap_remove(i);
                 }
                 // Nonzero exit or signal death (SIGKILL lands here), or an
                 // overrun deadline: re-issue the range under a fresh lease id.
                 _ if exited.is_some() || expired.contains(&lease_id) => {
-                    reclaim(&mut active.swap_remove(i), &mut ledger, &mut table, shared);
+                    reclaim(&mut active.swap_remove(i), &mut table, shared);
                     reissued += 1;
                 }
                 _ => i += 1,
             }
         }
 
-        publish_leases(shared, id, &ledger, &table, computed, replayed, reissued);
-    }
+        publish_leases(shared, id, &table, computed, replayed, reissued);
+    };
 
-    publish_leases(shared, id, &ledger, &table, computed, replayed, reissued);
+    publish_leases(shared, id, &table, computed, replayed, reissued);
     if failed {
         let mut st = relock(shared);
         let c = campaign_mut(&mut st, id);
@@ -653,37 +636,19 @@ fn campaign_mut(st: &mut State, id: u64) -> &mut CampaignView {
         .expect("scheduler jobs reference submitted campaigns")
 }
 
-/// Mirrors the ledger into the `STATUS` snapshot (pids come from the
-/// durable lease table — the ledger does not track them).
+/// Publishes this run's leases and counters to the `STATUS` snapshot.
 fn publish_leases(
     shared: &Shared,
     id: u64,
-    ledger: &LeaseLedger,
     table: &LeaseTable,
     computed: usize,
     replayed: usize,
     reissued: u64,
 ) {
-    use ubfuzz_exec::LeaseStatus;
-    let views = ledger
-        .leases()
-        .iter()
-        .map(|l| LeaseView {
-            id: l.id,
-            start: l.range.start,
-            end: l.range.end,
-            pid: table.leases().get(&l.id).map(|r| r.pid as u32).unwrap_or(0),
-            state: match l.status {
-                LeaseStatus::Pending => "pending",
-                LeaseStatus::Active => "active",
-                LeaseStatus::Done => "done",
-                LeaseStatus::Failed => "reclaimed",
-            },
-        })
-        .collect();
+    let leases = table.run().cloned().collect();
     let mut st = relock(shared);
     let c = campaign_mut(&mut st, id);
-    c.leases = views;
+    c.leases = leases;
     c.computed = computed;
     c.replayed = replayed;
     c.reissued = reissued as usize;
@@ -725,8 +690,7 @@ fn spawn_worker(
     first_seed: u64,
     strategy: Strategy,
     san: SanPolicy,
-    lease_id: u64,
-    range: &std::ops::Range<usize>,
+    lease: &LeaseRecord,
 ) -> std::io::Result<Child> {
     let bin = match &config.worker_bin {
         Some(bin) => bin.clone(),
@@ -745,11 +709,11 @@ fn spawn_worker(
         .arg("--san")
         .arg(san.to_string())
         .arg("--shard")
-        .arg(lease_id.to_string())
+        .arg(lease.id.to_string())
         .arg("--start")
-        .arg(range.start.to_string())
+        .arg(lease.start.to_string())
         .arg("--end")
-        .arg(range.end.to_string())
+        .arg(lease.end.to_string())
         .arg("--threads")
         .arg(config.worker_threads.to_string())
         .stdin(Stdio::null())
@@ -789,7 +753,16 @@ mod tests {
             reissued: 1,
             frontier: 12,
             report: None,
-            leases: vec![LeaseView { id: 2, start: 0, end: 5, pid: 42, state: "active" }],
+            leases: vec![LeaseRecord {
+                id: 2,
+                campaign_fp: 7,
+                start: 0,
+                end: 5,
+                pid: 42,
+                granted: 0,
+                ttl_secs: 600,
+                state: ubfuzz::store::LeaseState::Active,
+            }],
             metrics: MetricsSnapshot::default(),
         });
         let s = render_status(&st);

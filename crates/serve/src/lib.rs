@@ -5,13 +5,15 @@
 //! that daemon plus its wire protocol:
 //!
 //! * [`daemon`] — accepts campaign submissions over a unix-domain socket,
-//!   carves each campaign's unit index space into contiguous **leases**
-//!   ([`ubfuzz_exec::LeaseLedger`]) and hands every lease to a worker
-//!   *process* that checkpoints into its own shard of the store's campaign
-//!   log ([`ubfuzz::store::CampaignLog`]). A worker that exits nonzero, is
-//!   SIGKILLed, or overruns its lease deadline is reclaimed: the lease is
-//!   re-issued under a fresh id and the replacement's replay scan skips
-//!   whatever the dead worker already completed.
+//!   carves each campaign's unit index space into contiguous **leases** in
+//!   the store's lease table ([`ubfuzz::store::LeaseTable`], the daemon's
+//!   only lease ledger, persisted as `leases.bin`) and hands every lease to
+//!   a worker *process* that checkpoints into its own shard of the store's
+//!   campaign log ([`ubfuzz::store::CampaignLog`]). A worker that exits
+//!   nonzero, is SIGKILLed, overruns its lease deadline, or cannot be
+//!   spawned is reclaimed: the lease is re-issued under a fresh id and the
+//!   replacement's replay scan skips whatever the dead worker already
+//!   completed.
 //! * [`worker`] — the worker-mode entry
 //!   ([`ubfuzz::executor::run_unit_range`] behind flag parsing): compile
 //!   and checkpoint only, no oracle. Merging is the daemon's job — once

@@ -15,6 +15,8 @@
 //! * a second submission of the same campaign replays entirely from the
 //!   checkpoint (zero units computed);
 //! * submissions beyond the queue bound answer `err busy`;
+//! * a worker binary that cannot be spawned fails its campaign within the
+//!   re-issue cap instead of wedging the scheduler;
 //! * two worker processes hammering the same store directory concurrently
 //!   — plus one killed mid-run — corrupt no table.
 
@@ -342,6 +344,50 @@ fn guided_submission_reports_strategy_and_persists_the_frontier() {
     assert_eq!(on_disk.len(), frontier, "STATUS reports the persisted frontier");
 
     client::shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+}
+
+/// A worker binary that does not exist: every spawn fails, so every lease
+/// is reclaimed without ever holding a pid and re-issued, until the
+/// re-issue cap fails the campaign. The scheduler must not spin on the
+/// re-issued leases: the campaign reads `failed` within a bounded wait,
+/// STATUS keeps answering, and SHUTDOWN still joins the daemon.
+#[test]
+fn unspawnable_worker_binary_fails_the_campaign_instead_of_wedging() {
+    let mut config = daemon_config("nobin");
+    config.worker_bin = Some(PathBuf::from("/nonexistent/ubfuzz-worker"));
+    let workers = 2;
+    // The daemon's cap on re-issues per campaign: 8 per worker process.
+    let cap = 8 * workers;
+    let (socket, daemon) = start_daemon(config);
+
+    let id = client::submit(&socket, 2, 0, Some(workers), ubfuzz::Strategy::Uniform, ubfuzz::SanPolicy::Full)
+        .expect("submit");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        let status = client::status(&socket).expect("status answers while spawns fail");
+        if status.contains(&format!("campaign id={id} state=failed")) {
+            break status;
+        }
+        let line = status.lines().find(|l| l.starts_with("campaign id=")).unwrap_or("");
+        assert!(Instant::now() < deadline, "campaign never failed: {line}");
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    let reissued: usize = campaign_field(&status, id, "reissued").parse().expect("reissued=N");
+    assert!(reissued <= cap + workers, "re-issues stop at the cap ({cap}):\n{status}");
+    let leases: Vec<&str> = status.lines().filter(|l| l.starts_with("lease id=")).collect();
+    assert!(!leases.is_empty(), "issued leases are listed:\n{status}");
+    for lease in &leases {
+        assert!(lease.ends_with(" pid=0 state=reclaimed"), "{lease:?} in:\n{status}");
+    }
+    assert!(client::status(&socket).is_ok(), "STATUS answers after the failure");
+
+    client::shutdown(&socket).expect("shutdown");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !daemon.is_finished() {
+        assert!(Instant::now() < deadline, "daemon thread never exited after SHUTDOWN");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     daemon.join().expect("daemon thread");
 }
 

@@ -14,7 +14,8 @@ use ubfuzz_simcc::session::{Backing, CompileSession, PrefixCell};
 use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::{CovDelta, Sanitizer};
 use ubfuzz_store::{
-    modser, wire, BugCorpus, CampaignLog, FrontierStore, PrefixStore, SanitizedStore, UnitOutcome,
+    modser, wire, BugCorpus, CampaignLog, FrontierStore, LeaseState, LeaseTable, PrefixStore,
+    SanitizedStore, UnitOutcome,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -333,6 +334,55 @@ fn frontier_fixture_is_written_and_read_byte_for_byte() {
     let reopened = FrontierStore::open(&dir);
     assert_eq!(reopened.covered(), &fixture_delta());
     assert!(reopened.telemetry().events().is_empty(), "{:?}", reopened.telemetry().events());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fixtures/v3-store/leases.bin` is the lease table as the store wrote it
+/// when the daemon's scheduling ledger was a separate in-memory copy:
+/// campaign `0x5eed_f00d`, 10 units over 2 leases of 60 s — lease 1 granted
+/// to pid 101 at t=1000 then done, lease 2 to pid 102 at t=1010 then
+/// reclaimed, its re-issue 3 to pid 103 at t=1020 then done. Replaying
+/// those transitions through the table's own ledger writes the same bytes
+/// with one rewrite per transition, and an open reads the records back.
+#[test]
+fn lease_ledger_writes_the_v3_fixture_byte_for_byte() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-store");
+    let dir = tmp_dir("lease-writer");
+    let mut table = LeaseTable::open(&dir);
+    table.carve(0x5eed_f00d, 10, 2, 60);
+    assert!(table.claim(1, 101, 1000));
+    assert!(table.complete(1));
+    assert!(table.claim(2, 102, 1010));
+    assert_eq!(table.reclaim(2), Some(3));
+    assert!(table.claim(3, 103, 1020));
+    assert!(table.complete(3));
+    assert!(table.all_done());
+    assert_eq!(table.telemetry().persisted(), 6, "one rewrite per transition");
+    let written = std::fs::read(dir.join("leases.bin")).unwrap();
+    let pinned = std::fs::read(fixture.join("leases.bin")).unwrap();
+    let (w, n) = (written.len(), pinned.len());
+    assert!(written == pinned, "leases.bin: {w} B written, {n} B pinned");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("lease-reader");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(fixture.join("leases.bin"), dir.join("leases.bin")).unwrap();
+    let reopened = LeaseTable::open(&dir);
+    assert!(reopened.telemetry().events().is_empty(), "{:?}", reopened.telemetry().events());
+    let rows: Vec<_> = reopened
+        .leases()
+        .values()
+        .map(|l| (l.id, l.campaign_fp, l.start, l.end, l.pid, l.granted, l.ttl_secs, l.state))
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            (1, 0x5eed_f00d, 0, 5, 101, 1000, 60, LeaseState::Done),
+            (2, 0x5eed_f00d, 5, 10, 102, 1010, 60, LeaseState::Reclaimed),
+            (3, 0x5eed_f00d, 5, 10, 103, 1020, 60, LeaseState::Done),
+        ]
+    );
+    assert_eq!(reopened.next_id(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
