@@ -17,19 +17,19 @@ use ubfuzz::backend::CompilerBackend;
 use ubfuzz::campaign::CampaignConfig;
 use ubfuzz::report;
 use ubfuzz_bench::{
-    arg_str, arg_value, compact_backend_stores, install_recorders, report_store_telemetry,
-    run_stored_campaign, san_arg, shared_backend, store_args, strategy_arg,
+    arg_value, compact_backend_stores, install_recorders, report_store_telemetry,
+    run_stored_campaign, san_arg, shared_backend, store_args, strategy_arg, trace_out_arg,
 };
 use ubfuzz_simcc::defects::DefectRegistry;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let figure = arg_value(&args, "--figure", 0);
-    let seeds = arg_value(&args, "--seeds", 30);
+    let figure = arg_value(&args, "make_figures", "--figure", 0);
+    let seeds = arg_value(&args, "make_figures", "--seeds", 30);
     let store = store_args(&args, "make_figures");
     let strategy = strategy_arg(&args, "make_figures");
     let san = san_arg(&args, "make_figures");
-    let trace_out = arg_str(&args, "--trace-out");
+    let trace_out = trace_out_arg(&args, "make_figures");
     install_recorders(trace_out.as_deref(), None, "make_figures");
     let registry = DefectRegistry::full();
     let backend = shared_backend(&CampaignConfig::builder().seeds(seeds).build(), &store);

@@ -50,24 +50,23 @@ use ubfuzz::campaign::CampaignConfig;
 use ubfuzz::obs::MetricsSink;
 use ubfuzz::report;
 use ubfuzz_bench::{
-    arg_str, arg_value, compact_backend_stores, compare_policies, compare_strategies,
-    install_recorders, render_stage_breakdown, report_frontier_telemetry,
-    report_store_telemetry, run_stored_campaign, san_arg, shared_backend, store_args,
-    strategy_arg,
+    arg_value, compact_backend_stores, compare_policies, compare_strategies, install_recorders,
+    render_stage_breakdown, report_frontier_telemetry, report_store_telemetry, run_stored_campaign,
+    san_arg, shared_backend, store_args, strategy_arg, trace_out_arg,
 };
 use ubfuzz_simcc::defects::DefectRegistry;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let table = arg_value(&args, "--table", 0);
-    let seeds = arg_value(&args, "--seeds", 30);
+    let table = arg_value(&args, "make_tables", "--table", 0);
+    let seeds = arg_value(&args, "make_tables", "--seeds", 30);
     let store = store_args(&args, "make_tables");
     let strategy = strategy_arg(&args, "make_tables");
     let san = san_arg(&args, "make_tables");
     // `--trace-out FILE` streams every pipeline event as JSONL; table 8
     // additionally aggregates into per-stage histograms. Both observe via
     // the process-wide recorder — campaign output bytes do not change.
-    let trace_out = arg_str(&args, "--trace-out");
+    let trace_out = trace_out_arg(&args, "make_tables");
     let sink = (table == 8).then(|| Arc::new(MetricsSink::new()));
     install_recorders(trace_out.as_deref(), sink.as_ref(), "make_tables");
     let backend = shared_backend(&CampaignConfig::builder().seeds(seeds).build(), &store);

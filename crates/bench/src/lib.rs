@@ -4,13 +4,14 @@
 //! Two binaries drive the experiments (sizes are laptop-scale by default;
 //! pass `--seeds N` to push further):
 //!
-//! * `make_tables --table 2|3|4|5|6 [--seeds N]`
+//! * `make_tables --table 2|3|4|5|6|7|8|9 [--seeds N]`
 //! * `make_figures --figure 7|9|10|11 [--seeds N]`
 //!
-//! The Criterion benches in `benches/paper.rs` measure the cost of each
-//! pipeline stage (seed generation, UB generation, compilation at every
-//! level, VM execution, crash-site mapping) so the throughput numbers in
-//! EXPERIMENTS.md can be reproduced.
+//! Their stdout is a committed contract: `tests/golden.rs` diffs seven
+//! invocations byte for byte against `tests/golden/`. The Criterion
+//! benches in `benches/paper.rs` measure the cost of each pipeline stage
+//! (seed generation, UB generation, compilation at every level, VM
+//! execution, crash-site mapping).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -23,28 +24,45 @@ use ubfuzz::obs::{
 use ubfuzz::{persist, store, SanPolicy, Strategy};
 use ubfuzz_simcc::Sanitizer;
 
-/// Parses `--flag value` style arguments with a default.
-pub fn arg_value(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value after `flag`, parsed by `parse`: `None` when the flag is
+/// absent. A present flag whose value is missing or does not parse prints
+/// `{binary}: {flag} requires {what}` and exits with status 2 — the one
+/// misuse contract every flag of the binaries shares.
+fn flag_value<T>(
+    args: &[String],
+    binary: &str,
+    flag: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1).and_then(|v| parse(v)) {
+        Some(value) => Some(value),
+        None => {
+            eprintln!("{binary}: {flag} requires {what}");
+            std::process::exit(2);
+        }
+    }
 }
 
-/// Parses a `--flag value` string argument (`None` when absent or when the
-/// value slot holds another flag).
-pub fn arg_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
-        .cloned()
+/// Parses a numeric `--flag N` (`--seeds`, `--table`, `--figure`): the
+/// default when absent, exit status 2 when the value is missing or not a
+/// number (see `flag_value`).
+pub fn arg_value(args: &[String], binary: &str, flag: &str, default: usize) -> usize {
+    flag_value(args, binary, flag, "a number", |v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Parses `--trace-out FILE`: `None` when absent, exit status 2 when the
+/// value is missing or is itself a flag (see `flag_value`).
+pub fn trace_out_arg(args: &[String], binary: &str) -> Option<String> {
+    flag_value(args, binary, "--trace-out", "a file path", |v| {
+        (!v.starts_with("--")).then(|| v.to_string())
+    })
 }
 
 /// Installs the process-wide recorder both binaries share: a JSONL
 /// [`TraceRecorder`] when `--trace-out FILE` was given, a [`MetricsSink`]
-/// when the caller wants aggregation (table 8, `campaign_smoke`), fanned
+/// when the caller wants aggregation (`make_tables --table 8`), fanned
 /// out when both are wanted. The global default reaches executor worker
 /// threads without touching the campaign config, and tracing is an
 /// observer — stdout stays byte-identical to an uninstrumented run.
@@ -119,31 +137,15 @@ pub struct StoreArgs {
 /// a directory literally named `--resume`; likewise a `--store-budget`
 /// whose value is missing or not a byte count.
 pub fn store_args(args: &[String], binary: &str) -> StoreArgs {
-    let dir = match args.iter().position(|a| a == "--store") {
-        None => None,
-        Some(i) => match args.get(i + 1) {
-            Some(value) if !value.starts_with("--") => Some(PathBuf::from(value)),
-            _ => {
-                eprintln!("{binary}: --store requires a directory argument");
-                std::process::exit(2);
-            }
-        },
-    };
+    let dir = flag_value(args, binary, "--store", "a directory argument", |v| {
+        (!v.starts_with("--")).then(|| PathBuf::from(v))
+    });
     let resume = args.iter().any(|a| a == "--resume");
     if resume && dir.is_none() {
         eprintln!("{binary}: --resume requires --store DIR");
         std::process::exit(2);
     }
-    let budget = match args.iter().position(|a| a == "--store-budget") {
-        None => None,
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(bytes) => Some(bytes),
-            None => {
-                eprintln!("{binary}: --store-budget requires a byte count");
-                std::process::exit(2);
-            }
-        },
-    };
+    let budget = flag_value(args, binary, "--store-budget", "a byte count", |v| v.parse().ok());
     if budget.is_some() && dir.is_none() {
         eprintln!("{binary}: --store-budget requires --store DIR");
         std::process::exit(2);
@@ -155,16 +157,8 @@ pub fn store_args(args: &[String], binary: &str) -> StoreArgs {
 /// exiting with status 2 on an unknown value — the same misuse contract as
 /// the persistence flags above.
 pub fn strategy_arg(args: &[String], binary: &str) -> Strategy {
-    match args.iter().position(|a| a == "--strategy") {
-        None => Strategy::Uniform,
-        Some(i) => match args.get(i + 1).and_then(|v| Strategy::parse(v)) {
-            Some(strategy) => strategy,
-            None => {
-                eprintln!("{binary}: --strategy requires uniform|guided");
-                std::process::exit(2);
-            }
-        },
-    }
+    flag_value(args, binary, "--strategy", "uniform|guided", Strategy::parse)
+        .unwrap_or(Strategy::Uniform)
 }
 
 /// Parses `--san full|none|partial[:ratio[:salt]]` (default
@@ -172,16 +166,8 @@ pub fn strategy_arg(args: &[String], binary: &str) -> Strategy {
 /// same misuse contract as `--strategy` (the CI partial job asserts
 /// `--san banana` exits 2).
 pub fn san_arg(args: &[String], binary: &str) -> SanPolicy {
-    match args.iter().position(|a| a == "--san") {
-        None => SanPolicy::Full,
-        Some(i) => match args.get(i + 1).and_then(|v| SanPolicy::parse(v)) {
-            Some(policy) => policy,
-            None => {
-                eprintln!("{binary}: --san requires full|none|partial[:ratio[:salt]]");
-                std::process::exit(2);
-            }
-        },
-    }
+    flag_value(args, binary, "--san", "full|none|partial[:ratio[:salt]]", SanPolicy::parse)
+        .unwrap_or(SanPolicy::Full)
 }
 
 /// The shared backend both binaries thread through every entry point:
@@ -395,7 +381,7 @@ impl StrategyComparison {
 }
 
 /// Runs the paper-style feedback experiment behind `make_tables --table 7`
-/// and the `campaign_smoke` guided leg: a uniform warm-up campaign over
+/// (pinned by the `table7.txt` golden): a uniform warm-up campaign over
 /// `warm_seeds` seeds persists its coverage frontier into `dir`, then the
 /// SAME follow-on seed range runs twice — once uniform (storeless, the
 /// reference denominator) and once guided against the warm frontier. Guided
@@ -473,7 +459,7 @@ impl PolicyComparison {
 }
 
 /// Runs the overhead-vs-detection experiment behind `make_tables --table 9`
-/// and the `campaign_smoke` partial legs: the SAME seed range runs under
+/// (pinned by the `table9.txt` golden): the SAME seed range runs under
 /// the full, `partial:500`, and none policies over ONE store directory.
 /// The sanitizer-independent prefix stage compiles once and replays into
 /// the other legs; only the sanitize stage differs, and each partial subset
@@ -562,9 +548,9 @@ mod tests {
     fn arg_parsing() {
         let args: Vec<String> =
             ["prog", "--seeds", "42", "--table", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&args, "--seeds", 5), 42);
-        assert_eq!(arg_value(&args, "--table", 0), 3);
-        assert_eq!(arg_value(&args, "--missing", 7), 7);
+        assert_eq!(arg_value(&args, "prog", "--seeds", 5), 42);
+        assert_eq!(arg_value(&args, "prog", "--table", 0), 3);
+        assert_eq!(arg_value(&args, "prog", "--missing", 7), 7);
     }
 
     /// The `[store] …` stderr lines are a CI interface: the persistence and

@@ -74,9 +74,9 @@ pub struct DaemonConfig {
     /// Bounded submission queue; beyond this, `SUBMIT` answers
     /// `err busy`.
     pub queue_cap: usize,
-    /// Worker binary (anything accepting `worker --store … --shard …`,
-    /// e.g. ubfuzz-bench's `campaign_worker`); defaults to the daemon's
-    /// own executable.
+    /// Worker binary (anything that forwards `worker --store … --shard …`
+    /// to [`crate::worker::worker_main`], e.g. the `ubbench` benchmark
+    /// binary); defaults to the daemon's own `ubfuzz-serve` executable.
     pub worker_bin: Option<PathBuf>,
     /// Test hook, forwarded to workers as `--stall-ms`: sleep before
     /// working so kill tests have a deterministic live window.

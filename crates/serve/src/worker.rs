@@ -27,9 +27,10 @@ use ubfuzz::{obs, SanPolicy, Strategy};
 use crate::{flag_num, flag_value};
 
 /// Runs worker mode from CLI-style arguments (a leading `worker` token is
-/// tolerated so the daemon can drive `ubfuzz-serve worker …` and the
-/// `campaign_worker` wrapper with the same argument list). Returns the
-/// process exit code: 0 on completion, 2 on flag misuse.
+/// tolerated, so every binary that forwards its arguments here — the
+/// `ubfuzz-serve` executable, the `ubbench` benchmark — takes the daemon's
+/// spawn line unchanged). Returns the process exit code: 0 on completion,
+/// 2 on flag misuse.
 pub fn worker_main(args: &[String]) -> i32 {
     let args = match args.first().map(String::as_str) {
         Some("worker") => &args[1..],
