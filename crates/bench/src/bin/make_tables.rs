@@ -40,7 +40,7 @@
 //!   already in the store, so a killed invocation continues where it died
 //!   with a bit-identical final report.
 //! * `--store-budget BYTES` (requires `--store`) — after the run, compact
-//!   `prefix.bin` and `sanitized.bin` down to this combined byte budget,
+//!   `prefix.bin` so that it and `frontier.bin` fit this byte budget,
 //!   evicting least-recently-hit entries first (see also the standalone
 //!   `store_compact` binary).
 
@@ -87,14 +87,10 @@ fn main() {
     // between invocations (the CI persistence job diffs it).
     let cache = backend.session().stats();
     eprintln!(
-        "[make_tables] shared compile cache across entry points: {} hits, {} misses ({:.1}% reuse); \
-         sanitize layer: {} hits, {} misses ({:.1}% reuse)",
+        "[make_tables] shared compile cache across entry points: {} hits, {} misses ({:.1}% reuse)",
         cache.hits,
         cache.misses,
-        100.0 * cache.reuse_ratio(),
-        cache.san_hits,
-        cache.san_misses,
-        100.0 * cache.san_reuse_ratio()
+        100.0 * cache.reuse_ratio()
     );
     report_store_telemetry(&backend, &store);
     report_frontier_telemetry(frontier.as_ref());

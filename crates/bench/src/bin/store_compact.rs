@@ -1,12 +1,12 @@
 //! Standalone store compactor:
 //! `store_compact --store DIR --store-budget BYTES`.
 //!
-//! Compacts `prefix.bin` and `sanitized.bin` under `DIR` down to a combined
-//! byte budget without running a campaign — the offline counterpart of
+//! Compacts `prefix.bin` under `DIR` so that it and `frontier.bin` fit a
+//! byte budget, without running a campaign — the offline counterpart of
 //! passing `--store-budget` to `make_tables`/`make_figures`. Opening a
 //! table indexes its keys without decoding any module, so compacting a
 //! large store is cheap. With no hit-recency on record (nothing ran),
-//! eviction deterministically keeps the newest tail of each log.
+//! eviction deterministically keeps the newest tail of the log.
 //!
 //! Flag misuse exits with status 2, exactly like the two benchmark
 //! binaries; a well-formed invocation prints the shared `[store] compact:`
@@ -18,8 +18,8 @@
 
 use std::sync::Arc;
 use ubfuzz::obs::{self, event_line, Event, Recorder};
-use ubfuzz::store::{FrontierStore, PrefixStore, SanitizedStore};
-use ubfuzz_bench::{compact_stores, report_compaction, store_args};
+use ubfuzz::store::{FrontierStore, PrefixStore};
+use ubfuzz_bench::{report_compaction, store_args};
 
 /// Prints every store note as a `[store] event: …` stderr line the moment
 /// it is recorded — the compactor never renders `telemetry().events()`
@@ -44,10 +44,8 @@ fn main() {
     };
     let _obs = obs::attach(Arc::new(StderrEvents));
     let prefix = PrefixStore::open(dir);
-    let sanitized = SanitizedStore::open(dir);
     // The frontier is not compactable, but its on-disk bytes count against
     // the directory budget the caller asked for.
     let frontier = FrontierStore::open(dir).size_bytes();
-    let (ps, ss) = compact_stores(&prefix, &sanitized, frontier, budget);
-    report_compaction(&ps, &ss);
+    report_compaction(&prefix.compact(budget.saturating_sub(frontier)));
 }

@@ -125,8 +125,8 @@ pub struct StoreArgs {
     pub dir: Option<PathBuf>,
     /// `--resume`: checkpoint the campaign and resume a compatible log.
     pub resume: bool,
-    /// `--store-budget BYTES`: compact the compile-cache tables down to
-    /// this combined byte budget after the run.
+    /// `--store-budget BYTES`: compact the prefix table after the run so
+    /// that it and `frontier.bin` fit this byte budget.
     pub budget: Option<u64>,
 }
 
@@ -268,11 +268,9 @@ pub fn report_expected_misses(stats: &CampaignStats) {
     eprintln!("{}", line.render());
 }
 
-/// One compile-cache table's telemetry line (`[store] prefix: …` /
-/// `[store] sanitized: …` share the shape exactly, so they share the
-/// builder chain).
-fn cache_table_line(topic: &str, t: &store::StoreTelemetry, hits: u64, misses: u64) -> String {
-    Line::new("store", topic)
+/// The prefix table's telemetry line (`[store] prefix: …`).
+fn prefix_line(t: &store::StoreTelemetry, hits: u64, misses: u64) -> String {
+    Line::new("store", "prefix")
         .field("loaded", t.loaded())
         .field("persisted", t.persisted())
         .field("hits", hits)
@@ -283,22 +281,16 @@ fn cache_table_line(topic: &str, t: &store::StoreTelemetry, hits: u64, misses: u
 }
 
 /// Prints the store-backed compile-cache telemetry lines (stderr, stable
-/// format — the CI persistence job greps ` misses=0 ` and
-/// `sanitized: .* misses=0 `). No-op for in-memory backends. The size line
-/// covers every table in the directory — `frontier.bin` included, so the
-/// reported total is what the directory actually occupies.
+/// format — the CI persistence job greps `[store] prefix: .* misses=0 `).
+/// No-op for in-memory backends. The size line covers `frontier.bin` too,
+/// so the reported total is what the compile cache and the frontier
+/// occupy.
 pub fn report_store_telemetry(backend: &SimBackend, store_args: &StoreArgs) {
     let Some(prefix) = backend.prefix_store() else { return };
     let cache = backend.session().stats();
     let t = prefix.telemetry();
-    eprintln!("{}", cache_table_line("prefix", t, cache.hits, cache.misses));
+    eprintln!("{}", prefix_line(t, cache.hits, cache.misses));
     for event in t.events() {
-        eprintln!("{}", event_line("store", &event));
-    }
-    let Some(sanitized) = backend.sanitized_store() else { return };
-    let st = sanitized.telemetry();
-    eprintln!("{}", cache_table_line("sanitized", st, cache.san_hits, cache.san_misses));
-    for event in st.events() {
         eprintln!("{}", event_line("store", &event));
     }
     let frontier =
@@ -307,9 +299,8 @@ pub fn report_store_telemetry(backend: &SimBackend, store_args: &StoreArgs) {
         "{}",
         Line::new("store", "size")
             .field("prefix", prefix.size_bytes())
-            .field("sanitized", sanitized.size_bytes())
             .field("frontier", frontier)
-            .field("total", prefix.size_bytes() + sanitized.size_bytes() + frontier)
+            .field("total", prefix.size_bytes() + frontier)
             .render()
     );
 }
@@ -462,10 +453,9 @@ impl PolicyComparison {
 /// (pinned by the `table9.txt` golden): the SAME seed range runs under
 /// the full, `partial:500`, and none policies over ONE store directory.
 /// The sanitizer-independent prefix stage compiles once and replays into
-/// the other legs; only the sanitize stage differs, and each partial subset
-/// keys the sanitized table by its site-subset fingerprint, so warm replays
-/// never alias across subsets. Every leg is a pure function of
-/// `(seeds, policy)`, so the rendered table is byte-stable.
+/// the other legs; only the sanitize stage differs, and it runs for every
+/// leg, so no leg can see another's site subset. Every leg is a pure
+/// function of `(seeds, policy)`, so the rendered table is byte-stable.
 pub fn compare_policies(seeds: usize, dir: &Path) -> PolicyComparison {
     let leg = |policy: SanPolicy| {
         let capacity = CampaignConfig::builder().seeds(seeds).build().prefix_key_bound();
@@ -481,63 +471,33 @@ pub fn compare_policies(seeds: usize, dir: &Path) -> PolicyComparison {
     PolicyComparison { full, partial, none }
 }
 
-/// Compacts both compile-cache tables down to a combined byte budget,
-/// split between `prefix.bin` and `sanitized.bin` proportionally to their
-/// current on-disk sizes (an empty pair splits evenly). `frontier_bytes` is
-/// the on-disk size of `frontier.bin`, which is not compactable (bounded by
-/// the static coverage registry, rewritten wholesale) but still occupies
-/// the directory — its bytes are reserved off the top so the combined
-/// directory honours the requested budget. Returns the per-table accounting
-/// in `(prefix, sanitized)` order.
-pub fn compact_stores(
-    prefix: &store::PrefixStore,
-    sanitized: &store::SanitizedStore,
-    frontier_bytes: u64,
-    budget: u64,
-) -> (store::CompactStats, store::CompactStats) {
-    let budget = budget.saturating_sub(frontier_bytes);
-    let p = prefix.size_bytes();
-    let total = p + sanitized.size_bytes();
-    let prefix_budget = if total == 0 {
-        budget / 2
-    } else {
-        (budget as u128 * p as u128 / total as u128) as u64
-    };
-    let ps = prefix.compact(prefix_budget);
-    let ss = sanitized.compact(budget - prefix_budget);
-    (ps, ss)
-}
-
 /// Runs the post-run compaction pass when `--store-budget` was given,
-/// reporting per-table before/after accounting on stderr. No-op for
-/// in-memory backends or when no budget was requested.
+/// reporting before/after accounting on stderr. No-op for in-memory
+/// backends or when no budget was requested.
 pub fn compact_backend_stores(backend: &SimBackend, store_args: &StoreArgs) {
-    let Some(budget) = store_args.budget else { return };
-    let (Some(prefix), Some(sanitized)) = (backend.prefix_store(), backend.sanitized_store())
-    else {
+    let (Some(budget), Some(prefix)) = (store_args.budget, backend.prefix_store()) else {
         return;
     };
+    // `frontier.bin` is not compactable (the static coverage registry
+    // bounds it), but its bytes count against the directory's budget.
     let frontier =
         store_args.dir.as_deref().map_or(0, |dir| store::FrontierStore::open(dir).size_bytes());
-    let (ps, ss) = compact_stores(prefix, sanitized, frontier, budget);
-    report_compaction(&ps, &ss);
+    report_compaction(&prefix.compact(budget.saturating_sub(frontier)));
 }
 
 /// The shared `[store] compact:` stderr report both the binaries and the
 /// standalone compactor print.
-pub fn report_compaction(prefix: &store::CompactStats, sanitized: &store::CompactStats) {
-    for (table, s) in [("prefix", prefix), ("sanitized", sanitized)] {
-        eprintln!(
-            "{}",
-            Line::new("store", "compact")
-                .text(table)
-                .field("before", s.before_bytes)
-                .field("after", s.after_bytes)
-                .field("kept", s.kept)
-                .field("evicted", s.evicted)
-                .render()
-        );
-    }
+pub fn report_compaction(s: &store::CompactStats) {
+    eprintln!(
+        "{}",
+        Line::new("store", "compact")
+            .text("prefix")
+            .field("before", s.before_bytes)
+            .field("after", s.after_bytes)
+            .field("kept", s.kept)
+            .field("evicted", s.evicted)
+            .render()
+    );
 }
 
 #[cfg(test)]
@@ -577,7 +537,7 @@ mod tests {
             "[store] compact: prefix before=10 after=5 kept=1 evicted=2"
         );
         assert_eq!(
-            cache_table_line("prefix", &store::StoreTelemetry::default(), 4, 0),
+            prefix_line(&store::StoreTelemetry::default(), 4, 0),
             "[store] prefix: loaded=0 persisted=0 hits=4 misses=0 cold=false truncated=false"
         );
         assert_eq!(

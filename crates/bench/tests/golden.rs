@@ -129,22 +129,19 @@ fn malformed_figure_exits_2() {
     assert_rejected(FIGURES, &["--figure", "x"]);
 }
 
-/// The `after=` byte counts of the `[store] compact:` lines on stderr.
+/// The `after=` byte count of the one `[store] compact: prefix` line on
+/// stderr.
 fn compacted_bytes(stderr: &[u8]) -> u64 {
     let text = String::from_utf8_lossy(stderr);
     let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("[store] compact: ")).collect();
-    assert_eq!(lines.len(), 2, "one compact line per table:\n{text}");
-    lines
-        .iter()
-        .map(|line| {
-            let after = line.split(' ').find_map(|f| f.strip_prefix("after=")).expect("after=");
-            after.parse::<u64>().expect("after= is a byte count")
-        })
-        .sum()
+    assert_eq!(lines.len(), 1, "one compact line:\n{text}");
+    assert!(lines[0].starts_with("[store] compact: prefix "), "{text}");
+    let after = lines[0].split(' ').find_map(|f| f.strip_prefix("after=")).expect("after=");
+    after.parse::<u64>().expect("after= is a byte count")
 }
 
-/// Compacting a store keeps its compile-cache tables plus the frontier
-/// within the requested byte budget, and a campaign over the compacted
+/// Compacting a store keeps its prefix table plus the frontier within the
+/// requested byte budget, and a campaign over the compacted
 /// store renders the same tables.
 #[test]
 fn compaction_respects_its_budget_and_is_invisible() {
@@ -157,7 +154,8 @@ fn compaction_respects_its_budget_and_is_invisible() {
     assert!(first.status.success());
     let size = |table: &str| std::fs::metadata(dir.join(table)).map_or(0, |m| m.len());
     let frontier = size("frontier.bin");
-    let budget = (size("prefix.bin") + size("sanitized.bin") + frontier) / 2;
+    assert_eq!(size("sanitized.bin"), 0, "no post-sanitize table is written");
+    let budget = (size("prefix.bin") + frontier) / 2;
     let compact =
         run(COMPACT, &["--store", store, "--store-budget", &budget.to_string()], Stdio::piped());
     assert!(compact.status.success());

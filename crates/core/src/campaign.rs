@@ -359,9 +359,10 @@ pub struct CampaignStats {
     /// vary between machines): excluded from equality.
     pub oracle: OracleTelemetry,
     /// Sanitizer coverage points covered by the end of the run (loaded
-    /// frontier plus every unit's delta). Like `cache`: execution metadata
-    /// — an explicit warm backend can memoize a sanitize stage and so
-    /// suppress its instrumentation hits — excluded from equality.
+    /// frontier plus every unit's delta). Every unit runs its sanitizer
+    /// pass, so a warm store covers what a cold one does; the count still
+    /// depends on the frontier loaded from a store, so like `cache` it is
+    /// execution metadata, excluded from equality.
     pub frontier_points: usize,
     /// FNV fingerprint of that final frontier (see
     /// [`ubfuzz_guide::Frontier::fingerprint`]). Excluded from equality.

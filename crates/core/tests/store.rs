@@ -64,10 +64,11 @@ fn second_invocation_over_a_store_has_zero_prefix_misses() {
         .run();
     assert_eq!(first, second, "the store must be invisible to results");
     assert_eq!(second.cache.misses, 0, "warm store misses nothing: {:?}", second.cache);
-    assert_eq!(second.cache.san_misses, 0, "warm store re-sanitizes nothing: {:?}", second.cache);
-    // Warm sanitizer cells are served from the sanitize-stage layer and
-    // never reach the prefix layer, so reuse shows up in san_hits.
-    assert!(second.cache.hits + second.cache.san_hits > 0, "{:?}", second.cache);
+    // Every warm lookup is a prefix hit, and every sanitizer cell reruns
+    // the sanitizer pass over its fetched prefix.
+    assert_eq!(second.cache.hits, first.cache.hits + first.cache.misses, "{:?}", second.cache);
+    assert_eq!(second.cache.san_misses, first.cache.san_misses, "{:?}", second.cache);
+    assert_eq!(second.cache.san_hits, 0, "{:?}", second.cache);
     assert_eq!(
         ubfuzz::report::table3(&first),
         ubfuzz::report::table3(&second),
@@ -76,6 +77,41 @@ fn second_invocation_over_a_store_has_zero_prefix_misses() {
     // And the reference sequential loop agrees.
     assert_eq!(run_campaign(&cfg), second);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm store must not change what the sanitizers cover: a checkpointed
+/// campaign over a store that an earlier run without a checkpoint warmed
+/// ends with the same frontier, and saves the same `frontier.bin`, as the
+/// same campaign over an empty store.
+#[test]
+fn warm_store_keeps_the_cold_frontier() {
+    let (cold_dir, warm_dir) = (tmp_dir("frontier-cold"), tmp_dir("frontier-warm"));
+    let cfg = small_config(31);
+    let checkpointed = |dir: &PathBuf| {
+        let backend = SimBackend::with_store_capacity(dir, cfg.prefix_key_bound());
+        ParallelCampaign::new(cfg.clone())
+            .with_backend(Arc::new(backend))
+            .with_shards(2)
+            .with_checkpoint(dir)
+            .run()
+    };
+    let cold = checkpointed(&cold_dir);
+    assert!(cold.frontier_points > 0, "the campaign covers sanitizer points");
+
+    let warmup = SimBackend::with_store_capacity(&warm_dir, cfg.prefix_key_bound());
+    ParallelCampaign::new(cfg.clone()).with_backend(Arc::new(warmup)).with_shards(2).run();
+    assert!(!warm_dir.join("frontier.bin").exists(), "no checkpoint, no saved frontier");
+    let warm = checkpointed(&warm_dir);
+    assert_eq!(warm.cache.misses, 0, "the store was warm: {:?}", warm.cache);
+    assert_eq!(cold, warm);
+    assert_eq!(
+        (warm.frontier_points, warm.frontier_fingerprint),
+        (cold.frontier_points, cold.frontier_fingerprint)
+    );
+    let saved = |dir: &PathBuf| std::fs::read(dir.join("frontier.bin")).unwrap();
+    assert_eq!(saved(&warm_dir), saved(&cold_dir), "frontier.bin differs");
+    let _ = std::fs::remove_dir_all(&cold_dir);
+    let _ = std::fs::remove_dir_all(&warm_dir);
 }
 
 /// The checkpoint acceptance property: kill the campaign after every budget

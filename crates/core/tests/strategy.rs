@@ -126,11 +126,9 @@ proptest! {
     }
 }
 
-/// The frontier union of a fresh (cold-backend) run is deterministic across
-/// the sequential loop and the unit executor: the sanitize-stage memo can
-/// suppress *repeat* instrumentation hits, but over a fresh session every
-/// distinct sanitize key misses exactly once, so the union is a pure
-/// function of the campaign plan.
+/// The frontier union is deterministic across the sequential loop and the
+/// unit executor, cached or not: every unit runs its sanitizer pass, so the
+/// union is a pure function of the campaign plan.
 #[test]
 fn frontier_union_matches_between_sequential_and_parallel() {
     let cfg = small_config(11, Strategy::Uniform);

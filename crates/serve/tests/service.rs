@@ -35,24 +35,37 @@ use ubfuzz_serve::{client, run_daemon, DaemonConfig};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ubfuzz-serve");
 
-/// A fresh store directory per test.
-fn store_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ubfz-serve-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create store dir");
-    dir
+/// A test's store directory and daemon socket path, both removed when the
+/// test ends, whether it passes or not.
+struct Scratch {
+    dir: PathBuf,
+    socket: PathBuf,
 }
 
-/// A short socket path (AF_UNIX paths are length-limited).
-fn socket_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ubfz-{}-{tag}.sock", std::process::id()))
+impl Scratch {
+    /// A fresh store directory, and a short socket path (AF_UNIX paths are
+    /// length-limited).
+    fn new(tag: &str) -> Scratch {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("ubfz-serve-{pid}-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create store dir");
+        Scratch { dir, socket: std::env::temp_dir().join(format!("ubfz-{pid}-{tag}.sock")) }
+    }
+
+    fn daemon_config(&self) -> DaemonConfig {
+        let mut config = DaemonConfig::new(self.socket.clone(), self.dir.clone());
+        config.worker_bin = Some(PathBuf::from(WORKER_BIN));
+        config.worker_threads = 2;
+        config
+    }
 }
 
-fn daemon_config(tag: &str) -> DaemonConfig {
-    let mut config = DaemonConfig::new(socket_path(tag), store_dir(tag));
-    config.worker_bin = Some(PathBuf::from(WORKER_BIN));
-    config.worker_threads = 2;
-    config
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+        let _ = std::fs::remove_file(&self.socket);
+    }
 }
 
 /// What the daemon's REPORT must byte-match: the single-process rendering.
@@ -112,7 +125,8 @@ fn campaign_field(status: &str, id: u64, key: &str) -> String {
 #[test]
 fn daemon_report_is_bit_identical_and_resubmission_replays() {
     let reference = single_process_report();
-    let (socket, daemon) = start_daemon(daemon_config("e2e"));
+    let scratch = Scratch::new("e2e");
+    let (socket, daemon) = start_daemon(scratch.daemon_config());
 
     let id = client::submit(&socket, 3, 0, Some(2), ubfuzz::Strategy::Uniform, ubfuzz::SanPolicy::Full).expect("submit");
     assert_eq!(id, 1);
@@ -161,7 +175,8 @@ fn daemon_report_is_bit_identical_and_resubmission_replays() {
 #[test]
 fn sigkilled_worker_is_reclaimed_and_merge_still_bit_identical() {
     let reference = single_process_report();
-    let mut config = daemon_config("kill");
+    let scratch = Scratch::new("kill");
+    let mut config = scratch.daemon_config();
     // Workers hold their lease ~1.5s before working, so there is a
     // deterministic window in which SIGKILL lands on a live worker.
     config.worker_stall_ms = 1500;
@@ -211,7 +226,8 @@ fn sigkilled_worker_is_reclaimed_and_merge_still_bit_identical() {
 
 #[test]
 fn submissions_beyond_the_queue_bound_answer_busy() {
-    let mut config = daemon_config("busy");
+    let scratch = Scratch::new("busy");
+    let mut config = scratch.daemon_config();
     config.queue_cap = 1;
     // Keep campaign 1 running long enough that campaign 2 stays queued.
     config.worker_stall_ms = 1500;
@@ -247,7 +263,8 @@ fn submissions_beyond_the_queue_bound_answer_busy() {
 #[test]
 fn silent_client_does_not_stall_status_beyond_the_deadline() {
     use std::io::Read as _;
-    let (socket, daemon) = start_daemon(daemon_config("silent"));
+    let scratch = Scratch::new("silent");
+    let (socket, daemon) = start_daemon(scratch.daemon_config());
     use std::io::Write as _;
     let mut silent = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
     // STATUS by hand, with a client-side timeout well past the deadline,
@@ -274,7 +291,8 @@ fn silent_client_does_not_stall_status_beyond_the_deadline() {
 #[test]
 fn dripping_client_is_cut_off_at_the_deadline() {
     use std::io::{Read as _, Write as _};
-    let (socket, daemon) = start_daemon(daemon_config("drip"));
+    let scratch = Scratch::new("drip");
+    let (socket, daemon) = start_daemon(scratch.daemon_config());
     let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
     let t = Instant::now();
     // Drip "STATUS" (no newline) a byte every 500 ms until the daemon
@@ -306,7 +324,8 @@ fn dripping_client_is_cut_off_at_the_deadline() {
 #[test]
 fn over_long_request_is_rejected_and_the_daemon_keeps_serving() {
     use std::io::{Read as _, Write as _};
-    let (socket, daemon) = start_daemon(daemon_config("long"));
+    let scratch = Scratch::new("long");
+    let (socket, daemon) = start_daemon(scratch.daemon_config());
     let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
     stream.write_all(&[b'A'; 5000]).expect("write");
     // The daemon closes with the rest of the line unread, which resets the
@@ -328,7 +347,8 @@ fn over_long_request_is_rejected_and_the_daemon_keeps_serving() {
 /// rejected as `err bad-request` without dropping the connection.
 #[test]
 fn guided_submission_reports_strategy_and_persists_the_frontier() {
-    let config = daemon_config("guided");
+    let scratch = Scratch::new("guided");
+    let config = scratch.daemon_config();
     let store = config.store.clone();
     let (socket, daemon) = start_daemon(config);
 
@@ -354,7 +374,8 @@ fn guided_submission_reports_strategy_and_persists_the_frontier() {
 /// STATUS keeps answering, and SHUTDOWN still joins the daemon.
 #[test]
 fn unspawnable_worker_binary_fails_the_campaign_instead_of_wedging() {
-    let mut config = daemon_config("nobin");
+    let scratch = Scratch::new("nobin");
+    let mut config = scratch.daemon_config();
     config.worker_bin = Some(PathBuf::from("/nonexistent/ubfuzz-worker"));
     let workers = 2;
     // The daemon's cap on re-issues per campaign: 8 per worker process.
@@ -402,7 +423,8 @@ fn unspawnable_worker_binary_fails_the_campaign_instead_of_wedging() {
 #[test]
 fn concurrent_store_opens_survive_racing_and_killed_workers() {
     let seeds = 3;
-    let dir = store_dir("race");
+    let scratch = Scratch::new("race");
+    let dir = scratch.dir.clone();
     let cfg = CampaignConfig::builder().seeds(seeds).build();
     let (fingerprint, units) = plan_campaign(&cfg, true, Some(&dir));
     assert!(units > 0);

@@ -340,8 +340,7 @@ pub const DEFECTS: &[Defect] = &[
 #[derive(Debug, Clone)]
 pub struct DefectRegistry {
     enabled: Vec<&'static str>,
-    /// Stable fingerprint of the enabled set, precomputed because the
-    /// sanitize-stage cache keys on it for every compile.
+    /// Stable fingerprint of the enabled set, precomputed at construction.
     fp: u64,
 }
 
@@ -390,9 +389,8 @@ impl DefectRegistry {
     }
 
     /// A stable fingerprint of the enabled-defect set — the "registry
-    /// epoch" in sanitize-stage cache keys. Equal sets (in any order)
-    /// fingerprint equally; the value is stable across builds so it can be
-    /// persisted in store keys.
+    /// epoch". Equal sets (in any order) fingerprint equally; the value is
+    /// stable across builds so it can be persisted.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }

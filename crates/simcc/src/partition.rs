@@ -92,11 +92,10 @@ impl SanPolicy {
         }
     }
 
-    /// The site-subset fingerprint that slots into the sanitize-cache key.
+    /// A fingerprint of the site subset the policy keeps.
     ///
-    /// `Full` is 0 so existing keys are unchanged; distinct non-full
-    /// policies get distinct fingerprints so their cache entries never
-    /// alias.
+    /// `Full` is 0; distinct non-full policies get distinct fingerprints,
+    /// so keys built from them never alias.
     pub fn subset_fingerprint(&self) -> u64 {
         match *self {
             SanPolicy::Full => 0,

@@ -15,11 +15,10 @@
 //!
 //! The session holds only what a campaign reads again: the prefix memo is
 //! bounded by a key budget and a constant byte ceiling
-//! ([`CompileSession::MAX_RESIDENT_BYTES`]), and the sanitize layer is its
-//! [`Backing`] alone (every unit is its own [`SanKey`]). Reuse across
-//! campaigns and invocations is the backings' job (the store): one
-//! [`Backing`] trait serves both layers, keyed by [`PrefixCell`] and
-//! [`SanKey`].
+//! ([`CompileSession::MAX_RESIDENT_BYTES`]). Reuse across campaigns and
+//! invocations is the [`Backing`]'s job (the store's prefix table). The
+//! sanitizer pass and late cleanup run on every compile: they are cheap,
+//! and running them is what records the sanitizers' coverage hits.
 //!
 //! Correctness does not depend on the cache: every stage is a deterministic
 //! function, so `sanitize + late-opts` over a cloned cached prefix is
@@ -28,7 +27,7 @@
 //! back every worker of a parallel campaign; sharing changes *which* lookups
 //! hit, never what any compile returns.
 
-use crate::ir::{Module, Sanitizer};
+use crate::ir::Module;
 use crate::lower::CompileError;
 use crate::pipeline::{
     check_supported, compile_prefix, early_opt_stage, late_opt_stage, lower_stage, prefix_class,
@@ -76,22 +75,20 @@ impl ProgramFingerprint {
     }
 }
 
-/// Cache telemetry: lookups served from each cache layer vs. computed.
-///
-/// `hits`/`misses` count the sanitizer-independent *prefix* layer;
-/// `san_hits`/`san_misses` count the *sanitize-stage* layer (one lookup per
-/// sanitizer compile, a hit only when the sanitize [`Backing`] serves it).
-/// A sanitize-layer hit skips the prefix lookup entirely, so the two pairs
-/// partition different lookup populations — never sum them into one ratio.
+/// Cache telemetry: prefix lookups served from the cache vs. computed,
+/// and the sanitizer passes run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Prefix lookups served from the cache.
     pub hits: u64,
     /// Prefix lookups that had to run `lower → early-opts`.
     pub misses: u64,
-    /// Sanitize-stage lookups served from the cache.
+    /// Always 0: nothing caches a sanitized module. Kept only because the
+    /// benchmark harness (`ubbench`) still reads it; it goes with the next
+    /// change to the benchmark.
     pub san_hits: u64,
-    /// Sanitize-stage lookups that had to run the sanitizer pass.
+    /// Sanitizer compiles on an enabled session: each runs the sanitizer
+    /// pass.
     pub san_misses: u64,
 }
 
@@ -103,17 +100,6 @@ impl SessionStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of sanitize-stage lookups served from the cache (0.0 when
-    /// idle).
-    pub fn san_reuse_ratio(&self) -> f64 {
-        let total = self.san_hits + self.san_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.san_hits as f64 / total as f64
         }
     }
 }
@@ -172,32 +158,6 @@ impl PrefixCell {
     }
 }
 
-/// The sanitize-stage cache key: the full `(program, compiler, opt)` cell
-/// (the sanitizer pass reads the version, which early-opt does not)
-/// extended by the sanitizer, the defect-registry epoch and the
-/// partial-sanitization site-subset fingerprint (the pass reads all
-/// three). `subset_fp` is 0 for [`crate::partition::SanPolicy::Full`], so
-/// full-policy keys are unchanged; distinct policies get distinct
-/// fingerprints and can never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SanKey {
-    /// Fingerprint hash of the canonical source.
-    pub hash: u64,
-    /// Compiler identity.
-    pub compiler: CompilerId,
-    /// Optimization level.
-    pub opt: OptLevel,
-    /// The sanitizer.
-    pub sanitizer: Sanitizer,
-    /// Fingerprint of the defect-registry epoch
-    /// ([`crate::defects::DefectRegistry::fingerprint`]).
-    pub registry_fp: u64,
-    /// Site-subset fingerprint of the partial-sanitization policy
-    /// ([`crate::partition::SanPolicy::subset_fingerprint`]; 0 for the
-    /// full policy).
-    pub subset_fp: u64,
-}
-
 /// One persisted cache entry, as a [`Backing`] serves it for a key the
 /// caller already holds.
 #[derive(Debug, Clone)]
@@ -205,17 +165,11 @@ pub struct Persisted {
     /// Canonical pretty-printed source: the collision guard the session
     /// checks before using the module.
     pub source: String,
-    /// The cached module: the `lower → early-opts` output under a
-    /// [`PrefixCell`], the post-sanitize module under a [`SanKey`] (late
-    /// opts still run per lookup — they are cheap and depend only on the
-    /// opt level already in the key).
+    /// The cached `lower → early-opts` module.
     pub module: Module,
 }
 
-/// A persistence sink/source behind one cache layer of the session:
-/// `Backing<PrefixCell>` behind the prefix memo, `Backing<SanKey>` as the
-/// whole sanitize-stage layer (the session keeps no sanitized modules in
-/// memory, since each unit is its own [`SanKey`]).
+/// A persistence sink/source behind the session's prefix memo.
 ///
 /// A backing makes the session warm across *invocations*: every lookup the
 /// session cannot answer from memory first asks the backing for an entry a
@@ -227,41 +181,30 @@ pub struct Persisted {
 /// Correctness note: a backing can only serve or re-observe outputs of
 /// deterministic stages, so it can change *when* a stage runs, never what a
 /// compile returns.
-pub trait Backing<K>: Send + Sync + std::fmt::Debug {
+pub trait Backing: Send + Sync + std::fmt::Debug {
     /// The persisted entry of `key`, if any; the session checks its source.
-    /// For a [`PrefixCell`] the entry may have been computed by another
-    /// cell of the class. Called outside the session's lock; `None` on
-    /// anything the backing cannot serve.
-    fn fetch(&self, key: &K) -> Option<Persisted>;
+    /// The entry may have been computed by another cell of the key's
+    /// class. Called outside the session's lock; `None` on anything the
+    /// backing cannot serve.
+    fn fetch(&self, key: &PrefixCell) -> Option<Persisted>;
 
     /// Offers a freshly computed module for persistence, by reference so
     /// the miss path pays no clone (the backing serializes from the
-    /// borrow). Called after each miss, outside the session's lock — for a
-    /// prefix miss, first for the program's [`PrefixClass::Lowered`] entry
-    /// when the miss lowered it. An epoch clear (key budget or byte
-    /// ceiling) makes the session recompute and re-offer what the backing
-    /// could not serve, so implementations are expected to dedup re-offers.
-    fn persist(&self, key: K, source: &str, module: &Module);
+    /// borrow). Called after each miss, outside the session's lock — first
+    /// for the program's [`PrefixClass::Lowered`] entry when the miss
+    /// lowered it. An epoch clear (key budget or byte ceiling) makes the
+    /// session recompute and re-offer what the backing could not serve, so
+    /// implementations are expected to dedup re-offers.
+    fn persist(&self, key: PrefixCell, source: &str, module: &Module);
 
     /// Observes a hit on `key` — recency feedback for backings with a byte
-    /// budget (least-recently-hit eviction). A prefix key is the requesting
+    /// budget (least-recently-hit eviction). The key is the requesting
     /// cell, which may differ from the cell that computed the entry; a
     /// backing keyed by [`PrefixClass`] maps every cell of a class to the
     /// same record. Default: ignored.
-    fn note_hit(&self, key: &K) {
+    fn note_hit(&self, key: &PrefixCell) {
         let _ = key;
     }
-}
-
-/// `backing`'s module for `key` when the entry's source is `fp`'s — the
-/// source-verified lookup both cache layers share.
-fn verified<K>(
-    backing: Option<&dyn Backing<K>>,
-    key: &K,
-    fp: &ProgramFingerprint,
-) -> Option<Module> {
-    let entry = backing?.fetch(key)?;
-    (entry.source == fp.source).then_some(entry.module)
 }
 
 /// The resident prefix entries and their estimated heap bytes
@@ -326,7 +269,7 @@ impl Memo {
 ///
 /// Memory is bounded by bytes ([`CompileSession::resident_bytes`] never
 /// exceeds [`CompileSession::MAX_RESIDENT_BYTES`]) and sanitized modules
-/// are never held: the sanitize layer is its [`Backing`] alone.
+/// are never held.
 /// The cache lock recovers from poisoning (a compile that panicked
 /// elsewhere): the memo only holds deterministic stage outputs, so a
 /// recovered entry is still correct.
@@ -341,12 +284,9 @@ pub struct CompileSession {
     capacity: usize,
     /// Cross-invocation persistence, when attached
     /// ([`CompileSession::with_backing`]).
-    backing: Option<Arc<dyn Backing<PrefixCell>>>,
-    /// The sanitize-stage layer ([`CompileSession::with_backings`]).
-    san_backing: Option<Arc<dyn Backing<SanKey>>>,
+    backing: Option<Arc<dyn Backing>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    san_hits: AtomicU64,
     san_misses: AtomicU64,
     /// Cache locks recovered after a panicking holder poisoned them.
     lock_recoveries: AtomicUsize,
@@ -391,23 +331,8 @@ impl CompileSession {
     /// inserted into the memo — memory holds what this process computed, the
     /// backing serves what earlier processes computed — and every fresh
     /// computation is offered back through [`Backing::persist`].
-    pub fn with_backing(capacity: usize, backing: Arc<dyn Backing<PrefixCell>>) -> CompileSession {
-        CompileSession::with_backings(capacity, backing, None)
-    }
-
-    /// [`CompileSession::with_backing`] plus an optional sanitize-stage
-    /// backing, asked on every sanitizer compile and offered every
-    /// sanitize-layer miss.
-    pub fn with_backings(
-        capacity: usize,
-        backing: Arc<dyn Backing<PrefixCell>>,
-        san_backing: Option<Arc<dyn Backing<SanKey>>>,
-    ) -> CompileSession {
-        CompileSession {
-            backing: Some(backing),
-            san_backing,
-            ..CompileSession::with_capacity(capacity)
-        }
+    pub fn with_backing(capacity: usize, backing: Arc<dyn Backing>) -> CompileSession {
+        CompileSession { backing: Some(backing), ..CompileSession::with_capacity(capacity) }
     }
 
     /// A pass-through session: every compile runs the full pipeline and no
@@ -417,10 +342,8 @@ impl CompileSession {
             cache: None,
             capacity: 0,
             backing: None,
-            san_backing: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            san_hits: AtomicU64::new(0),
             san_misses: AtomicU64::new(0),
             lock_recoveries: AtomicUsize::new(0),
         }
@@ -451,7 +374,7 @@ impl CompileSession {
         SessionStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            san_hits: self.san_hits.load(Ordering::Relaxed),
+            san_hits: 0,
             san_misses: self.san_misses.load(Ordering::Relaxed),
         }
     }
@@ -487,50 +410,16 @@ impl CompileSession {
         cfg: &CompileConfig<'_>,
     ) -> Result<Module, CompileError> {
         check_supported(cfg)?;
-        // A sanitizer compile on an enabled session is one sanitize-layer
-        // lookup, answered by the sanitize backing alone.
-        let san_key = cfg.sanitizer.filter(|_| self.enabled()).map(|sanitizer| SanKey {
-            hash: fp.hash,
-            compiler: cfg.compiler,
-            opt: cfg.opt,
-            sanitizer,
-            registry_fp: cfg.registry.fingerprint(),
-            subset_fp: cfg.san_policy.subset_fingerprint(),
-        });
-        let fetched = san_key.as_ref().and_then(|key| self.sanitized(key, fp));
-        let mut module = match fetched {
-            Some(module) => module,
-            // A sanitize-layer miss, or no sanitizer (`sanitize_stage` is
-            // then a no-op). Disabled sessions land here too and fall
-            // through to the uncached pipeline inside `prefix`.
-            None => {
-                let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
-                obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
-                if let (Some(key), Some(backing)) = (san_key, &self.san_backing) {
-                    backing.persist(key, &fp.source, &module);
-                }
-                module
-            }
-        };
-        obs::time(Stage::LateOpt, 0, || late_opt_stage(&mut module, cfg.opt));
-        Ok(module)
-    }
-
-    /// The sanitize-layer lookup: the backing's post-sanitize module for
-    /// `key` when its source matches, counted as a hit or a miss.
-    fn sanitized(&self, key: &SanKey, fp: &ProgramFingerprint) -> Option<Module> {
-        let backing = self.san_backing.as_deref();
-        let hit = verified(backing, key, fp);
-        if let (Some(backing), Some(_)) = (backing, &hit) {
-            backing.note_hit(key); // recency feedback for byte-budgeted backings
-            self.san_hits.fetch_add(1, Ordering::Relaxed);
-            obs::count("san_hits", 1);
-            obs::count("san_store_hits", 1);
-        } else {
+        if cfg.sanitizer.is_some() && self.enabled() {
             self.san_misses.fetch_add(1, Ordering::Relaxed);
             obs::count("san_misses", 1);
         }
-        hit
+        // Disabled sessions fall through to the uncached pipeline inside
+        // `prefix`; without a sanitizer `sanitize_stage` is a no-op.
+        let mut module = self.prefix(fp, program, cfg.compiler, cfg.opt)?;
+        obs::time(Stage::Sanitize, 0, || sanitize_stage(&mut module, cfg));
+        obs::time(Stage::LateOpt, 0, || late_opt_stage(&mut module, cfg.opt));
+        Ok(module)
     }
 
     /// The memoized `lower → early-opts` prefix, keyed by the cell's
@@ -549,8 +438,7 @@ impl CompileSession {
         let cell = PrefixCell { hash: fp.hash, compiler, opt };
         let key = PrefixKey { hash: fp.hash, class: cell.class() };
         let hit = self.resident(&key, fp).or_else(|| {
-            verified(self.backing.as_deref(), &cell, fp)
-                .inspect(|_| obs::count("prefix_store_hits", 1))
+            self.stored(&cell, fp).inspect(|_| obs::count("prefix_store_hits", 1))
         });
         if let Some(mut module) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -577,8 +465,8 @@ impl CompileSession {
             if key.class == PrefixClass::Lowered {
                 return Ok((lower_stage(program, compiler, opt)?, None));
             }
-            let lowered = self.resident(&lowered_key, fp);
-            let lowered = lowered.or_else(|| verified(self.backing.as_deref(), &lowered_cell, fp));
+            let lowered =
+                self.resident(&lowered_key, fp).or_else(|| self.stored(&lowered_cell, fp));
             let (mut module, fresh) = match lowered {
                 Some(module) => (module, None),
                 None => {
@@ -613,6 +501,13 @@ impl CompileSession {
     fn resident(&self, key: &PrefixKey, fp: &ProgramFingerprint) -> Option<Module> {
         let entry = relock(self.cache.as_ref()?, &self.lock_recoveries).get(key, fp).cloned();
         entry.map(|module| Module::clone(&module))
+    }
+
+    /// The backing's entry for `cell` when its source is `fp`'s: a
+    /// fingerprint collision never serves another program's module.
+    fn stored(&self, cell: &PrefixCell, fp: &ProgramFingerprint) -> Option<Module> {
+        let entry = self.backing.as_ref()?.fetch(cell)?;
+        (entry.source == fp.source).then_some(entry.module)
     }
 }
 
@@ -675,16 +570,16 @@ mod tests {
         let stats = session.stats();
         // The dev heads' 2 vendors × 5 levels fall into 7 prefix classes
         // (-O0, -O1 and -Os are shared across vendors), each first missed
-        // by one cell; every sanitizer cell is a sanitize-layer miss that
-        // then *hits* the resident prefix (GCC×MSan never gets past
+        // by one cell; every sanitizer cell runs the sanitizer pass over a
+        // prefix that is then mostly *resident* (GCC×MSan never gets past
         // check_supported).
         assert_eq!(stats.misses, 7, "{stats:?}");
         assert!(stats.hits > 0, "{stats:?}");
         assert!(stats.reuse_ratio() > 0.5, "{stats:?}");
-        assert_eq!(stats.san_misses, 25, "every sanitizer cell is distinct: {stats:?}");
+        assert_eq!(stats.san_misses, 25, "one sanitizer pass per cell: {stats:?}");
         assert_eq!(stats.san_hits, 0, "{stats:?}");
-        // Replaying one sanitizer cell is a sanitize-layer miss (the session
-        // holds no sanitized modules) that hits the resident prefix:
+        // Replaying one sanitizer cell reruns the sanitizer pass (the
+        // session holds no sanitized modules) over the resident prefix:
         // identical output, no prefix recomputed.
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Asan), &reg);
         assert_eq!(session.compile_fp(&fp, &p, &cfg).unwrap(), compile(&p, &cfg).unwrap());
@@ -817,154 +712,90 @@ mod tests {
         assert!(session.resident_bytes() <= CompileSession::MAX_RESIDENT_BYTES);
     }
 
-    /// What an in-memory backing dedups and matches keys by, as the store
-    /// tables do: a prefix cell by its class.
-    trait MemKey: Copy + Send + Sync + std::fmt::Debug {
-        type Id: PartialEq;
-        fn id(&self) -> Self::Id;
-    }
-
-    impl MemKey for PrefixCell {
-        type Id = (u64, PrefixClass);
-        fn id(&self) -> (u64, PrefixClass) {
-            (self.hash, self.class())
-        }
-    }
-
-    impl MemKey for SanKey {
-        type Id = SanKey;
-        fn id(&self) -> SanKey {
-            *self
-        }
-    }
-
     /// An in-memory backing: what `ubfuzz-store` does with a file, minus
-    /// the file.
-    #[derive(Debug)]
-    struct MemBacking<K> {
-        entries: Mutex<Vec<(K, Persisted)>>,
+    /// the file. Like the store's prefix table, it dedups and matches a
+    /// cell by its class.
+    #[derive(Debug, Default)]
+    struct MemBacking {
+        entries: Mutex<Vec<(PrefixCell, Persisted)>>,
         hits: Mutex<u64>,
     }
 
-    impl<K> Default for MemBacking<K> {
-        fn default() -> MemBacking<K> {
-            MemBacking { entries: Mutex::default(), hits: Mutex::default() }
-        }
+    fn same_class(a: &PrefixCell, b: &PrefixCell) -> bool {
+        (a.hash, a.class()) == (b.hash, b.class())
     }
 
-    impl<K: MemKey> Backing<K> for MemBacking<K> {
-        fn fetch(&self, key: &K) -> Option<Persisted> {
+    impl Backing for MemBacking {
+        fn fetch(&self, key: &PrefixCell) -> Option<Persisted> {
             let entries = self.entries.lock().unwrap();
-            entries.iter().find(|(k, _)| k.id() == key.id()).map(|(_, e)| e.clone())
+            entries.iter().find(|(k, _)| same_class(k, key)).map(|(_, e)| e.clone())
         }
 
-        fn persist(&self, key: K, source: &str, module: &Module) {
+        fn persist(&self, key: PrefixCell, source: &str, module: &Module) {
             let mut entries = self.entries.lock().unwrap();
-            if !entries.iter().any(|(k, _)| k.id() == key.id()) {
+            if !entries.iter().any(|(k, _)| same_class(k, &key)) {
                 let entry = Persisted { source: source.to_string(), module: module.clone() };
                 entries.push((key, entry));
             }
         }
 
-        fn note_hit(&self, _key: &K) {
+        fn note_hit(&self, _key: &PrefixCell) {
             *self.hits.lock().unwrap() += 1;
         }
     }
 
     #[test]
-    fn sanitize_layer_persists_and_warm_starts_without_touching_the_prefix() {
-        let reg = DefectRegistry::full();
-        let p = program();
-        let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Ubsan), &reg);
-        let prefix = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
-        let san = std::sync::Arc::new(MemBacking::<SanKey>::default());
-
-        // Cold: a sanitize miss that computes (and persists) both layers.
-        let first =
-            CompileSession::with_backings(64, prefix.clone(), Some(san.clone()));
-        assert_eq!(san.entries.lock().unwrap().len(), 0);
-        let out_first = first.compile(&p, &cfg).unwrap();
-        assert_eq!(
-            first.stats(),
-            SessionStats { hits: 0, misses: 1, san_hits: 0, san_misses: 1 }
-        );
-        assert_eq!(san.entries.lock().unwrap().len(), 1);
-        // The -O2 prefix and the Lowered entry it started from.
-        assert_eq!(prefix.entries.lock().unwrap().len(), 2);
-
-        // Warm: the sanitized module is fetched, the compile is a pure
-        // sanitize-layer hit, and the prefix layer is never consulted.
-        let second =
-            CompileSession::with_backings(64, prefix.clone(), Some(san.clone()));
-        assert_eq!(san.entries.lock().unwrap().len(), 1);
-        assert_eq!(second.compile(&p, &cfg).unwrap(), out_first);
-        assert_eq!(
-            second.stats(),
-            SessionStats { hits: 0, misses: 0, san_hits: 1, san_misses: 0 }
-        );
-        assert_eq!(*san.hits.lock().unwrap(), 1, "hit recency reaches the backing");
-    }
-
-    /// A session over both in-memory backings: the sanitize layer is its
-    /// backing, so sanitize-layer hits need one.
-    fn backed_session() -> CompileSession {
-        CompileSession::with_backings(
-            CompileSession::DEFAULT_CAPACITY,
-            Arc::new(MemBacking::<PrefixCell>::default()),
-            Some(Arc::new(MemBacking::<SanKey>::default())),
-        )
-    }
-
-    #[test]
-    fn sanitize_cache_is_keyed_by_registry_epoch() {
+    fn registry_epochs_share_the_prefix_and_sanitize_apart() {
         // The same (program, compiler, opt, sanitizer) under different
-        // defect registries must not alias: the epoch is part of the key.
+        // defect registries: the prefix does not read the registry, so the
+        // second compile hits it, and the sanitizer pass that does read it
+        // runs again for each.
         let full = DefectRegistry::full();
         let pristine = DefectRegistry::pristine();
         let p = program();
-        let session = backed_session();
+        let session = CompileSession::new();
         let cfg_full = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &full);
         let cfg_pristine =
             CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &pristine);
-        let a = session.compile(&p, &cfg_full).unwrap();
-        let b = session.compile(&p, &cfg_pristine).unwrap();
-        assert_eq!(session.stats().san_misses, 2, "distinct epochs, distinct entries");
-        assert_eq!(a, compile(&p, &cfg_full).unwrap());
-        assert_eq!(b, compile(&p, &cfg_pristine).unwrap());
-        // And replays of both hit their own entry.
-        assert_eq!(session.compile(&p, &cfg_full).unwrap(), a);
-        assert_eq!(session.compile(&p, &cfg_pristine).unwrap(), b);
-        assert_eq!(session.stats().san_hits, 2);
+        for _ in 0..2 {
+            assert_eq!(session.compile(&p, &cfg_full).unwrap(), compile(&p, &cfg_full).unwrap());
+            let b = session.compile(&p, &cfg_pristine).unwrap();
+            assert_eq!(b, compile(&p, &cfg_pristine).unwrap());
+        }
+        assert_eq!(
+            session.stats(),
+            SessionStats { hits: 3, misses: 1, san_hits: 0, san_misses: 4 }
+        );
     }
 
     #[test]
-    fn sanitize_cache_is_keyed_by_subset_fingerprint() {
+    fn san_policies_share_the_prefix_and_never_alias() {
         // The same (program, compiler, opt, sanitizer, registry) under
-        // different partial-sanitization policies must not alias: the
-        // site-subset fingerprint is part of the key.
+        // different partial-sanitization policies: one prefix serves all
+        // three, and each policy's sanitizer pass keeps its own site subset.
         use crate::partition::SanPolicy;
         let reg = DefectRegistry::full();
         let p = program();
-        let session = backed_session();
+        let session = CompileSession::with_backing(64, Arc::new(MemBacking::default()));
         let full = CompileConfig::dev(Vendor::Gcc, OptLevel::O2, Some(Sanitizer::Asan), &reg);
         let partial = full.clone().with_policy(SanPolicy::Partial { ratio_pm: 400, salt: 7 });
         let none = full.clone().with_policy(SanPolicy::None);
         let a = session.compile(&p, &full).unwrap();
         let b = session.compile(&p, &partial).unwrap();
         let c = session.compile(&p, &none).unwrap();
-        assert_eq!(session.stats().san_misses, 3, "distinct subsets, distinct entries");
         assert_eq!(a, compile(&p, &full).unwrap());
         assert_eq!(b, compile(&p, &partial).unwrap());
         assert_eq!(c, compile(&p, &none).unwrap());
         assert!(a.san.skipped_sites.is_empty(), "full policy skips nothing");
         assert!(!c.san.skipped_sites.is_empty(), "none policy records every site");
-        // Replays of all three hit their own entry with no cross-subset
-        // pollution.
-        assert_eq!(session.compile(&p, &full).unwrap(), a);
-        assert_eq!(session.compile(&p, &partial).unwrap(), b);
+        // Replays in the other order keep each policy's own output.
         assert_eq!(session.compile(&p, &none).unwrap(), c);
-        assert_eq!(session.stats().san_hits, 3);
-        assert_eq!(session.stats().san_misses, 3);
+        assert_eq!(session.compile(&p, &partial).unwrap(), b);
+        assert_eq!(session.compile(&p, &full).unwrap(), a);
+        assert_eq!(
+            session.stats(),
+            SessionStats { hits: 5, misses: 1, san_hits: 0, san_misses: 6 }
+        );
     }
 
     #[test]
@@ -997,14 +828,13 @@ mod tests {
         let reg = DefectRegistry::full();
         let p = program();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O2, Some(Sanitizer::Asan), &reg);
-        let backing = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
+        let backing = std::sync::Arc::new(MemBacking::default());
 
         // First "invocation": cold, misses once, persists the prefix.
         let first = CompileSession::with_backing(64, backing.clone());
         assert_eq!(backing.entries.lock().unwrap().len(), 0);
         let out_first = first.compile(&p, &cfg).unwrap();
-        // Sanitized compile with no sanitize backing: the san layer misses
-        // once and falls through to the prefix layer, which also misses.
+        // One sanitizer pass over a prefix that missed.
         assert_eq!(first.stats(), SessionStats { hits: 0, misses: 1, san_hits: 0, san_misses: 1 });
         // The miss persists its -O2 prefix and the Lowered entry it
         // started from.
@@ -1016,6 +846,7 @@ mod tests {
         assert_eq!(backing.entries.lock().unwrap().len(), 2);
         assert_eq!(second.compile(&p, &cfg).unwrap(), out_first);
         assert_eq!(second.stats(), SessionStats { hits: 1, misses: 0, san_hits: 0, san_misses: 1 });
+        assert_eq!(*backing.hits.lock().unwrap(), 1, "hit recency reaches the backing");
 
         // A backing far above the session's capacity stays correct.
         for src in ["int main(void) { return 1; }", "int main(void) { return 2; }"] {
@@ -1036,7 +867,7 @@ mod tests {
         // backing, not the map, so every one still hits.
         let reg = DefectRegistry::full();
         let cfg = CompileConfig::dev(Vendor::Llvm, OptLevel::O1, None, &reg);
-        let backing = std::sync::Arc::new(MemBacking::<PrefixCell>::default());
+        let backing = std::sync::Arc::new(MemBacking::default());
         let warmup = CompileSession::with_backing(64, backing.clone());
         let warm_programs: Vec<Program> = (0..4)
             .map(|i| parse(&format!("int main(void) {{ return {i}; }}")).unwrap())

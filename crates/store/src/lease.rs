@@ -400,7 +400,8 @@ mod tests {
 
     #[test]
     fn carve_covers_the_unit_space_contiguously() {
-        let mut table = LeaseTable::open(tmp_dir("carve"));
+        let dir = tmp_dir("carve");
+        let mut table = LeaseTable::open(&dir);
         table.carve(7, 17, 4, 60);
         let leases: Vec<_> = table.run().collect();
         assert_eq!(leases.len(), 4);
@@ -411,6 +412,7 @@ mod tests {
         }
         assert!(leases.iter().all(|l| l.state == LeaseState::Pending));
         assert!(!table.path().exists(), "pending leases are never written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -472,10 +474,12 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_immediately_done() {
-        let mut table = LeaseTable::open(tmp_dir("empty"));
+        let dir = tmp_dir("empty");
+        let mut table = LeaseTable::open(&dir);
         table.carve(7, 0, 4, 60);
         assert!(table.run().next().is_none());
         assert!(table.all_done());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,24 +10,27 @@
 //!
 //! | table | file | granularity | consumer |
 //! |---|---|---|---|
-//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | on-demand `Backing<PrefixCell>::fetch` |
-//! | [`SanitizedStore`] | `sanitized.bin` | `(fingerprint, vendor, version, opt)` + `(sanitizer, registry epoch, site-subset fingerprint) → Module` | on-demand `Backing<SanKey>::fetch` |
+//! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | on-demand `Backing::fetch` |
 //! | [`CampaignLog`] | `campaign.bin` | `(campaign fingerprint, unit index) → outcome` | `ParallelCampaign` resume |
 //! | [`BugCorpus`] | `corpus.bin` | attribution key → bug + provenance | campaign reporting |
 //! | [`FrontierStore`] | `frontier.bin` | covered `(vendor, file, point)` set | guided-generation steering |
+//! | [`LeaseTable`] | `leases.bin` | lease id → unit range + state | the campaign daemon |
 //!
-//! The prefix/sanitized module caches are one implementation,
-//! [`ModuleTable`], told apart by their [`TableKey`]. They open as an index
-//! — `key → record span`, with every frame checksum verified but no module
-//! decoded — and decode one record when the session asks for it. They also
-//! track per-key hit recency and expose byte-budgeted compaction
+//! The prefix table is the one compile cache. It opens as an index — `key
+//! → record span`, with every frame checksum verified but no module decoded
+//! — and decodes one record when the session asks for it. It also tracks
+//! per-key hit recency and exposes byte-budgeted compaction
 //! ([`CompactStats`]): the least-recently-hit records are evicted through
 //! the shared temp-file + rename rewrite, so a long-lived store directory
 //! can be pinned under a size budget without losing its hottest entries.
+//! Post-sanitize modules are not stored: the sanitizer pass reruns over the
+//! stored prefix, which costs no more than fetching its output would and
+//! records the pass's coverage hits every time. A `sanitized.bin` left by a
+//! v3 store is removed when the prefix table opens.
 //!
 //! **Crash consistency.** Every table file is a header plus records framed
 //! with a length prefix and an FNV-1a checksum, in one of two shapes. The
-//! append logs (module tables, checkpoint log) flush every record; a kill
+//! append logs (prefix table, checkpoint log) flush every record; a kill
 //! mid-append tears at most the final record, which the next open
 //! truncates away. The snapshots (corpus, frontier, leases) rewrite
 //! wholesale through a temp-file rename, so a kill mid-save leaves the
@@ -54,7 +57,6 @@ pub mod modser;
 pub mod prefix;
 mod recfile;
 pub mod sanitized;
-pub mod table;
 pub mod wire;
 
 pub use checkpoint::{CampaignLog, UnitOutcome};
@@ -63,7 +65,6 @@ pub use frontier::FrontierStore;
 pub use lease::{LeaseRecord, LeaseState, LeaseTable};
 pub use prefix::PrefixStore;
 pub use sanitized::SanitizedStore;
-pub use table::{ModuleTable, TableKey};
 pub use wire::{WireError, FORMAT_VERSION};
 
 /// Locks a mutex, recovering the inner guard when a panicking holder
@@ -104,9 +105,9 @@ pub struct StoreTelemetry {
 }
 
 impl StoreTelemetry {
-    /// Entries loaded at open. For the prefix and sanitized module tables,
-    /// the distinct keys indexed: what a fetch can serve, with no module
-    /// decoded until it is fetched.
+    /// Entries loaded at open. For the prefix table, the distinct keys
+    /// indexed: what a fetch can serve, with no module decoded until it is
+    /// fetched.
     pub fn loaded(&self) -> usize {
         self.loaded.load(Ordering::Relaxed)
     }
@@ -182,7 +183,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ubfuzz-store-root-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(PrefixStore::open(&dir).path(), dir.join("prefix.bin"));
-        assert_eq!(SanitizedStore::open(&dir).path(), dir.join("sanitized.bin"));
         assert_eq!(CampaignLog::open(&dir, 0, 0).path(), dir.join("campaign.bin"));
         assert_eq!(BugCorpus::open(&dir).path(), dir.join("corpus.bin"));
         assert_eq!(LeaseTable::open(&dir).path(), dir.join("leases.bin"));

@@ -2,7 +2,7 @@
 //! table file is a [`wire`] header followed by framed records, in one of two
 //! shapes:
 //!
-//! * **Append logs** (the module tables and the checkpoint log) [`scan`]
+//! * **Append logs** (the prefix table and the checkpoint log) [`scan`]
 //!   the file at open, [`Scan::recover`] it to an appendable state — a torn
 //!   tail truncated, an unusable header rewritten fresh — and [`append`]
 //!   one flushed record per result.

@@ -20,11 +20,13 @@
 /// encodings; readers seeing another version degrade to a cold start.
 ///
 /// v2: module payloads switched to varint ints + interned `Loc`/string side
-/// tables (see `modser`), and the `Sanitized` table kind was added.
+/// tables (see `modser`), and a post-sanitize module table (tag 5) was
+/// added.
 ///
 /// v3: `SanMeta` gained the partial-sanitization skipped-site set and the
-/// `Sanitized` table key gained the site-subset fingerprint — v2 stores
-/// cold-start with telemetry, never error.
+/// post-sanitize table's key gained the site-subset fingerprint — v2 stores
+/// cold-start with telemetry, never error. That table is gone; its tag stays
+/// retired, and the prefix table's open removes a leftover `sanitized.bin`.
 pub const FORMAT_VERSION: u8 = 3;
 
 /// File magic common to every store table.
@@ -41,8 +43,6 @@ pub enum TableKind {
     Corpus,
     /// The campaign lease table (daemon-mode bookkeeping).
     Lease,
-    /// The persistent post-sanitize module cache.
-    Sanitized,
     /// The campaign coverage frontier (guided-generation feedback).
     Frontier,
 }
@@ -54,7 +54,7 @@ impl TableKind {
             TableKind::Checkpoint => 2,
             TableKind::Corpus => 3,
             TableKind::Lease => 4,
-            TableKind::Sanitized => 5,
+            // 5 was the post-sanitize table's; it is never reused.
             TableKind::Frontier => 6,
         }
     }

@@ -15,7 +15,7 @@ use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::{CovDelta, Sanitizer};
 use ubfuzz_store::{
     modser, wire, BugCorpus, CampaignLog, FrontierStore, LeaseState, LeaseTable, PrefixStore,
-    SanitizedStore, UnitOutcome,
+    UnitOutcome,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -203,9 +203,12 @@ fn version_skewed_store_files_cold_start_with_telemetry() {
 /// `tests/fixtures/v3-store` holds `prefix.bin` and `sanitized.bin` as the
 /// store code wrote them when open still decoded every module (format v3):
 /// the program below compiled for both vendors at -O0 and -O2, without a
-/// sanitizer and with ASan. Record bytes did not change when the tables
-/// started opening as an index, so that store must warm-serve every cell
-/// with zero misses, identical modules, and nothing re-appended.
+/// sanitizer and with ASan. Record bytes did not change when the prefix
+/// table started opening as an index, so that store must warm-serve every
+/// cell with zero prefix misses, identical modules, and nothing re-appended.
+/// The post-sanitize table is no longer read: open removes the leftover
+/// `sanitized.bin` with one event naming its size, and every sanitizer cell
+/// reruns the pass over its stored prefix.
 #[test]
 fn store_written_by_the_decoding_open_warm_serves_with_zero_misses() {
     let dir = tmp_dir("v3-fixture");
@@ -214,11 +217,17 @@ fn store_written_by_the_decoding_open_warm_serves_with_zero_misses() {
     for name in ["prefix.bin", "sanitized.bin"] {
         std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
     }
+    let leftover = std::fs::metadata(dir.join("sanitized.bin")).unwrap().len();
     let prefix = Arc::new(PrefixStore::open(&dir));
-    let sanitized = Arc::new(SanitizedStore::open(&dir));
-    // Lowered + one -O2 class per vendor; one record per sanitized cell.
-    assert_eq!((prefix.telemetry().loaded(), sanitized.telemetry().loaded()), (3, 4));
-    let session = CompileSession::with_backings(64, prefix.clone(), Some(sanitized.clone()));
+    assert!(!dir.join("sanitized.bin").exists(), "the leftover table is removed");
+    assert_eq!(
+        prefix.telemetry().events(),
+        [format!("sanitized.bin: removed the unused sanitize-stage table ({leftover} bytes)")]
+    );
+    // Lowered + one -O2 class per vendor.
+    assert_eq!(prefix.telemetry().loaded(), 3);
+    assert!(!prefix.telemetry().recovered_cold() && !prefix.telemetry().tail_truncated());
+    let session = CompileSession::with_backing(64, prefix.clone());
     let p = ubfuzz_minic::parse(
         "int g[4]; int main(void) { int i = 1; g[i] = 3; return g[i] + g[0] / (i + 1); }",
     )
@@ -233,22 +242,20 @@ fn store_written_by_the_decoding_open_warm_serves_with_zero_misses() {
         }
     }
     let stats = session.stats();
-    assert_eq!((stats.hits, stats.misses, stats.san_hits, stats.san_misses), (4, 0, 4, 0));
-    assert_eq!((prefix.telemetry().persisted(), sanitized.telemetry().persisted()), (0, 0));
-    assert!(prefix.telemetry().events().is_empty() && sanitized.telemetry().events().is_empty());
+    assert_eq!((stats.hits, stats.misses, stats.san_hits, stats.san_misses), (8, 0, 0, 4));
+    assert_eq!(prefix.telemetry().persisted(), 0);
+    assert_eq!(prefix.telemetry().events().len(), 1, "{:?}", prefix.telemetry().events());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The writer side of the same fixture: a fresh store, fed the fixture's
-/// program in the fixture's cell order, writes both files byte for byte as
-/// the fixture holds them — the record format of both module tables is
-/// pinned, not only what they can read.
+/// program in the fixture's cell order, writes `prefix.bin` byte for byte
+/// as the fixture holds it — the prefix record format is pinned, not only
+/// what it can read — and writes no `sanitized.bin`.
 #[test]
 fn fresh_store_writes_the_v3_fixture_byte_for_byte() {
     let dir = tmp_dir("v3-writer");
-    let prefix = Arc::new(PrefixStore::open(&dir));
-    let sanitized = Arc::new(SanitizedStore::open(&dir));
-    let session = CompileSession::with_backings(64, prefix, Some(sanitized));
+    let session = CompileSession::with_backing(64, Arc::new(PrefixStore::open(&dir)));
     let p = ubfuzz_minic::parse(
         "int g[4]; int main(void) { int i = 1; g[i] = 3; return g[i] + g[0] / (i + 1); }",
     )
@@ -264,12 +271,11 @@ fn fresh_store_writes_the_v3_fixture_byte_for_byte() {
     }
     drop(session);
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-store");
-    for name in ["prefix.bin", "sanitized.bin"] {
-        let written = std::fs::read(dir.join(name)).unwrap();
-        let pinned = std::fs::read(fixture.join(name)).unwrap();
-        let (w, n) = (written.len(), pinned.len());
-        assert!(written == pinned, "{name}: {w} B written, {n} B pinned");
-    }
+    let written = std::fs::read(dir.join("prefix.bin")).unwrap();
+    let pinned = std::fs::read(fixture.join("prefix.bin")).unwrap();
+    let (w, n) = (written.len(), pinned.len());
+    assert!(written == pinned, "prefix.bin: {w} B written, {n} B pinned");
+    assert!(!dir.join("sanitized.bin").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
