@@ -209,7 +209,9 @@ pub fn run_stored_campaign(
     let stats = if store_args.resume {
         let dir = store_args.dir.as_deref().expect("--resume implies --store");
         let plan = CampaignPlan::new(&cfg, Some(dir));
-        report_checkpoint_recovery(&store::CampaignLog::open(dir, plan.fingerprint(), plan.units()));
+        let log = store::CampaignLog::open(dir, plan.fingerprint(), plan.groups());
+        report_checkpoint_recovery(&log);
+        drop(log);
         ParallelCampaign::new(cfg).with_checkpoint(dir).run_planned(&plan)
     } else {
         ParallelCampaign::new(cfg).run()
@@ -234,9 +236,9 @@ pub fn run_stored_campaign(
     stats
 }
 
-/// Prints the checkpoint log's load-time recovery (stderr): how many units
-/// it holds for replay, whether it cold-started, whether a torn tail was
-/// cut, and the recovery events.
+/// Prints the checkpoint log's load-time recovery (stderr): how many group
+/// verdicts it holds for replay, whether it cold-started, whether a torn
+/// tail was cut, and the recovery events.
 fn report_checkpoint_recovery(log: &store::CampaignLog) {
     let t = log.telemetry();
     eprintln!(
@@ -282,9 +284,9 @@ fn prefix_line(t: &store::StoreTelemetry, hits: u64, misses: u64) -> String {
 
 /// Prints the store-backed compile-cache telemetry lines (stderr, stable
 /// format — the CI persistence job greps `[store] prefix: .* misses=0 `).
-/// No-op for in-memory backends. The size line covers `frontier.bin` too,
-/// so the reported total is what the compile cache and the frontier
-/// occupy.
+/// No-op for in-memory backends. The size line counts every table the
+/// campaign writes — the prefix table, the frontier, the checkpoint log
+/// (primary plus shards) and the bug corpus — and `total=` is their sum.
 pub fn report_store_telemetry(backend: &SimBackend, store_args: &StoreArgs) {
     let Some(prefix) = backend.prefix_store() else { return };
     let cache = backend.session().stats();
@@ -293,14 +295,22 @@ pub fn report_store_telemetry(backend: &SimBackend, store_args: &StoreArgs) {
     for event in t.events() {
         eprintln!("{}", event_line("store", &event));
     }
-    let frontier =
-        store_args.dir.as_deref().map_or(0, |dir| store::FrontierStore::open(dir).size_bytes());
+    let (frontier, campaign, corpus) = store_args.dir.as_deref().map_or((0, 0, 0), |dir| {
+        let corpus = std::fs::metadata(dir.join(store::corpus::CORPUS_FILE));
+        (
+            store::FrontierStore::open(dir).size_bytes(),
+            store::CampaignLog::size_bytes(dir),
+            corpus.map_or(0, |m| m.len()),
+        )
+    });
     eprintln!(
         "{}",
         Line::new("store", "size")
             .field("prefix", prefix.size_bytes())
             .field("frontier", frontier)
-            .field("total", prefix.size_bytes() + frontier)
+            .field("campaign", campaign)
+            .field("corpus", corpus)
+            .field("total", prefix.size_bytes() + frontier + campaign + corpus)
             .render()
     );
 }

@@ -12,12 +12,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use ubfuzz_backend::{
-    Artifact, CompileRequest, CompilerBackend, RunOutcome, RunRequest, SimBackend, ToolchainDesc,
-};
+use ubfuzz_backend::{CompileRequest, CompilerBackend, RunRequest, SimBackend, ToolchainDesc};
 use ubfuzz_guide::{plan_guidance, Frontier, GuidePlan, Strategy};
 use ubfuzz_minic::{pretty, Program, UbKind};
-use ubfuzz_oracle::{CompiledCell, CrashOracle, OracleInput, OracleStack, OracleTelemetry};
+use ubfuzz_oracle::{
+    CompiledCell, CrashOracle, DropReason, OracleInput, OracleStack, OracleTelemetry,
+};
 use ubfuzz_seedgen::{generate_seed, SeedOptions};
 use ubfuzz_simcc::cov::{self, CovDelta};
 use ubfuzz_simcc::defects::DefectRegistry;
@@ -441,10 +441,16 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
     let mut bug_index: BTreeMap<String, usize> = BTreeMap::new();
     for seed_id in cfg.first_seed..cfg.first_seed + cfg.seeds as u64 {
         stats.seeds += 1;
-        let programs = generate_programs(cfg, seed_id, guidance.as_ref());
-        for u in programs {
+        for u in generate_programs(cfg, seed_id, guidance.as_ref()) {
             *stats.ub_programs.entry(u.kind).or_default() += 1;
-            test_one(&ctx, &toolchains, &u, &mut stats, &mut bug_index, &mut frontier);
+            let fp = backend.fingerprint(&u.program);
+            for sanitizer in san::sanitizers_for(u.kind) {
+                let matrix = test_matrix(&toolchains, sanitizer);
+                stats.units += matrix.len();
+                let verdict = judge_group(&ctx, &fp, &u, sanitizer, &matrix);
+                frontier.absorb(&verdict.delta);
+                fold_verdict(&ctx, &u, sanitizer, &verdict, &mut stats, &mut bug_index);
+            }
         }
     }
     stats.cache =
@@ -454,9 +460,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
     stats
 }
 
-/// The parallel campaign runner: an ordered task executor over fine-grained
-/// `(seed, program, compiler, opt, sanitizer)` compile units, with results
-/// merged back in canonical seed order (see [`crate::executor`]).
+/// The parallel campaign runner: an ordered task executor over `(program,
+/// sanitizer)` groups — each task compiles, runs and judges one group's
+/// matrix — with the verdicts folded back in canonical order (see
+/// [`crate::executor`]).
 ///
 /// The merged [`CampaignStats`] is **identical** to what [`run_campaign`]
 /// produces for the same config — same bugs, same order, same test cases,
@@ -465,11 +472,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
 ///
 /// * every seed id derives its own deterministic RNG from the campaign seed,
 ///   so thread scheduling cannot perturb any generated program;
-/// * compile units are pure functions of their inputs (the shared
+/// * group verdicts are pure functions of their inputs (the shared
 ///   [`CompileSession`] memoizes a deterministic pipeline prefix, so cache
-///   state never changes what a unit returns);
-/// * the oracle and dedup/attribution stage consumes unit results in exactly
-///   the sequential loop's order.
+///   state never changes what a cell returns);
+/// * the dedup/attribution fold consumes verdicts in exactly the sequential
+///   loop's order.
 ///
 /// This is the one way to configure a parallel run:
 /// `ParallelCampaign::new(cfg).with_shards(n).with_checkpoint(dir)`. An
@@ -482,12 +489,14 @@ pub struct ParallelCampaign {
     pub(crate) unit_budget: Option<u64>,
 }
 
-/// A checkpointed campaign stopped before completing every unit (only
+/// A checkpointed campaign stopped before completing every group (only
 /// possible with [`ParallelCampaign::with_unit_budget`]). The completed
-/// units are on disk; rerunning with the same store resumes from them.
+/// groups' verdicts are on disk; rerunning with the same store resumes
+/// from them. Both counts are in units (matrix cells).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignInterrupted {
-    /// Units whose outcomes are checkpointed (replayed + newly computed).
+    /// Units of the groups whose verdicts are checkpointed (replayed +
+    /// newly judged).
     pub completed: usize,
     /// Planned units of the campaign.
     pub total: usize,
@@ -510,8 +519,8 @@ impl ParallelCampaign {
     }
 
     /// Overrides the worker count (must be nonzero). The name is historical:
-    /// workers no longer own seed ranges, they claim compile units, so even
-    /// a 1-seed campaign spreads across all of them.
+    /// workers no longer own seed ranges, they claim `(program, sanitizer)`
+    /// groups, so even a 1-seed campaign spreads across all of them.
     pub fn with_shards(mut self, shards: usize) -> ParallelCampaign {
         assert!(shards > 0, "shard count must be nonzero");
         self.shards = shards;
@@ -533,7 +542,7 @@ impl ParallelCampaign {
         self
     }
 
-    /// Checkpoints every completed compile unit into the store directory
+    /// Checkpoints every judged group's verdict into the store directory
     /// `dir` (file `campaign.bin`), and resumes from any compatible log
     /// already there.
     ///
@@ -548,9 +557,10 @@ impl ParallelCampaign {
         self
     }
 
-    /// Stops the campaign after `units` *newly computed* units (replayed
-    /// checkpoint units are free), making [`ParallelCampaign::try_run`]
-    /// return [`CampaignInterrupted`]. This is deterministic kill
+    /// Stops the campaign once `units` cannot cover the next group: a
+    /// group is judged only when the remaining budget covers all of its
+    /// cells, and replayed groups are free. [`ParallelCampaign::try_run`]
+    /// then returns [`CampaignInterrupted`]. This is deterministic kill
     /// injection for resume testing; production kills (SIGKILL, OOM) leave
     /// the same on-disk state, minus at most one torn record.
     pub fn with_unit_budget(mut self, units: u64) -> ParallelCampaign {
@@ -558,7 +568,7 @@ impl ParallelCampaign {
         self
     }
 
-    /// Runs the campaign on the unit executor and merges in seed order.
+    /// Runs the campaign on the group executor and folds in seed order.
     ///
     /// # Panics
     ///
@@ -674,196 +684,172 @@ fn classify(p: Program) -> Option<UbProgram> {
 
 /// The per-campaign judgment context: configuration, the backend that
 /// builds/runs cells, and the oracle that judges them. One per campaign —
-/// shared verbatim by the sequential loop and the unit executor's
-/// canonical-order merge, so the two paths cannot drift.
+/// shared verbatim by the sequential loop and the group executor, so the
+/// two paths cannot drift.
 pub(crate) struct CampaignCtx<'a> {
     pub cfg: &'a CampaignConfig,
     pub backend: &'a dyn CompilerBackend,
     pub oracle: &'a dyn CrashOracle,
 }
 
-/// Compiles and runs one `(program, sanitizer, compiler, opt)` unit — the
-/// executor's task granularity. `None` for unsupported/uncompilable cells,
-/// mirroring the sequential loop's `continue`.
+/// One cell the oracle filed from a judged group: a wrong report, or a
+/// normal exit Algorithm 2 selected as a sanitizer FN bug.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Observation {
+    /// Vendor of the cell's compiler.
+    pub vendor: Vendor,
+    /// The cell's optimization level.
+    pub opt: OptLevel,
+    /// Whether the cell carries a wrong report rather than a miss.
+    pub wrong_report: bool,
+    /// The `(defect id, invalid)` attribution keys the cell's module
+    /// files under, in dedup order.
+    pub keys: Vec<(Option<&'static str>, bool)>,
+}
+
+/// The oracle's judgment of one `(program, sanitizer)` group: everything
+/// the campaign folds into its statistics, and all the checkpoint log
+/// keeps of the group (`crate::persist` owns its codec).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct GroupVerdict {
+    /// The matrix holds a report/normal-exit discrepancy.
+    pub discrepancy: bool,
+    /// Why the discrepancy was dropped; `None` on a discrepancy means it
+    /// was selected as a bug.
+    pub dropped: Option<DropReason>,
+    /// The partial-sanitization policy skipped the UB check site.
+    pub expected_miss: bool,
+    /// Filed cells, wrong reports first, each in cell order.
+    pub observations: Vec<Observation>,
+    /// The sanitizer coverage the group's cells exercised.
+    pub delta: CovDelta,
+}
+
+/// The judge half of the campaign loop: compiles and runs one program's
+/// `matrix` for `sanitizer`, judges the cells with the configured
+/// [`CrashOracle`] and reduces the judgment to a [`GroupVerdict`]. A pure
+/// function of its inputs, so the executor runs it on any worker, and the
+/// checkpoint log stores the verdict instead of the cells: judging is the
+/// only reader of the compiled modules (crash-site traces, applied
+/// defects), so once a group is judged nothing else needs them.
 ///
-/// The cell runs inside a [`cov::capture`] scope, so the returned
-/// [`CovDelta`] is exactly the sanitizer coverage this unit exercised —
-/// the feedback signal guided generation steers by. A failed cell reports
-/// an *empty* delta even if hits fired before the failure: the checkpoint
-/// log replays failures as bare `Unsupported` records, and a fresh run and
-/// its resume must absorb identical coverage.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_cell(
-    backend: &dyn CompilerBackend,
-    registry: &DefectRegistry,
-    san_policy: SanPolicy,
+/// Each cell runs inside a [`cov::capture`] scope; the verdict's
+/// [`CovDelta`] is the union of what the cells exercised — the feedback
+/// signal guided generation steers by. A cell that fails to compile
+/// contributes no coverage, even if hits fired before the failure, just as
+/// it contributes no cell to the oracle's matrix.
+pub(crate) fn judge_group(
+    ctx: &CampaignCtx<'_>,
     fp: &ProgramFingerprint,
-    program: &Program,
-    sanitizer: Sanitizer,
-    compiler: CompilerId,
-    opt: OptLevel,
-) -> (Option<(Artifact, RunOutcome)>, CovDelta) {
-    let (cell, delta) = cov::capture(|| {
-        let req = CompileRequest { compiler, opt, sanitizer: Some(sanitizer), registry, san_policy };
-        let artifact = backend.compile(fp, program, &req).ok()?;
-        let result =
-            obs::time(Stage::Run, 0, || backend.execute(&artifact, &RunRequest::default()));
-        Some((artifact, result))
-    });
-    match cell {
-        Some(_) => (cell, delta),
-        None => (None, CovDelta::new()),
-    }
-}
-
-fn test_one(
-    ctx: &CampaignCtx<'_>,
-    toolchains: &[ToolchainDesc],
-    u: &UbProgram,
-    stats: &mut CampaignStats,
-    bug_index: &mut BTreeMap<String, usize>,
-    frontier: &mut Frontier,
-) {
-    let fp = ctx.backend.fingerprint(&u.program);
-    for sanitizer in san::sanitizers_for(u.kind) {
-        let matrix = test_matrix(toolchains, sanitizer);
-        stats.units += matrix.len();
-        let compiled: Vec<CompiledCell> = matrix
-            .into_iter()
-            .filter_map(|(compiler, opt)| {
-                let (cell, delta) = compile_cell(
-                    ctx.backend,
-                    &ctx.cfg.registry,
-                    ctx.cfg.effective_san_policy(),
-                    &fp,
-                    &u.program,
-                    sanitizer,
-                    compiler,
-                    opt,
-                );
-                frontier.absorb(&delta);
-                cell.map(|(artifact, outcome)| CompiledCell { compiler, opt, artifact, outcome })
-            })
-            .collect();
-        oracle_one(ctx, u, sanitizer, &compiled, stats, bug_index);
-    }
-}
-
-/// The thin campaign driver over the configured [`CrashOracle`]: judge one
-/// program's compiled matrix for one sanitizer, then fold the verdicts into
-/// campaign statistics and dedup/attribution. Shared verbatim by the
-/// sequential loop and the unit executor's canonical-order merge, so the
-/// two paths cannot drift. Judgment itself — wrong-report detection,
-/// discrepancy accounting, crash-site mapping — lives in the oracle stack
-/// (`ubfuzz_oracle`).
-pub(crate) fn oracle_one(
-    ctx: &CampaignCtx<'_>,
     u: &UbProgram,
     sanitizer: Sanitizer,
-    compiled: &[CompiledCell],
-    stats: &mut CampaignStats,
-    bug_index: &mut BTreeMap<String, usize>,
-) {
-    let _span = obs::Span::enter(Stage::Oracle, 0);
-    let verdicts = ctx.oracle.judge(
-        ctx.backend,
-        OracleInput { sanitizer, ub_kind: u.kind, ub_loc: u.ub_loc },
-        compiled,
-    );
+    matrix: &[(CompilerId, OptLevel)],
+) -> GroupVerdict {
+    let (registry, san_policy) = (&ctx.cfg.registry, ctx.cfg.effective_san_policy());
+    let mut delta = CovDelta::new();
+    let cells: Vec<CompiledCell> = matrix
+        .iter()
+        .filter_map(|&(compiler, opt)| {
+            let (cell, cell_delta) = cov::capture(|| {
+                let sanitizer = Some(sanitizer);
+                let req = CompileRequest { compiler, opt, sanitizer, registry, san_policy };
+                let artifact = ctx.backend.compile(fp, &u.program, &req).ok()?;
+                let outcome = obs::time(Stage::Run, 0, || {
+                    ctx.backend.execute(&artifact, &RunRequest::default())
+                });
+                Some(CompiledCell { compiler, opt, artifact, outcome })
+            });
+            if cell.is_some() {
+                delta.merge(&cell_delta);
+            }
+            cell
+        })
+        .collect();
+    let verdicts = {
+        let _span = obs::Span::enter(Stage::Oracle, 0);
+        ctx.oracle.judge(
+            ctx.backend,
+            OracleInput { sanitizer, ub_kind: u.kind, ub_loc: u.ub_loc },
+            &cells,
+        )
+    };
     // Two of the paper's 31 bugs carry wrong report information; they file
-    // regardless of the discrepancy outcome.
-    for &i in &verdicts.wrong_reports {
-        let cell = &compiled[i];
-        record_bug(
-            ctx,
-            stats,
-            bug_index,
-            BugObservation {
-                vendor: cell.compiler.vendor,
-                sanitizer,
-                kind: u.kind,
-                module: cell.artifact.module(),
-                opt: cell.opt,
-                wrong_report: true,
-                program: &u.program,
-            },
-        );
+    // regardless of the discrepancy outcome. Selected normal cells file as
+    // FN bugs.
+    let observe = |i: usize, wrong_report: bool| {
+        let cell = &cells[i];
+        Observation {
+            vendor: cell.compiler.vendor,
+            opt: cell.opt,
+            wrong_report,
+            keys: attribution_keys(cell.artifact.module(), wrong_report, sanitizer, u.kind),
+        }
+    };
+    let observations = verdicts.wrong_reports.iter().map(|&i| observe(i, true))
+        .chain(verdicts.sanitizer_bugs.iter().map(|&i| observe(i, false)))
+        .collect();
+    GroupVerdict {
+        discrepancy: verdicts.discrepancy,
+        dropped: verdicts.drop_reason(),
+        expected_miss: verdicts.expected_miss,
+        observations,
+        delta,
     }
-    if verdicts.discrepancy {
-        stats.discrepancies += 1;
-    }
-    // Selected normal cells file as FN bugs. Module-carrying artifacts
-    // attribute to injected defects; module-less ones (native/opaque
-    // backends, arbitrated via their trace) dedup under the per-(vendor,
-    // sanitizer, kind) "unknown" key — a trace-derived verdict instead of
-    // the old silent drop.
-    for &ni in &verdicts.sanitizer_bugs {
-        let cell = &compiled[ni];
-        record_bug(
-            ctx,
-            stats,
-            bug_index,
-            BugObservation {
-                vendor: cell.compiler.vendor,
-                sanitizer,
-                kind: u.kind,
-                module: cell.artifact.module(),
-                opt: cell.opt,
-                wrong_report: false,
-                program: &u.program,
-            },
-        );
+}
+
+/// The fold half of the campaign loop: folds one group's verdict into
+/// campaign statistics and dedup/attribution, in canonical group order.
+/// Shared verbatim by the sequential loop and the executor's consumer, so
+/// the two paths cannot drift.
+pub(crate) fn fold_verdict(
+    ctx: &CampaignCtx<'_>,
+    u: &UbProgram,
+    sanitizer: Sanitizer,
+    verdict: &GroupVerdict,
+    stats: &mut CampaignStats,
+    bug_index: &mut BTreeMap<String, usize>,
+) {
+    for o in &verdict.observations {
+        record_bug(ctx, stats, bug_index, u, sanitizer, o);
     }
     // Expected misses mostly arrive *without* a discrepancy — a skipped UB
     // site silences every cell identically — so they are accounted from the
-    // stage's flag, not from the drop path (which only fires when some cell
-    // did report).
-    if verdicts.expected_miss {
-        stats.oracle.record_drop(sanitizer, ubfuzz_oracle::DropReason::ExpectedMiss);
+    // flag, not from the drop path (which only fires when some cell did
+    // report).
+    if verdict.expected_miss {
+        stats.oracle.record_drop(sanitizer, DropReason::ExpectedMiss);
     }
-    if verdicts.selected() {
-        stats.selected += 1;
-    } else if let Some(reason) = verdicts.drop_reason() {
-        stats.dropped += 1;
-        if reason != ubfuzz_oracle::DropReason::ExpectedMiss {
-            stats.oracle.record_drop(sanitizer, reason);
+    if !verdict.discrepancy {
+        return;
+    }
+    stats.discrepancies += 1;
+    match verdict.dropped {
+        None => stats.selected += 1,
+        Some(reason) => {
+            stats.dropped += 1;
+            if reason != DropReason::ExpectedMiss {
+                stats.oracle.record_drop(sanitizer, reason);
+            }
         }
     }
 }
 
-struct BugObservation<'a> {
-    vendor: Vendor,
+/// The dedup keys one filed cell attributes to: the defects the vendor's
+/// passes recorded in the module (the analogue of the paper's root-cause
+/// analysis with developers). A BTreeSet so attribution iterates in a
+/// stable order: bug vec order (and thus table rendering) must not depend
+/// on hash seeding. Module-less artifacts (real toolchains) attribute to
+/// nothing and dedup under the per-(vendor, sanitizer, kind) "unknown" key.
+fn attribution_keys(
+    module: Option<&Module>,
+    wrong_report: bool,
     sanitizer: Sanitizer,
     kind: UbKind,
-    /// The compiled module, when the backend's artifacts carry one —
-    /// attribution to injected defects is only possible then.
-    module: Option<&'a Module>,
-    opt: OptLevel,
-    wrong_report: bool,
-    program: &'a Program,
-}
-
-fn record_bug(
-    ctx: &CampaignCtx<'_>,
-    stats: &mut CampaignStats,
-    bug_index: &mut BTreeMap<String, usize>,
-    obs: BugObservation<'_>,
-) {
-    let (cfg, backend) = (ctx.cfg, ctx.backend);
-    // Attribution = the defects the vendor's passes recorded in the module
-    // (the analogue of the paper's root-cause analysis with developers).
-    // A BTreeSet so attribution iterates in a stable order: bug vec order
-    // (and thus table rendering) must not depend on hash seeding, or
-    // sequential and sharded runs could not be compared bit-for-bit.
-    // Module-less artifacts (real toolchains) attribute to nothing and
-    // dedup under the per-(vendor, sanitizer, kind) "unknown" key.
-    let applied: BTreeSet<&'static str> = obs
-        .module
+) -> Vec<(Option<&'static str>, bool)> {
+    let applied: BTreeSet<&'static str> = module
         .map(|m| m.san.applied_defects.iter().map(|(id, _)| *id).collect())
         .unwrap_or_default();
-    let legit = obs.module.is_some_and(|m| !m.san.legit_transforms.is_empty());
-    let mut keys: Vec<(Option<&'static str>, bool)> = Vec::new();
-    if obs.wrong_report {
+    if wrong_report {
         // Attribute wrong reports to the wrong-line defects if applied.
         let wl = applied
             .iter()
@@ -872,46 +858,47 @@ fn record_bug(
                     .is_some_and(|d| d.category == ubfuzz_simcc::DefectCategory::WrongLineInfo)
             })
             .copied();
-        keys.push((wl, false));
-    } else if applied.is_empty() {
-        keys.push((None, legit));
-    } else {
-        // Attribute to defects matching the observed sanitizer + kind when
-        // possible; otherwise to all applied defects.
-        let matching: Vec<&'static str> = applied
-            .iter()
-            .filter(|id| {
-                DefectRegistry::get(id).is_some_and(|d| {
-                    d.sanitizer == obs.sanitizer && d.ub_kind == obs.kind
-                })
-            })
-            .copied()
-            .collect();
-        if matching.is_empty() {
-            for id in applied {
-                keys.push((Some(id), false));
-            }
-        } else {
-            for id in matching {
-                keys.push((Some(id), false));
-            }
-        }
+        return vec![(wl, false)];
     }
-    for (defect_id, invalid) in keys {
-        let key = dedup_key(defect_id, invalid, obs.vendor, obs.sanitizer, obs.kind);
+    if applied.is_empty() {
+        let legit = module.is_some_and(|m| !m.san.legit_transforms.is_empty());
+        return vec![(None, legit)];
+    }
+    // Attribute to defects matching the observed sanitizer + kind when
+    // possible; otherwise to all applied defects.
+    let matching: Vec<&'static str> = applied
+        .iter()
+        .filter(|id| {
+            DefectRegistry::get(id).is_some_and(|d| d.sanitizer == sanitizer && d.ub_kind == kind)
+        })
+        .copied()
+        .collect();
+    let ids = if matching.is_empty() { applied.into_iter().collect() } else { matching };
+    ids.into_iter().map(|id| (Some(id), false)).collect()
+}
+
+fn record_bug(
+    ctx: &CampaignCtx<'_>,
+    stats: &mut CampaignStats,
+    bug_index: &mut BTreeMap<String, usize>,
+    u: &UbProgram,
+    sanitizer: Sanitizer,
+    o: &Observation,
+) {
+    let (cfg, backend) = (ctx.cfg, ctx.backend);
+    for &(defect_id, invalid) in &o.keys {
+        let key = dedup_key(defect_id, invalid, o.vendor, sanitizer, u.kind);
         if let Some(&i) = bug_index.get(&key) {
             let bug = &mut stats.bugs[i];
             bug.duplicates += 1;
-            if !bug.missed_at.contains(&obs.opt) {
-                bug.missed_at.push(obs.opt);
+            if !bug.missed_at.contains(&o.opt) {
+                bug.missed_at.push(o.opt);
             }
             continue;
         }
         let test_case = if cfg.reduce {
-            let sanitizer = obs.sanitizer;
             let registry = cfg.registry.clone();
-            let vendor = obs.vendor;
-            let opt = obs.opt;
+            let (vendor, opt) = (o.vendor, o.opt);
             let san_policy = cfg.effective_san_policy();
             let mut pred = move |q: &Program| {
                 let req = CompileRequest {
@@ -929,23 +916,23 @@ fn record_bug(
                     Err(_) => false,
                 }
             };
-            if pred(obs.program) {
-                pretty::print(&ubfuzz_reduce::reduce(obs.program, &mut pred))
+            if pred(&u.program) {
+                pretty::print(&ubfuzz_reduce::reduce(&u.program, &mut pred))
             } else {
-                pretty::print(obs.program)
+                pretty::print(&u.program)
             }
         } else {
-            pretty::print(obs.program)
+            pretty::print(&u.program)
         };
         bug_index.insert(key, stats.bugs.len());
         stats.bugs.push(FoundBug {
-            vendor: obs.vendor,
-            sanitizer: obs.sanitizer,
-            kind: obs.kind,
+            vendor: o.vendor,
+            sanitizer,
+            kind: u.kind,
             defect_id,
             invalid,
-            wrong_report: obs.wrong_report,
-            missed_at: vec![obs.opt],
+            wrong_report: o.wrong_report,
+            missed_at: vec![o.opt],
             test_case,
             duplicates: 1,
         });
@@ -1001,7 +988,7 @@ mod tests {
     #[test]
     fn one_seed_campaign_still_runs_on_the_executor() {
         // A 1-seed campaign used to fall back to the sequential loop; the
-        // unit executor must still parallelize its programs and report cache
+        // group executor must still parallelize its programs and report cache
         // telemetry.
         let cfg = CampaignConfig::builder().seeds(1).build();
         let sequential = run_campaign(&cfg);

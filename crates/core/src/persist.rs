@@ -1,13 +1,20 @@
 //! Campaign-side glue for the persistent store ([`ubfuzz_store`]): campaign
-//! fingerprinting for checkpoint compatibility, and merging found bugs into
-//! the cross-invocation corpus.
+//! fingerprinting for checkpoint compatibility, the codec of the group
+//! verdicts the checkpoint log holds, and merging found bugs into the
+//! cross-invocation corpus.
 
-use crate::campaign::{CampaignConfig, CampaignStats};
+use crate::campaign::{CampaignConfig, CampaignStats, GroupVerdict, Observation};
+use ubfuzz_backend::CompilerBackend;
+use ubfuzz_oracle::DropReason;
+use ubfuzz_simcc::cov::{self, CovDelta};
+use ubfuzz_simcc::defects::DefectRegistry;
+use ubfuzz_store::modser;
+use ubfuzz_store::wire::{Dec, Enc, WireError};
 use ubfuzz_store::{BugCorpus, BugRecord, MergeSummary};
 
 /// A stable identity for a campaign *plan*: two configurations with the
-/// same fingerprint enumerate the same unit list in the same order, which
-/// is the precondition for replaying a checkpoint log by unit index.
+/// same fingerprint enumerate the same group list in the same order, which
+/// is the precondition for replaying a checkpoint log by group index.
 ///
 /// Implemented as an FNV-1a over the `Debug` rendering of every
 /// plan-relevant field — deliberately including the generator/seed/defect
@@ -38,29 +45,110 @@ pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     ubfuzz_store::wire::fnv1a(plan.as_bytes())
 }
 
-/// [`config_fingerprint`] extended with the resolved backend's toolchain
-/// descriptors — what the checkpoint log is actually keyed by. The unit
-/// plan maps indices to `(compiler, opt, sanitizer)` cells through
-/// `toolchains()`, so a probed toolchain set that changed between
-/// invocations (a compiler upgraded or un/installed under `CcBackend`)
-/// must read as a different campaign even when the config — and the unit
-/// *count* — happens to match.
+/// [`config_fingerprint`] extended with everything else a checkpointed
+/// group verdict depends on — what the checkpoint log is actually keyed by:
 ///
-/// A guided campaign's plan additionally depends on the coverage frontier
-/// it was derived from (`ubfuzz_guide::plan_guidance` sets the per-kind
-/// generation budgets, which set the unit list), so the guidance's frontier
-/// fingerprint folds in too: a checkpoint written against one frontier
-/// state must never replay into a campaign planned against another.
+/// * the resolved backend's toolchain descriptors: the plan maps group
+///   indices to `(compiler, opt)` matrices through `toolchains()`, so a
+///   probed toolchain set that changed between invocations (a compiler
+///   upgraded or un/installed under `CcBackend`) must read as a different
+///   campaign even when the config — and the group *count* — match;
+/// * the backend's trace capability and the oracle's name: a verdict
+///   records how the oracle judged the cells, which depends on both;
+/// * the version of the verdict record codec, and the coverage point
+///   registry its coverage deltas are bitsets over;
+/// * for a guided campaign, the frontier fingerprint its generation budgets
+///   (and so its group list) were derived from.
+///
+/// A checkpoint written under any other value of these must never replay.
 pub fn campaign_fingerprint(
     cfg: &CampaignConfig,
-    toolchains: &[ubfuzz_backend::ToolchainDesc],
+    backend: &dyn CompilerBackend,
     guidance: Option<&ubfuzz_guide::GuidePlan>,
 ) -> u64 {
-    let mut plan = format!("{}|{toolchains:?}", config_fingerprint(cfg));
+    let mut plan = format!(
+        "{}|{:?}|oracle:{}|trace:{:?}|{VERDICT_FORMAT}:{:016x}",
+        config_fingerprint(cfg),
+        backend.toolchains(),
+        cfg.resolve_oracle().name(),
+        backend.trace_capability(),
+        ubfuzz_store::wire::fnv1a(format!("{:?}", cov::POINTS).as_bytes()),
+    );
     if let Some(g) = guidance {
         plan.push_str(&format!("|frontier:{:016x}", g.frontier_fingerprint));
     }
     ubfuzz_store::wire::fnv1a(plan.as_bytes())
+}
+
+/// The version of the checkpoint's group-verdict record format
+/// ([`enc_verdict`]); part of every campaign fingerprint, so a log in any
+/// other format (the pre-verdict per-unit module records included) opens
+/// as a different campaign.
+const VERDICT_FORMAT: &str = "verdict-v1";
+
+/// A verdict's drop outcome, by its tag in a record.
+const DROP_TAGS: [Option<DropReason>; 5] = [
+    None,
+    Some(DropReason::OptimizationArtifact),
+    Some(DropReason::NoModule),
+    Some(DropReason::NoTrace),
+    Some(DropReason::ExpectedMiss),
+];
+
+/// Encodes one group verdict as a checkpoint record payload.
+pub(crate) fn enc_verdict(v: &GroupVerdict) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.bool(v.discrepancy);
+    let drop_tag = DROP_TAGS.iter().position(|d| *d == v.dropped);
+    e.u8(drop_tag.expect("every drop reason has a tag") as u8);
+    e.bool(v.expected_miss);
+    e.vusize(v.observations.len());
+    for o in &v.observations {
+        modser::enc_vendor(&mut e, o.vendor);
+        modser::enc_opt(&mut e, o.opt);
+        e.bool(o.wrong_report);
+        e.vusize(o.keys.len());
+        for &(defect_id, invalid) in &o.keys {
+            e.vstr(defect_id.unwrap_or(""));
+            e.bool(invalid);
+        }
+    }
+    let words = v.delta.words();
+    e.vusize(words.len());
+    for &w in words {
+        e.u64(w);
+    }
+    e.into_bytes()
+}
+
+/// Decodes a payload written by [`enc_verdict`]. A defect id this build
+/// does not know is corruption: the campaign recomputes the group.
+pub(crate) fn dec_verdict(bytes: &[u8]) -> Result<GroupVerdict, WireError> {
+    let mut d = Dec::new(bytes);
+    let discrepancy = d.bool()?;
+    let dropped = *DROP_TAGS.get(d.u8()? as usize).ok_or(WireError::Corrupt("drop reason"))?;
+    let expected_miss = d.bool()?;
+    let n = d.vcount(4)?;
+    let mut observations = Vec::with_capacity(n);
+    for _ in 0..n {
+        let vendor = modser::dec_vendor(&mut d)?;
+        let opt = modser::dec_opt(&mut d)?;
+        let wrong_report = d.bool()?;
+        let n = d.vcount(2)?;
+        let mut keys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let defect_id = match d.vstr()?.as_str() {
+                "" => None,
+                id => Some(DefectRegistry::get(id).ok_or(WireError::Corrupt("defect id"))?.id),
+            };
+            keys.push((defect_id, d.bool()?));
+        }
+        observations.push(Observation { vendor, opt, wrong_report, keys });
+    }
+    let words = (0..d.vcount(8)?).map(|_| d.u64()).collect::<Result<Vec<u64>, _>>()?;
+    let delta = CovDelta::from_words(&words).ok_or(WireError::Corrupt("coverage delta"))?;
+    d.finish()?;
+    Ok(GroupVerdict { discrepancy, dropped, expected_miss, observations, delta })
 }
 
 /// Converts a campaign's deduplicated bugs into corpus records.
@@ -126,6 +214,43 @@ mod tests {
         assert_eq!(config_fingerprint(&full), config_fingerprint(&explicit_full));
         assert_ne!(config_fingerprint(&full), config_fingerprint(&half));
         assert_ne!(config_fingerprint(&half), config_fingerprint(&quarter));
+    }
+
+    #[test]
+    fn verdict_codec_round_trips_and_rejects_what_this_build_cannot_read() {
+        use ubfuzz_simcc::target::{OptLevel, Vendor};
+        let mut delta = CovDelta::new();
+        delta.insert((Vendor::Llvm, "asan.rs", "run"));
+        let verdict = GroupVerdict {
+            discrepancy: true,
+            dropped: Some(DropReason::NoTrace),
+            expected_miss: true,
+            observations: vec![Observation {
+                vendor: Vendor::Gcc,
+                opt: OptLevel::O2,
+                wrong_report: false,
+                keys: vec![(Some("gcc-asan-d01"), false), (None, true)],
+            }],
+            delta,
+        };
+        let bytes = enc_verdict(&verdict);
+        assert_eq!(dec_verdict(&bytes).ok(), Some(verdict));
+        let empty = GroupVerdict::default();
+        assert_eq!(dec_verdict(&enc_verdict(&empty)).ok(), Some(empty));
+
+        // A defect id this build does not know.
+        let at = bytes.windows(12).position(|w| w == b"gcc-asan-d01").expect("id encoded");
+        let mut unknown = bytes.clone();
+        unknown[at] = b'x';
+        assert!(dec_verdict(&unknown).is_err());
+        // A coverage bit past the registry's last point.
+        let mut past = bytes.clone();
+        *past.last_mut().unwrap() = 0xFF;
+        assert!(dec_verdict(&past).is_err());
+        // Trailing bytes.
+        let mut long = bytes;
+        long.push(0);
+        assert!(dec_verdict(&long).is_err());
     }
 
     #[test]

@@ -242,3 +242,34 @@ fn naive_stack_selection_matches_discrepancies() {
     assert_eq!(explicit, standard, "explicit standard stack ≡ default");
     assert_eq!(report::table3(&explicit), report::table3(&standard));
 }
+
+/// A checkpoint holds group verdicts, not compiled modules, so a campaign
+/// over a module-less backend is resumable: its rerun over the same store
+/// compiles nothing and renders the same report.
+#[test]
+fn checkpointed_opaque_campaign_reruns_with_zero_compiles() {
+    let dir = std::env::temp_dir().join(format!("ubfuzz-opaque-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpointed = |backend: &Arc<OpaqueSim>| {
+        ParallelCampaign::new(campaign_config(backend.clone()))
+            .with_shards(2)
+            .with_checkpoint(&dir)
+            .run()
+    };
+    let first_backend = Arc::new(OpaqueSim::new(DoubleTrace::Site));
+    let first = checkpointed(&first_backend);
+    assert!(first_backend.tokens.load(Ordering::Relaxed) > 0, "the first run compiles");
+    assert!(first.selected > 0, "trace-arbitrated verdicts are checkpointed: {first:?}");
+    assert_eq!(first, run_campaign(&campaign_config(Arc::new(OpaqueSim::new(DoubleTrace::Site)))));
+
+    let rerun_backend = Arc::new(OpaqueSim::new(DoubleTrace::Site));
+    let rerun = checkpointed(&rerun_backend);
+    assert_eq!(rerun_backend.tokens.load(Ordering::Relaxed), 0, "the rerun compiles nothing");
+    assert_eq!(rerun, first);
+    assert_eq!(rerun.oracle, first.oracle);
+    assert_eq!(
+        format!("{}{}", report::table3(&rerun), report::oracle_stats(&rerun)),
+        format!("{}{}", report::table3(&first), report::oracle_stats(&first))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -169,13 +169,13 @@ fn killed_and_resumed_campaign_reports_bit_identically() {
     }
 }
 
-/// A checkpoint record whose checksum is valid but whose module does not
+/// A checkpoint record whose checksum is valid but whose verdict does not
 /// decode (here: a defect id this build does not know) replays as a miss:
-/// the campaign recomputes exactly that unit and renders the same report
-/// as a fresh run.
+/// the campaign rejudges exactly that record's group and renders the same
+/// report as a fresh run.
 #[test]
 fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
-    use ubfuzz_store::wire::{self, Enc};
+    use ubfuzz_store::wire;
     let dir = tmp_dir("bad-record");
     let mut cfg = small_config(29);
     cfg.gen_options.max_per_kind = 1;
@@ -185,26 +185,26 @@ fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
     };
     ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
 
-    // Supersede one unit's record with a checksum-valid, undecodable one,
-    // framed like every other record.
-    let units = ubfuzz::executor::plan_campaign(&cfg, true, Some(&dir)).1;
-    let mut module = ubfuzz::simcc::Module {
-        globals: vec![],
-        funcs: vec![],
-        san: Default::default(),
-        build: None,
-    };
-    module.san.applied_defects = vec![("gcc-asan-d01", ubfuzz::minic::Loc::new(1, 0))];
-    let mut e = Enc::new();
-    e.u64(units as u64 / 2);
-    e.u8(2); // outcome tag: module + result + coverage delta
-    ubfuzz_store::modser::enc_module(&mut e, &module);
-    let mut payload = e.into_bytes();
-    let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
-    payload[at] = b'x';
+    // Supersede one group's record with a checksum-valid, undecodable one:
+    // the last record naming an injected defect (`…-dNN`), with one byte of
+    // the id changed, re-framed and appended like every other record.
     let log = dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
     let mut bytes = std::fs::read(&log).unwrap();
-    bytes.extend_from_slice(&wire::frame(&payload));
+    let mut file = std::fs::File::open(&log).unwrap();
+    let (mut at, mut buf, mut bad) = (wire::HEADER_LEN as u64, Vec::new(), None);
+    while let Some((off, len)) = wire::read_record_at(&mut file, bytes.len() as u64, at, &mut buf) {
+        let id_at = buf.windows(4).position(|w| {
+            w[..2] == *b"-d" && w[2].is_ascii_digit() && w[3].is_ascii_digit()
+        });
+        if let Some(pos) = id_at {
+            let mut payload = buf.clone();
+            payload[pos + 1] = b'x';
+            bad = Some(payload);
+        }
+        at = off + len as u64 + 8;
+    }
+    let bad = bad.expect("some group files a bug attributed to a defect");
+    bytes.extend_from_slice(&wire::frame(&bad));
     std::fs::write(&log, &bytes).unwrap();
 
     let runner = |budget| {
@@ -214,14 +214,72 @@ fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
             .with_unit_budget(budget)
             .try_run()
     };
-    // Every other unit replays, so a zero budget stops on that one unit…
-    assert!(runner(0).is_err(), "the undecodable unit must be recomputed");
-    // …and a budget of one finishes the campaign, byte-identical to fresh.
-    let rerun = runner(1).expect("only the undecodable unit is recomputed");
+    // Every other group replays, so a zero budget stops on that one group…
+    let stopped = runner(0).expect_err("the undecodable group must be rejudged");
+    let cells = stopped.total - stopped.completed;
+    assert!((1..=10).contains(&cells), "one group's matrix is missing: {stopped}");
+    // …and a budget of exactly its cells finishes the campaign,
+    // byte-identical to fresh.
+    let rerun = runner(cells as u64).expect("only the undecodable group is rejudged");
     assert_eq!(render(&rerun), render(&fresh));
     assert_eq!(rerun.bugs, fresh.bugs);
-    // The recomputed outcome was appended: the next run replays it all.
+    // The rejudged verdict was appended: the next run replays it all.
     assert_eq!(render(&runner(0).expect("full replay")), render(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `campaign.bin` in the per-unit format of earlier builds — header
+/// `(config fingerprint, units)`, one module-carrying record per unit —
+/// is another campaign's log: the open cold-starts it with one event, and
+/// the run equals a fresh one.
+#[test]
+fn unit_format_checkpoint_cold_starts_with_one_event() {
+    use ubfuzz_store::wire::{self, Enc};
+    let dir = tmp_dir("unit-format");
+    let mut cfg = small_config(41);
+    cfg.gen_options.max_per_kind = 1;
+    let fresh = ParallelCampaign::new(cfg.clone()).with_shards(2).run();
+
+    let toolchains = SimBackend::new().toolchains();
+    let unit_fp = wire::fnv1a(
+        format!("{}|{toolchains:?}", persist::config_fingerprint(&cfg)).as_bytes(),
+    );
+    let units = ubfuzz::executor::plan_campaign(&cfg, true, None).1;
+    let mut header = Enc::new();
+    header.u64(unit_fp);
+    header.u64(units as u64);
+    let mut records = vec![header.into_bytes()];
+    for index in 0..units {
+        let module = ubfuzz::simcc::Module {
+            globals: vec![],
+            funcs: vec![],
+            san: Default::default(),
+            build: None,
+        };
+        let mut e = Enc::new();
+        e.u64(index as u64);
+        e.u8(2); // outcome tag: module + result + coverage delta
+        ubfuzz_store::modser::enc_module(&mut e, &module);
+        e.u8(3); // run result: timeout
+        e.vusize(0);
+        e.u64(0); // writer: the primary
+        records.push(e.into_bytes());
+    }
+    let path = dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
+    std::fs::create_dir_all(&dir).unwrap();
+    assert!(wire::rewrite_file(&path, wire::TableKind::Checkpoint, &records));
+
+    let plan = ubfuzz::executor::CampaignPlan::new(&cfg, Some(&dir));
+    let log = ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), plan.groups());
+    assert_eq!(log.replayed(), 0, "unit records never replay as verdicts");
+    assert!(log.telemetry().recovered_cold());
+    assert_eq!(log.telemetry().events(), ["campaign.bin: written by another campaign"]);
+    drop(log);
+
+    let run = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    assert_eq!(run, fresh);
+    assert_eq!(ubfuzz::report::table3(&run), ubfuzz::report::table3(&fresh));
+    assert!(run.cache.misses > 0, "nothing was replayed: {:?}", run.cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -326,7 +384,7 @@ fn sessions_auto_size_from_the_campaign_config() {
 }
 
 /// The campaign service's order, in process: the primary log is opened for
-/// the plan, two workers compute disjoint halves of the unit range into
+/// the plan, two workers judge disjoint halves of the group range into
 /// their own shards, a re-issued range replays instead of recomputing, and
 /// the checkpointed merge over the shard union compiles nothing and equals
 /// the sequential reference.
@@ -336,23 +394,23 @@ fn worker_ranges_then_merge_compile_nothing() {
     let mut cfg = small_config(37);
     cfg.gen_options.max_per_kind = 1;
     let plan = ubfuzz::executor::CampaignPlan::new(&cfg, Some(&dir));
-    let units = plan.units();
-    assert!(units > 1, "the plan splits into two ranges");
-    drop(ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), units));
+    let (units, groups) = (plan.units(), plan.groups());
+    assert!(groups > 1, "the plan splits into two ranges");
+    drop(ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), groups));
 
-    let mid = units / 2;
-    let first = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 1, 0..mid);
-    let second = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 2, mid..units);
-    assert_eq!(first.computed + first.replayed, mid);
-    assert_eq!(second.computed + second.replayed, units - mid);
-    assert_eq!(first.computed + second.computed, units, "fresh shards compute every unit");
+    let mid = groups / 2;
+    let first = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 1, 0..mid);
+    let second = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 2, mid..groups);
+    assert_eq!((first.replayed, second.replayed), (0, 0));
+    assert!(first.computed > 0 && second.computed > 0);
+    assert_eq!(first.computed + second.computed, units, "fresh shards judge every unit");
 
-    let reissued = ubfuzz::executor::run_unit_range(&cfg, 2, &dir, 1, 0..mid);
+    let reissued = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 1, 0..mid);
     assert_eq!(reissued.computed, 0, "a re-issued range recomputes nothing");
-    assert_eq!(reissued.replayed, mid);
+    assert_eq!(reissued.replayed, first.computed);
 
     let merged = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
     assert_eq!(merged, run_campaign(&cfg));
-    assert_eq!(merged.cache, SessionStats::default(), "the merge replays every unit");
+    assert_eq!(merged.cache, SessionStats::default(), "the merge replays every group");
     let _ = std::fs::remove_dir_all(&dir);
 }

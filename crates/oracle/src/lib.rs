@@ -243,8 +243,6 @@ pub struct StageContext<'a> {
     pub input: OracleInput,
     /// The compiled matrix under judgment.
     pub cells: &'a [CompiledCell],
-    /// Execution limits for traced replays.
-    pub run_request: RunRequest,
     reporting: Vec<usize>,
     normal: Vec<usize>,
 }
@@ -255,11 +253,10 @@ impl<'a> StageContext<'a> {
         backend: &'a dyn CompilerBackend,
         input: OracleInput,
         cells: &'a [CompiledCell],
-        run_request: RunRequest,
     ) -> StageContext<'a> {
         let reporting = (0..cells.len()).filter(|&i| cells[i].outcome.is_report()).collect();
         let normal = (0..cells.len()).filter(|&i| cells[i].outcome.is_normal_exit()).collect();
-        StageContext { backend, input, cells, run_request, reporting, normal }
+        StageContext { backend, input, cells, reporting, normal }
     }
 
     /// Cells whose sanitizer reported ("crashed"), in cell order.
@@ -273,10 +270,11 @@ impl<'a> StageContext<'a> {
     }
 
     /// `GetExecutedSites` for one cell: the module fast path when the
-    /// artifact carries one, the backend's trace capability otherwise.
-    /// `Err` classifies *why* no sites exist (feeds drop accounting).
+    /// artifact carries one, the backend's trace capability otherwise,
+    /// under the default execution limits. `Err` classifies *why* no sites
+    /// exist (feeds drop accounting).
     pub fn executed_sites(&self, cell: usize) -> Result<SiteTrace, DropReason> {
-        trace_artifact(self.backend, &self.cells[cell].artifact, &self.run_request)
+        trace_artifact(self.backend, &self.cells[cell].artifact, &RunRequest::default())
     }
 }
 
@@ -449,18 +447,19 @@ impl OracleStage for NaiveSelection {
 
 /// The standard [`CrashOracle`]: an ordered stage list over a shared
 /// context. Campaigns carry one in their config; ablations select a
-/// different stack instead of forking campaign code.
+/// different stack instead of forking campaign code. The stack's name is
+/// its whole identity (a campaign checkpoint folds it into its key), so
+/// two stacks with different stages must carry different names.
 #[derive(Debug, Clone)]
 pub struct OracleStack {
     name: &'static str,
     stages: Vec<Arc<dyn OracleStage>>,
-    run_request: RunRequest,
 }
 
 impl OracleStack {
     /// A stack from explicit stages.
     pub fn new(name: &'static str, stages: Vec<Arc<dyn OracleStage>>) -> OracleStack {
-        OracleStack { name, stages, run_request: RunRequest::default() }
+        OracleStack { name, stages }
     }
 
     /// The paper's oracle: wrong-report detection, discrepancy accounting,
@@ -489,12 +488,6 @@ impl OracleStack {
         )
     }
 
-    /// Overrides the execution limits traced replays run under.
-    pub fn with_run_request(mut self, run_request: RunRequest) -> OracleStack {
-        self.run_request = run_request;
-        self
-    }
-
     /// The stages, in judgment order.
     pub fn stages(&self) -> &[Arc<dyn OracleStage>] {
         &self.stages
@@ -512,7 +505,7 @@ impl CrashOracle for OracleStack {
         input: OracleInput,
         cells: &[CompiledCell],
     ) -> OracleVerdicts {
-        let cx = StageContext::new(backend, input, cells, self.run_request.clone());
+        let cx = StageContext::new(backend, input, cells);
         let mut out = OracleVerdicts::default();
         for stage in &self.stages {
             stage.run(&cx, &mut out);

@@ -5,12 +5,13 @@
 //! order. For each campaign the scheduler:
 //!
 //! 1. builds the campaign's [`CampaignPlan`] once — generation on every
-//!    core, no compilation — for its fingerprint and unit count, and opens
-//!    the store's primary checkpoint log so an incompatible log (and its
-//!    shards) is swept before workers arrive;
-//! 2. carves `0..units` into contiguous leases in the store's
-//!    [`LeaseTable`] ([`LeaseTable::carve`]), numbered past every lease
-//!    already there so checkpoint shard files never collide;
+//!    core, no compilation — for its fingerprint and its unit and group
+//!    counts, and opens the store's primary checkpoint log so an
+//!    incompatible log (and its shards) is swept before workers arrive;
+//! 2. carves the `(program, sanitizer)` groups `0..groups` into contiguous
+//!    leases in the store's [`LeaseTable`] ([`LeaseTable::carve`]),
+//!    numbered past every lease already there so checkpoint shard files
+//!    never collide;
 //! 3. spawns one worker *process* per lease (`<worker-bin> worker …`,
 //!    defaulting to the daemon's own binary) and polls: a clean exit
 //!    completes the lease; a nonzero exit, a SIGKILL, or a blown deadline
@@ -18,13 +19,14 @@
 //!    replacement's shard replay skips whatever the dead worker finished.
 //!    A worker that cannot be spawned is reclaimed the same way; past a
 //!    re-issue cap the campaign fails instead of retrying forever;
-//! 4. merges by replaying the shard union through the canonical
-//!    sequential-order path ([`ParallelCampaign::run_planned`] over the
-//!    plan from step 1, with a checkpoint over the same store), so the
-//!    stored report is **bit-identical** to a single-process run. The
-//!    merge reuses the plan, so it generates nothing; every unit is
-//!    already checkpointed, so it compiles nothing and runs on the
-//!    config's in-memory backend, opening no store module table.
+//! 4. merges by folding: it replays the shard union's group verdicts
+//!    through the canonical sequential-order fold
+//!    ([`ParallelCampaign::run_planned`] over the plan from step 1, with a
+//!    checkpoint over the same store), so the stored report is
+//!    **bit-identical** to a single-process run. The merge reuses the plan,
+//!    so it generates nothing; every group's verdict is already
+//!    checkpointed, so it compiles, decodes and traces no module and runs
+//!    on the config's in-memory backend, opening no store module table.
 //!
 //! Connections are served one at a time on the accept thread, each within
 //! a request deadline and a request-length cap (`err timeout`,
@@ -480,15 +482,15 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     // campaign sees the same snapshot and computes the same fingerprint.
     let frontier0 = FrontierStore::open(&config.store).len();
     let plan = CampaignPlan::new(&cfg, Some(&config.store));
-    let (fingerprint, units) = (plan.fingerprint(), plan.units());
+    let (fingerprint, units, groups) = (plan.fingerprint(), plan.units(), plan.groups());
 
     // Opening the primary log writes/validates the campaign header and
     // sweeps shards of an incompatible prior campaign, so workers never
     // scan foreign data. Dropped before the merge reopens it.
-    drop(CampaignLog::open(&config.store, fingerprint, units));
+    drop(CampaignLog::open(&config.store, fingerprint, groups));
     let mut table = LeaseTable::open(&config.store);
     table.retain_campaign(fingerprint);
-    table.carve(fingerprint, units, workers, config.ttl_secs);
+    table.carve(fingerprint, groups, workers, config.ttl_secs);
 
     {
         let mut st = relock(shared);
@@ -600,11 +602,11 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
         return;
     }
 
-    // Merge: replay the shard union through the canonical sequential-order
-    // path over the plan built above. Every unit is checkpointed, so this
-    // compiles nothing and needs no store-backed backend (a record that
-    // fails to replay is recomputed in memory, to the same bytes), and the
-    // rendered report is bit-identical to a single-process run.
+    // Merge: fold the shard union's verdicts in canonical order over the
+    // plan built above. Every group is checkpointed, so this compiles
+    // nothing and needs no store-backed backend (a record that fails to
+    // replay is rejudged in memory, to the same verdict), and the rendered
+    // report is bit-identical to a single-process run.
     let stats = {
         let _merge = obs::Span::enter(Stage::Merge, 0);
         ParallelCampaign::new(cfg).with_checkpoint(&config.store).run_planned(&plan)

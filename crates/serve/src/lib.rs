@@ -5,7 +5,8 @@
 //! that daemon plus its wire protocol:
 //!
 //! * [`daemon`] — accepts campaign submissions over a unix-domain socket,
-//!   carves each campaign's unit index space into contiguous **leases** in
+//!   carves each campaign's `(program, sanitizer)` group index space into
+//!   contiguous **leases** in
 //!   the store's lease table ([`ubfuzz::store::LeaseTable`], the daemon's
 //!   only lease ledger, persisted as `leases.bin`) and hands every lease to
 //!   a worker *process* that checkpoints into its own shard of the store's
@@ -15,11 +16,11 @@
 //!   replacement's replay scan skips whatever the dead worker already
 //!   completed.
 //! * [`worker`] — the worker-mode entry
-//!   ([`ubfuzz::executor::run_unit_range`] behind flag parsing): compile
-//!   and checkpoint only, no oracle. Merging is the daemon's job — once
-//!   every lease is done it replays the shard union through
+//!   ([`ubfuzz::executor::run_group_range`] behind flag parsing): compile,
+//!   judge and checkpoint each group's verdict. Folding is the daemon's
+//!   job — once every lease is done it replays the shard union through
 //!   [`ubfuzz::ParallelCampaign::run_planned`], the canonical
-//!   sequential-order path, so the merged report is **bit-identical** to a
+//!   sequential-order fold, so the merged report is **bit-identical** to a
 //!   single-process run of the same configuration.
 //! * [`protocol`] / [`client`] — the line-based request protocol and the
 //!   client helpers the `ubfuzz-serve` subcommands (and the tests) use.

@@ -1,18 +1,20 @@
-//! Worker-mode entry: one leased unit range, compiled and checkpointed.
+//! Worker-mode entry: one leased group range, judged and checkpointed.
 //!
 //! The daemon spawns `<bin> worker --store DIR --seeds N --first-seed F
 //! --shard ID --start A --end B [--threads T]` once per lease; the shard id
 //! *is* the lease id, so every worker writes its own `campaign.s<ID>.bin`
 //! (single-writer-per-file keeps the torn-tail recovery story) while the
 //! open-time replay scan unions every sibling shard — a worker re-issued
-//! over a half-finished range only pays for the missing units.
+//! over a half-finished range only pays for the missing groups. `--start`
+//! and `--end` are group indices of the campaign plan.
 //!
-//! The worker runs [`ubfuzz::executor::run_unit_range`] over a
+//! The worker runs [`ubfuzz::executor::run_group_range`] over a
 //! store-backed `SimBackend` (the backend is where the compile cache is
-//! chosen): compile and record only, **no oracle** — merging is the
-//! daemon's job, through the same plan and record steps. Its stdout is
+//! chosen): it compiles each `(program, sanitizer)` group, judges it with
+//! the campaign's oracle and records the verdict — the daemon's merge only
+//! folds verdicts, through the same plan and judge steps. Its stdout is
 //! the completion receipt the daemon parses: one `computed=N replayed=N`
-//! line followed by `metric …` lines ([`ubfuzz::obs::MetricsSnapshot::
+//! line (in units, i.e. matrix cells) followed by `metric …` lines ([`ubfuzz::obs::MetricsSnapshot::
 //! encode_lines`]) carrying the per-stage latency histograms sampled in
 //! this process — the daemon cannot time compiles it never runs, so the
 //! receipt is the only road those samples have back to `METRICS`.
@@ -21,7 +23,7 @@
 use std::sync::Arc;
 use ubfuzz::backend::SimBackend;
 use ubfuzz::campaign::CampaignConfig;
-use ubfuzz::executor::run_unit_range;
+use ubfuzz::executor::run_group_range;
 use ubfuzz::{obs, SanPolicy, Strategy};
 
 use crate::{flag_num, flag_value};
@@ -105,7 +107,7 @@ pub fn worker_main(args: &[String]) -> i32 {
     // records), warming every sibling and the daemon's merge pass.
     let backend = SimBackend::with_store_capacity(&store, cfg.prefix_key_bound());
     cfg.backend = Some(Arc::new(backend));
-    let stats = run_unit_range(&cfg, threads.max(1), &store, shard, start..end);
+    let stats = run_group_range(&cfg, threads.max(1), &store, shard, start..end);
     println!("computed={} replayed={}", stats.computed, stats.replayed);
     print!("{}", sink.snapshot().encode_lines());
     0

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use ubfuzz::backend::SimBackend;
 use ubfuzz::campaign::{CampaignConfig, CampaignStats, ParallelCampaign};
-use ubfuzz::executor::plan_campaign;
+use ubfuzz::executor::CampaignPlan;
 use ubfuzz::report;
 use ubfuzz::store::CampaignLog;
 use ubfuzz_serve::{client, run_daemon, DaemonConfig};
@@ -415,10 +415,10 @@ fn unspawnable_worker_binary_fails_the_campaign_instead_of_wedging() {
 /// Satellite: concurrent opens of one store directory must not corrupt any
 /// table — including when one of the processes is SIGKILLed mid-run.
 ///
-/// Two worker processes each compile the *full* unit range into their own
+/// Two worker processes each judge the *full* group range into their own
 /// checkpoint shard while racing appends to the shared `prefix.bin`; a
 /// third is killed shortly after starting. Afterwards every table must
-/// open clean, the shard union must replay every unit, and a merge over
+/// open clean, the shard union must replay every group, and a merge over
 /// the store must render the same report as a fresh single-process run.
 #[test]
 fn concurrent_store_opens_survive_racing_and_killed_workers() {
@@ -426,15 +426,16 @@ fn concurrent_store_opens_survive_racing_and_killed_workers() {
     let scratch = Scratch::new("race");
     let dir = scratch.dir.clone();
     let cfg = CampaignConfig::builder().seeds(seeds).build();
-    let (fingerprint, units) = plan_campaign(&cfg, true, Some(&dir));
-    assert!(units > 0);
+    let plan = CampaignPlan::new(&cfg, Some(&dir));
+    let (fingerprint, groups) = (plan.fingerprint(), plan.groups());
+    assert!(groups > 0);
 
     let worker = |shard: u64, stall_ms: u64| {
         std::process::Command::new(WORKER_BIN)
             .args(["worker", "--store"])
             .arg(&dir)
             .args(["--seeds", &seeds.to_string(), "--shard", &shard.to_string()])
-            .args(["--start", "0", "--end", &units.to_string()])
+            .args(["--start", "0", "--end", &groups.to_string()])
             .args(["--threads", "2", "--stall-ms", &stall_ms.to_string()])
             .stdout(std::process::Stdio::piped())
             .spawn()
@@ -454,10 +455,10 @@ fn concurrent_store_opens_survive_racing_and_killed_workers() {
     assert!(a.wait().expect("worker a").success());
     assert!(b.wait().expect("worker b").success());
 
-    // Every table opens clean and the shard union covers every unit.
-    let log = CampaignLog::open(&dir, fingerprint, units);
-    let replayable = (0..units).filter(|i| log.has_replay(*i)).count();
-    assert_eq!(replayable, units, "shard union must cover the whole campaign");
+    // Every table opens clean and the shard union covers every group.
+    let log = CampaignLog::open(&dir, fingerprint, groups);
+    let replayable = (0..groups).filter(|i| log.has_replay(*i)).count();
+    assert_eq!(replayable, groups, "shard union must cover the whole campaign");
     drop(log);
     let prefix = ubfuzz::store::PrefixStore::open(&dir);
     assert!(!prefix.telemetry().recovered_cold(), "prefix table must not cold-start");

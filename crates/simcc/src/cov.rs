@@ -17,9 +17,8 @@
 //! the canonical order: [`CovDelta`] is a fixed bitset with one bit per
 //! vendor × point, laid out vendor-major in [`Vendor::ALL`] order, so
 //! walking its bits yields points in `(vendor, file, point)` order — the
-//! order of the encoded deltas in `frontier.bin` and checkpoint records,
-//! and of the frontier fingerprint. Recording a hit sets one bit; a merge
-//! is a word-wise OR.
+//! order of the points in `frontier.bin` and of the frontier fingerprint.
+//! Recording a hit sets one bit; a merge is a word-wise OR.
 //!
 //! Besides Gcov's three kinds, the registry holds [`PointKind::Policy`]
 //! points: the `policy_skip` branch each sanitizer pass takes when a
@@ -341,6 +340,21 @@ impl CovDelta {
     /// Whether the delta is empty.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The bitset's words: a compact encoding whose meaning is this
+    /// build's [`POINTS`] registry, so a persisted copy must be keyed by
+    /// the registry too (the campaign checkpoint folds it into its key).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The delta whose bitset is `words`; `None` when the length is not
+    /// this registry's or a bit past the last registered point is set.
+    pub fn from_words(words: &[u64]) -> Option<CovDelta> {
+        let delta = CovDelta { words: words.try_into().ok()? };
+        let unused = NPOINTS * Vendor::ALL.len()..WORDS * 64;
+        unused.into_iter().all(|b| delta.words[b / 64] & (1 << (b % 64)) == 0).then_some(delta)
     }
 }
 

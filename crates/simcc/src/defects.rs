@@ -340,28 +340,6 @@ pub const DEFECTS: &[Defect] = &[
 #[derive(Debug, Clone)]
 pub struct DefectRegistry {
     enabled: Vec<&'static str>,
-    /// Stable fingerprint of the enabled set, precomputed at construction.
-    fp: u64,
-}
-
-/// Order-independent stable hash of an id set: FNV-1a over the sorted ids
-/// with a separator byte, so `only(["a","b"])` and `only(["b","a"])` name
-/// the same registry epoch. Inline rather than `DefaultHasher` (std does
-/// not pin that across releases, and the value is persisted in store keys).
-fn fingerprint_ids(ids: &[&'static str]) -> u64 {
-    let mut sorted: Vec<&str> = ids.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in sorted {
-        for &b in id.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Default for DefectRegistry {
@@ -373,26 +351,17 @@ impl Default for DefectRegistry {
 impl DefectRegistry {
     /// All 30 defects enabled (the paper's world).
     pub fn full() -> DefectRegistry {
-        let enabled: Vec<&'static str> = DEFECTS.iter().map(|d| d.id).collect();
-        let fp = fingerprint_ids(&enabled);
-        DefectRegistry { enabled, fp }
+        DefectRegistry { enabled: DEFECTS.iter().map(|d| d.id).collect() }
     }
 
     /// No defects — correct sanitizers (ablation baseline).
     pub fn pristine() -> DefectRegistry {
-        DefectRegistry { enabled: Vec::new(), fp: fingerprint_ids(&[]) }
+        DefectRegistry { enabled: Vec::new() }
     }
 
     /// Only the listed defect ids.
     pub fn only(ids: &[&'static str]) -> DefectRegistry {
-        DefectRegistry { enabled: ids.to_vec(), fp: fingerprint_ids(ids) }
-    }
-
-    /// A stable fingerprint of the enabled-defect set — the "registry
-    /// epoch". Equal sets (in any order) fingerprint equally; the value is
-    /// stable across builds so it can be persisted.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
+        DefectRegistry { enabled: ids.to_vec() }
     }
 
     /// Looks up a defect by id.
@@ -498,18 +467,5 @@ mod tests {
         assert!(DefectRegistry::pristine()
             .active(Vendor::Gcc, 13, OptLevel::O2, Sanitizer::Asan)
             .is_empty());
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent_and_set_sensitive() {
-        let a = DefectRegistry::only(&["gcc-asan-d01", "llvm-ubsan-d22"]);
-        let b = DefectRegistry::only(&["llvm-ubsan-d22", "gcc-asan-d01"]);
-        assert_eq!(a.fingerprint(), b.fingerprint(), "order must not matter");
-        assert_ne!(a.fingerprint(), DefectRegistry::pristine().fingerprint());
-        assert_ne!(a.fingerprint(), DefectRegistry::full().fingerprint());
-        assert_eq!(DefectRegistry::full().fingerprint(), DefectRegistry::default().fingerprint());
-        // Pinned: the value is persisted in store keys, so it must never
-        // drift between builds.
-        assert_eq!(DefectRegistry::pristine().fingerprint(), 0xcbf2_9ce4_8422_2325);
     }
 }

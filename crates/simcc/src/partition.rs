@@ -92,20 +92,6 @@ impl SanPolicy {
         }
     }
 
-    /// A fingerprint of the site subset the policy keeps.
-    ///
-    /// `Full` is 0; distinct non-full policies get distinct fingerprints,
-    /// so keys built from them never alias.
-    pub fn subset_fingerprint(&self) -> u64 {
-        match *self {
-            SanPolicy::Full => 0,
-            SanPolicy::None => fnv1a(b"san-policy:none"),
-            SanPolicy::Partial { ratio_pm, salt } => {
-                fnv1a_u64(fnv1a_u64(fnv1a(b"san-policy:partial"), ratio_pm as u64), salt)
-            }
-        }
-    }
-
     /// True when the policy is the bit-identical default.
     pub fn is_full(&self) -> bool {
         matches!(self, SanPolicy::Full)
@@ -232,23 +218,6 @@ mod tests {
             .filter(|&line| p.keeps("main", Loc { line, col: 1 }))
             .count();
         assert!((350..=650).contains(&kept), "kept {kept}/1000 at ratio 0.5");
-    }
-
-    #[test]
-    fn subset_fingerprints_never_alias() {
-        let fps = [
-            SanPolicy::Full.subset_fingerprint(),
-            SanPolicy::None.subset_fingerprint(),
-            SanPolicy::Partial { ratio_pm: 500, salt: 0 }.subset_fingerprint(),
-            SanPolicy::Partial { ratio_pm: 500, salt: 1 }.subset_fingerprint(),
-            SanPolicy::Partial { ratio_pm: 250, salt: 0 }.subset_fingerprint(),
-        ];
-        assert_eq!(fps[0], 0, "Full keeps the pre-partition key shape");
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                assert_ne!(fps[i], fps[j], "policies {i} and {j} alias");
-            }
-        }
     }
 
     #[test]

@@ -1,30 +1,30 @@
-//! The campaign checkpoint log: unit-granular persistence that makes a
+//! The campaign checkpoint log: group-granular persistence that makes a
 //! killed campaign resumable with a bit-identical final report.
 //!
-//! A campaign's work decomposes into deterministically planned `(seed,
-//! program, compiler, opt, sanitizer)` units (see `ubfuzz::executor`), so a
-//! unit is fully identified by its **index** in that plan — provided both
-//! invocations planned the same campaign. The log header therefore records
-//! a fingerprint of the campaign configuration plus the planned unit count;
-//! a mismatch on open means "different campaign" and degrades to a fresh
-//! log, never to mixing two campaigns' results.
+//! A campaign's work decomposes into deterministically planned `(program,
+//! sanitizer)` groups (see `ubfuzz::executor`), so a group is fully
+//! identified by its **index** in that plan — provided both invocations
+//! planned the same campaign. The log header therefore records the
+//! campaign's fingerprint plus the planned group count; a mismatch on open
+//! means "different campaign" and degrades to a fresh log (with an event),
+//! never to mixing two campaigns' results.
 //!
-//! Each completed unit is appended as one flushed record: `(index, outcome,
-//! writer)` where the outcome is either *unsupported* (the compile was
-//! rejected, mirroring the sequential loop's `continue`) or the serialized
-//! `(Module, RunResult)` pair, and `writer` stamps which log wrote it
-//! (0 = the primary, otherwise a lease/shard id). Replayed outcomes are
-//! byte-faithful, and the campaign's canonical-order merge is a pure
-//! function of unit outcomes — which is exactly why replay-from-log
-//! reproduces the uninterrupted report bit-for-bit.
+//! Each completed group is appended as one flushed record: `(index, writer,
+//! payload)`, where the payload is the caller's encoded group result (the
+//! campaign's verdict codec lives in `ubfuzz::persist`; this log never
+//! interprets it) and `writer` stamps which log wrote it (0 = the primary,
+//! otherwise a lease/shard id). Replayed payloads are byte-faithful, and
+//! the campaign's canonical-order merge is a pure function of them — which
+//! is exactly why replay-from-log reproduces the uninterrupted report
+//! bit-for-bit.
 //!
-//! **Sharding.** Daemon mode leases contiguous unit ranges to worker
+//! **Sharding.** Daemon mode leases contiguous group ranges to worker
 //! *processes*. Giving every writer its own file keeps the single-writer
 //! torn-tail recovery story intact: a worker opened via
 //! [`CampaignLog::open_shard`] appends only to `campaign.s<id>.bin`, but
 //! every open — primary or shard — *scans* the primary plus all shard
 //! files, so each worker (and the daemon's final merge) sees the union of
-//! completed units. A SIGKILLed worker's partially written shard file is
+//! completed groups. A SIGKILLed worker's partially written shard file is
 //! recovered like any other log: valid records replay, the torn tail is
 //! ignored (and truncated once that shard id's file is reopened for
 //! writing). Re-issued leases get fresh shard ids, so two writers never
@@ -32,31 +32,25 @@
 //!
 //! **Memory discipline.** Opening *validates* every record with a single
 //! reusable buffer — the file header, the campaign-identity record, every
-//! frame checksum and each record's unit-index head — but decodes no
-//! outcome, and retains only each unit's `(file, offset, length)` span.
+//! frame checksum and each record's group-index head — but decodes no
+//! payload, and retains only each group's `(file, offset, length)` span.
 //! [`CampaignLog::take_replay`] is the single decode: it reads one record
-//! at its offset on demand and clears its slot, so a resumed months-scale
-//! campaign holds O(streaming window) outcomes in memory, never O(log) —
-//! the same bound the streaming oracle merge gives fresh compiles. A
-//! checksum-valid record whose outcome does not decode (a foreign defect
-//! id, version drift) is indexed like any other; its `take_replay` answers
-//! `None`, records a `checkpoint replay decode failed` event, and the
-//! campaign recomputes the unit. The scan, the tail recovery (a `set_len`
-//! truncation to the trusted byte count, no record rewriting) and the
-//! append are the store's shared record-file layer (`recfile`), so open
-//! cost is one sequential scan per file.
+//! at its offset on demand, hands the payload to the caller's decoder and
+//! clears its slot. A checksum-valid record whose payload does not decode
+//! (a foreign defect id, version drift) is indexed like any other; its
+//! `take_replay` answers `None`, records a `checkpoint replay decode
+//! failed` event, and the campaign recomputes the group. The scan, the
+//! tail recovery (a `set_len` truncation to the trusted byte count, no
+//! record rewriting) and the append are the store's shared record-file
+//! layer (`recfile`), so open cost is one sequential scan per file.
 
-use crate::frontier::{dec_cov_delta, enc_cov_delta};
-use crate::modser::{dec_module, dec_run_result, enc_module, enc_run_result};
 use crate::recfile::{self, Found};
-use crate::wire::{self, Dec, Enc, TableKind};
+use crate::wire::{Dec, Enc, TableKind, WireError};
 use crate::{relock_noting, StoreTelemetry};
 use std::fs::File;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use ubfuzz_simcc::{CovDelta, Module};
-use ubfuzz_simvm::RunResult;
 
 /// File name of the primary checkpoint log inside a store directory.
 pub const CHECKPOINT_FILE: &str = "campaign.bin";
@@ -66,27 +60,13 @@ pub fn shard_file(shard: u64) -> String {
     format!("campaign.s{shard}.bin")
 }
 
-/// One checkpointed unit outcome.
-// The size skew vs the payload-less `Unsupported` marker is fine: outcomes
-// are decoded one at a time during replay and consumed immediately, never
-// held in bulk, so boxing the module would only add a pointer hop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum UnitOutcome {
-    /// The cell was unsupported or failed to compile (the campaign skips
-    /// it; recorded so resume does not retry it either).
-    Unsupported,
-    /// The compiled module, its execution result, and the sanitizer
-    /// coverage points the unit hit — the delta is logged so a resumed
-    /// campaign rebuilds the coverage frontier bit-identically without
-    /// recompiling replayed units. (Records written before the delta
-    /// existed decode as an empty delta.)
-    Done(Module, RunResult, CovDelta),
-}
-
 /// Byte span of one validated record's payload: (scanned file index,
 /// payload offset, payload length).
 type PayloadSpan = (usize, u64, u32);
+
+/// Record head: the group index and the writer stamp, both fixed-width, so
+/// the caller's payload is the rest of the record.
+const HEAD_LEN: usize = 16;
 
 /// An open checkpoint log for one campaign plan.
 #[derive(Debug)]
@@ -95,7 +75,7 @@ pub struct CampaignLog {
     path: PathBuf,
     /// Writer stamp appended to every record (0 = primary).
     writer_id: u64,
-    /// Validated payload spans from previous invocations, indexed by unit.
+    /// Validated payload spans from previous invocations, indexed by group.
     /// Each slot is taken (and its record decoded) exactly once by
     /// [`CampaignLog::take_replay`].
     prior: Vec<Mutex<Option<PayloadSpan>>>,
@@ -109,56 +89,26 @@ pub struct CampaignLog {
     telemetry: StoreTelemetry,
 }
 
-fn enc_header(config_fp: u64, units: usize) -> Vec<u8> {
+fn enc_header(campaign_fp: u64, groups: usize) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u64(config_fp);
-    e.u64(units as u64);
+    e.u64(campaign_fp);
+    e.u64(groups as u64);
     e.into_bytes()
 }
 
-fn enc_unit(index: usize, outcome: &UnitOutcome, writer: u64) -> Vec<u8> {
+fn enc_record(index: usize, writer: u64, payload: &[u8]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(index as u64);
-    match outcome {
-        UnitOutcome::Unsupported => e.u8(0),
-        UnitOutcome::Done(module, result, delta) => {
-            // Tag 2 = module + result + coverage delta; tag 1 (pre-delta
-            // records) stays decodable so an older log replays with an
-            // empty delta instead of cold-starting.
-            e.u8(2);
-            enc_module(&mut e, module);
-            enc_run_result(&mut e, result);
-            enc_cov_delta(&mut e, delta);
-        }
-    }
     e.u64(writer);
+    e.raw(payload);
     e.into_bytes()
-}
-
-fn dec_unit(payload: &[u8]) -> Result<(usize, UnitOutcome, u64), wire::WireError> {
-    let mut d = Dec::new(payload);
-    let index = d.usize()?;
-    let outcome = match d.u8()? {
-        0 => UnitOutcome::Unsupported,
-        1 => UnitOutcome::Done(dec_module(&mut d)?, dec_run_result(&mut d)?, CovDelta::new()),
-        2 => {
-            let module = dec_module(&mut d)?;
-            let result = dec_run_result(&mut d)?;
-            let delta = dec_cov_delta(&mut d)?;
-            UnitOutcome::Done(module, result, delta)
-        }
-        _ => return Err(wire::WireError::Corrupt("unit outcome")),
-    };
-    let writer = d.u64()?;
-    d.finish()?;
-    Ok((index, outcome, writer))
 }
 
 impl CampaignLog {
     /// Opens (or creates) the primary checkpoint log under `dir` for the
-    /// campaign identified by `config_fp` with `units` planned units. Scans
-    /// all shard files too, so a daemon merge replays every worker's
-    /// completed units.
+    /// campaign identified by `campaign_fp` with `groups` planned groups.
+    /// Scans all shard files too, so a daemon merge replays every worker's
+    /// completed groups.
     ///
     /// Never fails: a missing, corrupt, version-skewed or *mismatched*
     /// (different campaign) file degrades to an empty log, with the reason
@@ -166,25 +116,25 @@ impl CampaignLog {
     /// back to the last fully flushed record. Opening the primary removes
     /// shard files that fail their own header check (foreign campaign
     /// leftovers); shard opens never delete anything.
-    pub fn open(dir: impl AsRef<Path>, config_fp: u64, units: usize) -> CampaignLog {
-        Self::open_as(dir.as_ref(), config_fp, units, None)
+    pub fn open(dir: impl AsRef<Path>, campaign_fp: u64, groups: usize) -> CampaignLog {
+        Self::open_as(dir.as_ref(), campaign_fp, groups, None)
     }
 
     /// Opens the checkpoint log as lease shard `shard`: scans the primary
-    /// and every shard file (so completed units replay instead of
+    /// and every shard file (so completed groups replay instead of
     /// recomputing), but appends only to `campaign.s<shard>.bin`. Each
     /// lease must use a distinct shard id — single-writer-per-file is what
     /// keeps torn-tail recovery sound across SIGKILLed workers.
     pub fn open_shard(
         dir: impl AsRef<Path>,
-        config_fp: u64,
-        units: usize,
+        campaign_fp: u64,
+        groups: usize,
         shard: u64,
     ) -> CampaignLog {
-        Self::open_as(dir.as_ref(), config_fp, units, Some(shard))
+        Self::open_as(dir.as_ref(), campaign_fp, groups, Some(shard))
     }
 
-    fn open_as(dir: &Path, config_fp: u64, units: usize, shard: Option<u64>) -> CampaignLog {
+    fn open_as(dir: &Path, campaign_fp: u64, groups: usize, shard: Option<u64>) -> CampaignLog {
         let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreOpen, 0);
         let telemetry = StoreTelemetry::default();
         let _ = std::fs::create_dir_all(dir);
@@ -200,8 +150,8 @@ impl CampaignLog {
         if !files.contains(&target) {
             files.push(target.clone());
         }
-        let identity = enc_header(config_fp, units);
-        let mut spans: Vec<Option<PayloadSpan>> = (0..units).map(|_| None).collect();
+        let identity = enc_header(campaign_fp, groups);
+        let mut spans: Vec<Option<PayloadSpan>> = (0..groups).map(|_| None).collect();
         let mut replayed = 0usize;
         let mut readers = Vec::with_capacity(files.len());
         let mut own = None;
@@ -215,16 +165,16 @@ impl CampaignLog {
                     ours = payload == identity;
                     return ours;
                 }
-                // Only the unit-index head: the checksum already vouches for
-                // the bytes, and `take_replay` decodes the outcome once.
+                // Only the group-index head: the checksum already vouches
+                // for the bytes, and `take_replay` decodes the payload once.
                 match Dec::new(payload).usize() {
-                    Ok(index) if index < units => {
+                    Ok(index) if index < groups => {
                         replayed += usize::from(spans[index].is_none());
                         spans[index] = Some((fi, payload_off, payload.len() as u32));
                         true
                     }
                     Ok(_) => {
-                        telemetry.record_corruption(format!("{name}: unit index out of plan"));
+                        telemetry.record_corruption(format!("{name}: group index out of plan"));
                         false
                     }
                     Err(e) => {
@@ -288,10 +238,17 @@ impl CampaignLog {
         ids.into_iter().map(|id| dir.join(shard_file(id))).collect()
     }
 
-    /// Takes unit `index`'s replayed outcome, reading and decoding its
-    /// record on demand. Consuming rather than preloading keeps resumed
-    /// campaigns' memory proportional to the in-flight streaming window.
-    pub fn take_replay(&self, index: usize) -> Option<UnitOutcome> {
+    /// Takes group `index`'s replayed payload, reading its record on
+    /// demand and handing the payload to `decode`. Consuming rather than
+    /// preloading keeps resumed campaigns' memory proportional to the
+    /// in-flight streaming window. `None` when nothing is logged for the
+    /// group, or when its record cannot be read or decoded (recorded as an
+    /// event; the caller recomputes the group).
+    pub fn take_replay<T>(
+        &self,
+        index: usize,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> Option<T> {
         let _span = ubfuzz_obs::Span::enter(ubfuzz_obs::Stage::StoreReplay, index as u64);
         let (fi, offset, len) =
             relock_noting(self.prior.get(index)?, &self.telemetry, "replay slot lock")
@@ -304,25 +261,26 @@ impl CampaignLog {
             return None;
         }
         // The single decode of this record: open only checked its checksum
-        // and index head, so an undecodable module surfaces here and the
-        // caller recomputes the unit.
-        match dec_unit(&buf) {
-            Ok((i, outcome, _)) if i == index => Some(outcome),
-            _ => {
-                self.telemetry.record_corruption("checkpoint replay decode failed".into());
-                None
-            }
+        // and index head, so an undecodable payload surfaces here and the
+        // caller recomputes the group.
+        let decoded = match (Dec::new(&buf).usize(), buf.get(HEAD_LEN..)) {
+            (Ok(i), Some(payload)) if i == index => decode(payload).ok(),
+            _ => None,
+        };
+        if decoded.is_none() {
+            self.telemetry.record_corruption("checkpoint replay decode failed".into());
         }
+        decoded
     }
 
-    /// Whether unit `index` has a not-yet-taken replayed outcome.
+    /// Whether group `index` has a not-yet-taken replayed record.
     pub fn has_replay(&self, index: usize) -> bool {
         self.prior.get(index).is_some_and(|slot| {
             relock_noting(slot, &self.telemetry, "replay slot lock").is_some()
         })
     }
 
-    /// How many units this log replays.
+    /// How many groups this log replays.
     pub fn replayed(&self) -> usize {
         self.replayed
     }
@@ -332,11 +290,21 @@ impl CampaignLog {
         self.writer_id
     }
 
-    /// Appends (and flushes) one completed unit.
-    pub fn record(&self, index: usize, outcome: &UnitOutcome) {
+    /// Appends (and flushes) one completed group's encoded result.
+    pub fn record(&self, index: usize, payload: &[u8]) {
         let mut file = relock_noting(&self.file, &self.telemetry, "checkpoint file lock");
-        let payload = enc_unit(index, outcome, self.writer_id);
-        recfile::append(&mut file, &payload, &self.telemetry, "checkpoint");
+        let record = enc_record(index, self.writer_id, payload);
+        recfile::append(&mut file, &record, &self.telemetry, "checkpoint");
+    }
+
+    /// On-disk bytes of the checkpoint log under `dir`: the primary plus
+    /// every shard file.
+    pub fn size_bytes(dir: &Path) -> u64 {
+        std::iter::once(dir.join(CHECKPOINT_FILE))
+            .chain(Self::shard_paths(dir))
+            .filter_map(|path| std::fs::metadata(path).ok())
+            .map(|m| m.len())
+            .sum()
     }
 
     /// The file this log writes.
@@ -364,31 +332,28 @@ mod tests {
         dir
     }
 
+    /// Takes group `index`'s payload as raw bytes.
+    fn take(log: &CampaignLog, index: usize) -> Option<Vec<u8>> {
+        log.take_replay(index, |p| Ok(p.to_vec()))
+    }
+
     #[test]
     fn records_replay_across_opens() {
         let dir = tmp_dir("replay");
         let log = CampaignLog::open(&dir, 42, 5);
         assert_eq!(log.replayed(), 0);
-        let empty =
-            Module { globals: vec![], funcs: vec![], san: Default::default(), build: None };
-        let mut delta = ubfuzz_simcc::CovDelta::new();
-        delta.insert((ubfuzz_simcc::Vendor::Gcc, "asan.rs", "run"));
-        log.record(0, &UnitOutcome::Unsupported);
-        log.record(3, &UnitOutcome::Done(empty, RunResult::Timeout, delta.clone()));
+        log.record(0, b"");
+        log.record(3, b"verdict");
         drop(log);
 
         let log = CampaignLog::open(&dir, 42, 5);
         assert_eq!(log.replayed(), 2);
-        assert_eq!(log.take_replay(0), Some(UnitOutcome::Unsupported));
-        match log.take_replay(3) {
-            Some(UnitOutcome::Done(_, RunResult::Timeout, d)) => {
-                assert_eq!(d, delta, "coverage delta replays byte-faithfully")
-            }
-            other => panic!("unexpected replay: {other:?}"),
-        }
-        assert_eq!(log.take_replay(1), None);
+        assert_eq!(take(&log, 0), Some(Vec::new()));
+        let payload = take(&log, 3);
+        assert_eq!(payload.as_deref(), Some(&b"verdict"[..]), "payloads replay byte-faithfully");
+        assert_eq!(take(&log, 1), None);
         // Taking consumes the slot (the resume memory bound).
-        assert_eq!(log.take_replay(0), None);
+        assert_eq!(take(&log, 0), None);
         assert!(!log.has_replay(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -397,11 +362,13 @@ mod tests {
     fn different_campaign_fingerprint_cold_starts() {
         let dir = tmp_dir("fp");
         let log = CampaignLog::open(&dir, 1, 3);
-        log.record(0, &UnitOutcome::Unsupported);
+        log.record(0, b"x");
         drop(log);
         let other = CampaignLog::open(&dir, 2, 3);
         assert_eq!(other.replayed(), 0, "a different campaign must not replay");
         assert!(other.telemetry().recovered_cold());
+        let events = other.telemetry().events();
+        assert_eq!(events, ["campaign.bin: written by another campaign"], "{events:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -409,8 +376,8 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let dir = tmp_dir("torn");
         let log = CampaignLog::open(&dir, 7, 4);
-        log.record(0, &UnitOutcome::Unsupported);
-        log.record(1, &UnitOutcome::Unsupported);
+        log.record(0, b"a");
+        log.record(1, b"b");
         let path = log.path().to_path_buf();
         drop(log);
         // Tear the file mid-record.
@@ -420,12 +387,12 @@ mod tests {
         let log = CampaignLog::open(&dir, 7, 4);
         assert_eq!(log.replayed(), 1, "only the fully flushed record survives");
         assert!(log.telemetry().tail_truncated());
-        log.record(1, &UnitOutcome::Unsupported);
-        log.record(2, &UnitOutcome::Unsupported);
+        log.record(1, b"b");
+        log.record(2, b"c");
         drop(log);
         let log = CampaignLog::open(&dir, 7, 4);
         assert_eq!(log.replayed(), 3);
-        assert_eq!(log.take_replay(1), Some(UnitOutcome::Unsupported));
+        assert_eq!(take(&log, 1).as_deref(), Some(&b"b"[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -435,16 +402,16 @@ mod tests {
         // appends at the end; the shared handle must keep both correct.
         let dir = tmp_dir("interleave");
         let log = CampaignLog::open(&dir, 9, 6);
-        for i in 0..3 {
-            log.record(i, &UnitOutcome::Unsupported);
+        for i in 0..3u8 {
+            log.record(i as usize, &[i]);
         }
         drop(log);
         let log = CampaignLog::open(&dir, 9, 6);
-        assert_eq!(log.take_replay(1), Some(UnitOutcome::Unsupported));
-        log.record(4, &UnitOutcome::Unsupported);
-        assert_eq!(log.take_replay(0), Some(UnitOutcome::Unsupported));
-        log.record(5, &UnitOutcome::Unsupported);
-        assert_eq!(log.take_replay(2), Some(UnitOutcome::Unsupported));
+        assert_eq!(take(&log, 1), Some(vec![1]));
+        log.record(4, &[4]);
+        assert_eq!(take(&log, 0), Some(vec![0]));
+        log.record(5, &[5]);
+        assert_eq!(take(&log, 2), Some(vec![2]));
         drop(log);
         assert_eq!(CampaignLog::open(&dir, 9, 6).replayed(), 5);
         let _ = std::fs::remove_dir_all(&dir);
@@ -452,40 +419,36 @@ mod tests {
 
     #[test]
     fn undecodable_record_is_indexed_and_fails_only_its_replay() {
-        // A checksum-valid record whose module fails to decode (a defect id
-        // this build does not know), followed by a valid record: open
-        // indexes both without truncating anything, and only the bad
-        // record's replay fails — so the campaign recomputes that unit.
-        let dir = tmp_dir("bad-module");
+        // A checksum-valid record whose payload the caller's decoder
+        // rejects (a defect id this build does not know), followed by a
+        // valid record: open indexes both without truncating anything, and
+        // only the bad record's replay fails — so the campaign recomputes
+        // that group.
+        let dir = tmp_dir("bad-payload");
         let log = CampaignLog::open(&dir, 21, 4);
-        log.record(0, &UnitOutcome::Unsupported);
+        log.record(0, b"ok");
+        log.record(1, b"bad");
+        log.record(2, b"ok");
         let path = log.path().to_path_buf();
         drop(log);
-        let mut module =
-            Module { globals: vec![], funcs: vec![], san: Default::default(), build: None };
-        module.san.applied_defects = vec![("gcc-asan-d01", ubfuzz_minic::Loc::new(1, 0))];
-        let outcome = UnitOutcome::Done(module, RunResult::Timeout, CovDelta::new());
-        let mut payload = enc_unit(1, &outcome, 0);
-        let at = payload.windows(12).position(|w| w == b"gcc-asan-d01").expect("id present");
-        payload[at] = b'x';
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&wire::frame(&payload));
-        bytes.extend_from_slice(&wire::frame(&enc_unit(2, &UnitOutcome::Unsupported, 0)));
-        std::fs::write(&path, &bytes).unwrap();
+        let on_disk = std::fs::metadata(&path).unwrap().len();
 
         let log = CampaignLog::open(&dir, 21, 4);
         assert!(!log.telemetry().recovered_cold());
         assert!(!log.telemetry().tail_truncated());
-        let on_disk = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(on_disk, bytes.len() as u64, "nothing truncated");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), on_disk, "nothing truncated");
         assert_eq!(log.replayed(), 3, "the undecodable record is indexed");
         assert!(log.telemetry().events().is_empty(), "{:?}", log.telemetry().events());
+        let decode = |p: &[u8]| match p {
+            b"ok" => Ok(()),
+            _ => Err(WireError::Corrupt("unknown defect id")),
+        };
         assert!(log.has_replay(1));
-        assert_eq!(log.take_replay(1), None);
+        assert_eq!(log.take_replay(1, decode), None);
         let events = log.telemetry().events();
         assert!(events.iter().any(|e| e == "checkpoint replay decode failed"), "{events:?}");
         assert!(!log.has_replay(1), "a failed replay consumes its slot");
-        assert_eq!(log.take_replay(2), Some(UnitOutcome::Unsupported));
+        assert_eq!(log.take_replay(2, decode), Some(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -498,21 +461,29 @@ mod tests {
         drop(primary);
         let a = CampaignLog::open_shard(&dir, 11, 6, 1);
         assert_eq!(a.writer_id(), 1);
-        a.record(0, &UnitOutcome::Unsupported);
-        a.record(1, &UnitOutcome::Unsupported);
+        a.record(0, b"a0");
+        a.record(1, b"a1");
         drop(a);
         let b = CampaignLog::open_shard(&dir, 11, 6, 2);
-        // A later-opened shard replays earlier shards' completed units.
+        // A later-opened shard replays earlier shards' completed groups.
         assert_eq!(b.replayed(), 2);
         assert!(b.has_replay(0) && b.has_replay(1));
-        b.record(4, &UnitOutcome::Unsupported);
+        b.record(4, b"b4");
         drop(b);
         // The primary merge sees the union of all shards.
         let merged = CampaignLog::open(&dir, 11, 6);
         assert_eq!(merged.replayed(), 3);
-        assert_eq!(merged.take_replay(0), Some(UnitOutcome::Unsupported));
-        assert_eq!(merged.take_replay(4), Some(UnitOutcome::Unsupported));
-        assert_eq!(merged.take_replay(2), None);
+        assert_eq!(take(&merged, 0).as_deref(), Some(&b"a0"[..]));
+        assert_eq!(take(&merged, 4).as_deref(), Some(&b"b4"[..]));
+        assert_eq!(take(&merged, 2), None);
+        assert_eq!(
+            CampaignLog::size_bytes(&dir),
+            ["campaign.bin", "campaign.s1.bin", "campaign.s2.bin"]
+                .iter()
+                .map(|f| std::fs::metadata(dir.join(f)).unwrap().len())
+                .sum::<u64>(),
+            "the log's size counts the primary and every shard"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -521,8 +492,8 @@ mod tests {
         let dir = tmp_dir("reissue");
         drop(CampaignLog::open(&dir, 13, 4));
         let w = CampaignLog::open_shard(&dir, 13, 4, 1);
-        w.record(0, &UnitOutcome::Unsupported);
-        w.record(1, &UnitOutcome::Unsupported);
+        w.record(0, b"0");
+        w.record(1, b"1");
         let shard_path = w.path().to_path_buf();
         drop(w);
         // SIGKILL mid-append: tear the shard file inside the last record.
@@ -534,7 +505,7 @@ mod tests {
         assert_eq!(w2.replayed(), 1);
         assert!(w2.has_replay(0));
         assert!(!w2.has_replay(1), "torn record is recomputed, not trusted");
-        w2.record(1, &UnitOutcome::Unsupported);
+        w2.record(1, b"1");
         drop(w2);
         assert_eq!(CampaignLog::open(&dir, 13, 4).replayed(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -545,7 +516,7 @@ mod tests {
         let dir = tmp_dir("sweep");
         drop(CampaignLog::open(&dir, 1, 3));
         let s = CampaignLog::open_shard(&dir, 1, 3, 7);
-        s.record(0, &UnitOutcome::Unsupported);
+        s.record(0, b"x");
         let shard_path = s.path().to_path_buf();
         drop(s);
         // A different campaign cold-starts the primary and removes the

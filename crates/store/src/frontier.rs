@@ -29,9 +29,8 @@ use ubfuzz_simcc::Vendor;
 /// File name of the frontier table inside a store directory.
 pub const FRONTIER_FILE: &str = "frontier.bin";
 
-/// Encodes one coverage point (shared with the checkpoint log's per-unit
-/// delta records).
-pub(crate) fn enc_cov_point(e: &mut Enc, (vendor, file, point): CovPoint) {
+/// Encodes one coverage point.
+fn enc_cov_point(e: &mut Enc, (vendor, file, point): CovPoint) {
     crate::modser::enc_vendor(e, vendor);
     e.vstr(file);
     e.vstr(point);
@@ -39,31 +38,13 @@ pub(crate) fn enc_cov_point(e: &mut Enc, (vendor, file, point): CovPoint) {
 
 /// Decodes one coverage point, re-interning `(file, point)` against the
 /// static registry — an unknown pair is corruption, not a new point.
-pub(crate) fn dec_cov_point(d: &mut Dec<'_>) -> Result<CovPoint, wire::WireError> {
+fn dec_cov_point(d: &mut Dec<'_>) -> Result<CovPoint, wire::WireError> {
     let vendor = crate::modser::dec_vendor(d)?;
     let file = d.vstr()?;
     let point = d.vstr()?;
     let (file, point) =
         cov::lookup(&file, &point).ok_or(wire::WireError::Corrupt("unknown coverage point"))?;
     Ok((vendor, file, point))
-}
-
-/// Encodes a whole delta as one length-prefixed point list.
-pub(crate) fn enc_cov_delta(e: &mut Enc, delta: &CovDelta) {
-    e.vusize(delta.len());
-    for point in delta.iter() {
-        enc_cov_point(e, point);
-    }
-}
-
-/// Decodes a delta encoded by [`enc_cov_delta`].
-pub(crate) fn dec_cov_delta(d: &mut Dec<'_>) -> Result<CovDelta, wire::WireError> {
-    let n = d.vcount(3)?;
-    let mut delta = CovDelta::new();
-    for _ in 0..n {
-        delta.insert(dec_cov_point(d)?);
-    }
-    Ok(delta)
 }
 
 /// The on-disk coverage frontier. Open never fails; corrupt or
@@ -257,11 +238,14 @@ mod tests {
 
     #[test]
     fn delta_codec_round_trips() {
+        // The frontier stores a delta as one record per point.
         let mut e = Enc::new();
-        enc_cov_delta(&mut e, &sample());
+        for point in sample().iter() {
+            enc_cov_point(&mut e, point);
+        }
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let back = dec_cov_delta(&mut d).unwrap();
+        let back: CovDelta = (0..sample().len()).map(|_| dec_cov_point(&mut d).unwrap()).collect();
         d.finish().unwrap();
         assert_eq!(back, sample());
     }

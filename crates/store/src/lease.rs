@@ -1,14 +1,14 @@
 //! The campaign lease table: which worker process owns which contiguous
-//! unit range of a campaign plan, and the daemon's only lease ledger.
+//! group range of a campaign plan, and the daemon's only lease ledger.
 //!
-//! The daemon carves a campaign's unit index space `0..units` into
-//! contiguous **leases** ([`LeaseTable::carve`]) and hands each one to a
-//! worker *process*: an id, the range, a holder pid, and a deadline of
-//! `granted + ttl_secs`. The same records that schedule the campaign are
-//! the ones `leases.bin` holds, so status queries, CI artifacts, and
-//! post-mortems of a killed daemon see who held what; the checkpoint
-//! shards (`campaign.s<id>.bin`) remain the source of truth for completed
-//! work, so a daemon restart simply re-carves and replays.
+//! The daemon carves a campaign's `(program, sanitizer)` group index space
+//! `0..groups` into contiguous **leases** ([`LeaseTable::carve`]) and hands
+//! each one to a worker *process*: an id, the range, a holder pid, and a
+//! deadline of `granted + ttl_secs`. The same records that schedule the
+//! campaign are the ones `leases.bin` holds, so status queries, CI
+//! artifacts, and post-mortems of a killed daemon see who held what; the
+//! checkpoint shards (`campaign.s<id>.bin`) remain the source of truth for
+//! completed work, so a daemon restart simply re-carves and replays.
 //!
 //! Lease ids are never reused. A failed or expired lease is *re-issued* as
 //! a fresh lease over the same range ([`LeaseTable::reclaim`]), so the
@@ -79,7 +79,7 @@ impl LeaseState {
     }
 }
 
-/// One lease: a contiguous unit range granted to one worker process. The
+/// One lease: a contiguous group range granted to one worker process. The
 /// lease id doubles as the worker's checkpoint shard id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseRecord {
@@ -87,9 +87,9 @@ pub struct LeaseRecord {
     pub id: u64,
     /// Campaign fingerprint the range indexes into.
     pub campaign_fp: u64,
-    /// First unit index (inclusive).
+    /// First group index (inclusive).
     pub start: u64,
-    /// One past the last unit index (exclusive).
+    /// One past the last group index (exclusive).
     pub end: u64,
     /// Worker process id, 0 when not yet spawned.
     pub pid: u64,
@@ -198,12 +198,12 @@ impl LeaseTable {
         self.leases.keys().next_back().map_or(1, |id| id + 1)
     }
 
-    /// Starts a run: carves `0..units` of campaign `campaign_fp` into at
+    /// Starts a run: carves groups `0..groups` of campaign `campaign_fp` into at
     /// most `parts` contiguous pending leases of `ttl_secs` each, numbered
     /// past every lease in the table so shard files never collide.
-    pub fn carve(&mut self, campaign_fp: u64, units: usize, parts: usize, ttl_secs: u64) {
+    pub fn carve(&mut self, campaign_fp: u64, groups: usize, parts: usize, ttl_secs: u64) {
         self.first = self.next_id();
-        for (id, range) in (self.first..).zip(chunk_ranges(units, parts)) {
+        for (id, range) in (self.first..).zip(chunk_ranges(groups, parts)) {
             self.leases.insert(
                 id,
                 LeaseRecord {

@@ -2,7 +2,7 @@
 //!
 //! A UBFuzz-style campaign is only production-viable if it survives process
 //! restarts: the paper's campaigns ran for months, and everything the loop
-//! computes — staged-compile prefixes, per-unit compile/run outcomes,
+//! computes — staged-compile prefixes, per-group oracle verdicts,
 //! deduplicated bugs — is a deterministic function of inputs that one
 //! invocation pays for and the next can reuse. This crate is the on-disk
 //! side of that bargain: a versioned, content-checksummed store directory
@@ -11,10 +11,10 @@
 //! | table | file | granularity | consumer |
 //! |---|---|---|---|
 //! | [`PrefixStore`] | `prefix.bin` | `(fingerprint, PrefixClass) → Module` | on-demand `Backing::fetch` |
-//! | [`CampaignLog`] | `campaign.bin` | `(campaign fingerprint, unit index) → outcome` | `ParallelCampaign` resume |
+//! | [`CampaignLog`] | `campaign.bin` | `(campaign fingerprint, group index) → verdict` | `ParallelCampaign` resume, the daemon's merge |
 //! | [`BugCorpus`] | `corpus.bin` | attribution key → bug + provenance | campaign reporting |
 //! | [`FrontierStore`] | `frontier.bin` | covered `(vendor, file, point)` set | guided-generation steering |
-//! | [`LeaseTable`] | `leases.bin` | lease id → unit range + state | the campaign daemon |
+//! | [`LeaseTable`] | `leases.bin` | lease id → group range + state | the campaign daemon |
 //!
 //! The prefix table is the one compile cache. It opens as an index — `key
 //! → record span`, with every frame checksum verified but no module decoded
@@ -59,7 +59,7 @@ mod recfile;
 pub mod sanitized;
 pub mod wire;
 
-pub use checkpoint::{CampaignLog, UnitOutcome};
+pub use checkpoint::CampaignLog;
 pub use corpus::{BugCorpus, BugRecord, CorpusEntry, MergeSummary};
 pub use frontier::FrontierStore;
 pub use lease::{LeaseRecord, LeaseState, LeaseTable};

@@ -1,5 +1,4 @@
-//! Hand-rolled serialization for the compiler IR ([`Module`]) and the VM
-//! result vocabulary ([`RunResult`]).
+//! Hand-rolled serialization for the compiler IR ([`Module`]).
 //!
 //! No serde (the workspace is offline and dependency-free by policy): every
 //! type is encoded with explicit tag bytes over the [`crate::wire`]
@@ -41,18 +40,19 @@ use ubfuzz_simcc::ir::{
     SanMeta, Sanitizer, Slot, Term, UnKind,
 };
 use ubfuzz_simcc::target::{BuildInfo, CompilerId, OptLevel, Vendor};
-use ubfuzz_simvm::{CrashKind, ReportKind, RunResult, SanReport};
 
 // ---- small leaf types ----
 
-pub(crate) fn enc_vendor(e: &mut Enc, v: Vendor) {
+/// Encodes a vendor tag (also used by coverage points and verdicts).
+pub fn enc_vendor(e: &mut Enc, v: Vendor) {
     e.u8(match v {
         Vendor::Gcc => 0,
         Vendor::Llvm => 1,
     });
 }
 
-pub(crate) fn dec_vendor(d: &mut Dec<'_>) -> Result<Vendor, WireError> {
+/// Decodes a vendor tag.
+pub fn dec_vendor(d: &mut Dec<'_>) -> Result<Vendor, WireError> {
     match d.u8()? {
         0 => Ok(Vendor::Gcc),
         1 => Ok(Vendor::Llvm),
@@ -837,118 +837,6 @@ pub fn module_from_bytes(bytes: &[u8]) -> Result<Module, WireError> {
     Ok(m)
 }
 
-// ---- run results ----
-
-fn enc_report_kind(e: &mut Enc, k: ReportKind) {
-    e.u8(match k {
-        ReportKind::StackBufOverflow => 0,
-        ReportKind::GlobalBufOverflow => 1,
-        ReportKind::HeapBufOverflow => 2,
-        ReportKind::UseAfterFree => 3,
-        ReportKind::UseAfterScope => 4,
-        ReportKind::SignedIntOverflow => 5,
-        ReportKind::NegOverflow => 6,
-        ReportKind::ShiftOob => 7,
-        ReportKind::DivByZero => 8,
-        ReportKind::NullDeref => 9,
-        ReportKind::ArrayBound => 10,
-        ReportKind::UninitUse => 11,
-        ReportKind::BadFree => 12,
-    });
-}
-
-fn dec_report_kind(d: &mut Dec<'_>) -> Result<ReportKind, WireError> {
-    Ok(match d.u8()? {
-        0 => ReportKind::StackBufOverflow,
-        1 => ReportKind::GlobalBufOverflow,
-        2 => ReportKind::HeapBufOverflow,
-        3 => ReportKind::UseAfterFree,
-        4 => ReportKind::UseAfterScope,
-        5 => ReportKind::SignedIntOverflow,
-        6 => ReportKind::NegOverflow,
-        7 => ReportKind::ShiftOob,
-        8 => ReportKind::DivByZero,
-        9 => ReportKind::NullDeref,
-        10 => ReportKind::ArrayBound,
-        11 => ReportKind::UninitUse,
-        12 => ReportKind::BadFree,
-        _ => return Err(WireError::Corrupt("report kind")),
-    })
-}
-
-fn enc_loc(e: &mut Enc, loc: Loc) {
-    e.u32(loc.line);
-    e.u32(loc.col);
-}
-
-fn dec_loc(d: &mut Dec<'_>) -> Result<Loc, WireError> {
-    Ok(Loc { line: d.u32()?, col: d.u32()? })
-}
-
-/// Encodes a [`RunResult`] into `e`.
-pub fn enc_run_result(e: &mut Enc, r: &RunResult) {
-    match r {
-        RunResult::Exit { status, output } => {
-            e.u8(0);
-            e.i64(*status);
-            e.u32(output.len() as u32);
-            for v in output {
-                e.i64(*v);
-            }
-        }
-        RunResult::Report(rep) => {
-            e.u8(1);
-            enc_sanitizer(e, rep.sanitizer);
-            enc_report_kind(e, rep.kind);
-            enc_loc(e, rep.loc);
-        }
-        RunResult::Crash { kind, loc } => {
-            e.u8(2);
-            e.u8(match kind {
-                CrashKind::Segv => 0,
-                CrashKind::Fpe => 1,
-            });
-            enc_loc(e, *loc);
-        }
-        RunResult::Timeout => e.u8(3),
-        RunResult::Error(msg) => {
-            e.u8(4);
-            e.str(msg);
-        }
-    }
-}
-
-/// Decodes a [`RunResult`] from `d`.
-pub fn dec_run_result(d: &mut Dec<'_>) -> Result<RunResult, WireError> {
-    Ok(match d.u8()? {
-        0 => {
-            let status = d.i64()?;
-            let n = d.count(8)?;
-            let mut output = Vec::with_capacity(n);
-            for _ in 0..n {
-                output.push(d.i64()?);
-            }
-            RunResult::Exit { status, output }
-        }
-        1 => RunResult::Report(SanReport {
-            sanitizer: dec_sanitizer(d)?,
-            kind: dec_report_kind(d)?,
-            loc: dec_loc(d)?,
-        }),
-        2 => {
-            let kind = match d.u8()? {
-                0 => CrashKind::Segv,
-                1 => CrashKind::Fpe,
-                _ => return Err(WireError::Corrupt("crash kind")),
-            };
-            RunResult::Crash { kind, loc: dec_loc(d)? }
-        }
-        3 => RunResult::Timeout,
-        4 => RunResult::Error(d.str()?),
-        _ => return Err(WireError::Corrupt("run result")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,29 +893,6 @@ mod tests {
                 bytes.len(),
                 instrs
             );
-        }
-    }
-
-    #[test]
-    fn run_results_round_trip() {
-        let cases = [
-            RunResult::Exit { status: -3, output: vec![1, -2, i64::MAX] },
-            RunResult::Report(SanReport {
-                sanitizer: Sanitizer::Msan,
-                kind: ReportKind::UninitUse,
-                loc: Loc::new(12, 4),
-            }),
-            RunResult::Crash { kind: CrashKind::Fpe, loc: Loc::new(3, 1) },
-            RunResult::Timeout,
-            RunResult::Error("bad module".into()),
-        ];
-        for r in cases {
-            let mut e = Enc::new();
-            enc_run_result(&mut e, &r);
-            let bytes = e.into_bytes();
-            let mut d = Dec::new(&bytes);
-            assert_eq!(dec_run_result(&mut d).unwrap(), r);
-            d.finish().unwrap();
         }
     }
 

@@ -92,14 +92,18 @@ impl Scan {
 
     /// Records what the scan found in the telemetry of the table that owns
     /// the file: an unusable header is a cold start with a `"{name} header:
-    /// …"` event, a foreign file a cold start, a torn tail a truncation.
+    /// …"` event, a foreign file a cold start with a `"{name}: written by
+    /// another campaign"` event, a torn tail a truncation.
     pub(crate) fn report(&self, telemetry: &StoreTelemetry, name: &str) {
         match &self.found {
             Found::Unusable(e) => {
                 telemetry.record_corruption(format!("{name} header: {e}"));
                 telemetry.record_cold_start();
             }
-            Found::Foreign => telemetry.record_cold_start(),
+            Found::Foreign => {
+                telemetry.record_corruption(format!("{name}: written by another campaign"));
+                telemetry.record_cold_start();
+            }
             _ if self.torn() => telemetry.record_tail_truncated(),
             _ => {}
         }

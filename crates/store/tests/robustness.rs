@@ -15,7 +15,6 @@ use ubfuzz_simcc::target::{OptLevel, Vendor};
 use ubfuzz_simcc::{CovDelta, Sanitizer};
 use ubfuzz_store::{
     modser, wire, BugCorpus, CampaignLog, FrontierStore, LeaseState, LeaseTable, PrefixStore,
-    UnitOutcome,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -396,15 +395,15 @@ fn lease_ledger_writes_the_v3_fixture_byte_for_byte() {
 fn byte_flipped_records_are_dropped_not_fatal() {
     let dir = tmp_dir("flip");
     let log = CampaignLog::open(&dir, 77, 3);
-    log.record(0, &UnitOutcome::Unsupported);
-    log.record(1, &UnitOutcome::Unsupported);
-    log.record(2, &UnitOutcome::Unsupported);
+    log.record(0, b"v");
+    log.record(1, b"v");
+    log.record(2, b"v");
     let path = log.path().to_path_buf();
     drop(log);
 
     let mut bytes = std::fs::read(&path).unwrap();
-    // Flip a byte inside the *second* unit record's payload: records 0 is
-    // intact, 1 fails its checksum, 2 becomes unreachable.
+    // Flip a byte inside the last group record's head: records 0 and 1 are
+    // intact, 2 fails its checksum.
     let target = bytes.len() - 25;
     bytes[target] ^= 0x55;
     std::fs::write(&path, &bytes).unwrap();
@@ -413,7 +412,7 @@ fn byte_flipped_records_are_dropped_not_fatal() {
     assert!(log.replayed() < 3, "flipped record must not replay fully");
     assert!(log.telemetry().tail_truncated() || log.telemetry().recovered_cold());
     // The log remains appendable and consistent.
-    log.record(2, &UnitOutcome::Unsupported);
+    log.record(2, b"v");
     drop(log);
     let log = CampaignLog::open(&dir, 77, 3);
     assert!(log.has_replay(2));
