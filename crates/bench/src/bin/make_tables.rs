@@ -36,9 +36,9 @@
 //!   misses) and renders byte-identical tables; stderr reports a
 //!   machine-readable `[store] …` summary.
 //! * `--resume` (requires `--store`) — additionally checkpoint the campaign
-//!   at compile-unit granularity and resume any compatible checkpoint
-//!   already in the store, so a killed invocation continues where it died
-//!   with a bit-identical final report.
+//!   one `(program, sanitizer)` group verdict at a time and resume any
+//!   compatible checkpoint already in the store, so a killed invocation
+//!   continues where it died with a bit-identical final report.
 //! * `--store-budget BYTES` (requires `--store`) — after the run, compact
 //!   `prefix.bin` so that it and `frontier.bin` fit this byte budget,
 //!   evicting least-recently-hit entries first (see also the standalone

@@ -480,42 +480,22 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
 ///
 /// This is the one way to configure a parallel run:
 /// `ParallelCampaign::new(cfg).with_shards(n).with_checkpoint(dir)`. An
-/// uncached run is `.with_backend(Arc::new(SimBackend::uncached()))`.
+/// uncached run is `.with_backend(Arc::new(SimBackend::uncached()))`; a
+/// recorded one carries its recorder in the config
+/// ([`CampaignConfigBuilder::recorder`]).
 #[derive(Debug, Clone)]
 pub struct ParallelCampaign {
     pub(crate) config: CampaignConfig,
     pub(crate) shards: usize,
     pub(crate) checkpoint: Option<std::path::PathBuf>,
-    pub(crate) unit_budget: Option<u64>,
 }
-
-/// A checkpointed campaign stopped before completing every group (only
-/// possible with [`ParallelCampaign::with_unit_budget`]). The completed
-/// groups' verdicts are on disk; rerunning with the same store resumes
-/// from them. Both counts are in units (matrix cells).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CampaignInterrupted {
-    /// Units of the groups whose verdicts are checkpointed (replayed +
-    /// newly judged).
-    pub completed: usize,
-    /// Planned units of the campaign.
-    pub total: usize,
-}
-
-impl std::fmt::Display for CampaignInterrupted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "campaign interrupted at {}/{} units", self.completed, self.total)
-    }
-}
-
-impl std::error::Error for CampaignInterrupted {}
 
 impl ParallelCampaign {
     /// A runner over `config` with one worker per available core. Without
     /// a backend in `config` it compiles on a fresh cached [`SimBackend`].
     pub fn new(config: CampaignConfig) -> ParallelCampaign {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ParallelCampaign { config, shards, checkpoint: None, unit_budget: None }
+        ParallelCampaign { config, shards, checkpoint: None }
     }
 
     /// Overrides the worker count (must be nonzero). The name is historical:
@@ -534,54 +514,26 @@ impl ParallelCampaign {
         self
     }
 
-    /// Attaches an observability recorder for the run's stage spans and
-    /// counters (see [`CampaignConfig::recorder`]). Telemetry only: a
-    /// recorded run's results are byte-identical to an unrecorded one.
-    pub fn with_recorder(mut self, recorder: Arc<dyn obs::Recorder>) -> ParallelCampaign {
-        self.config.recorder = Some(recorder);
-        self
-    }
-
     /// Checkpoints every judged group's verdict into the store directory
-    /// `dir` (file `campaign.bin`), and resumes from any compatible log
-    /// already there.
+    /// `dir` (file `campaign.bin`) as soon as the group is judged, and
+    /// resumes from any compatible log already there.
     ///
     /// Compatibility is by campaign fingerprint (see
     /// [`crate::persist::config_fingerprint`]): a log written by a
     /// different configuration is discarded, never mixed in. Replay is
-    /// bit-faithful, so a killed-and-resumed campaign renders the same
-    /// report as an uninterrupted one — the property `tests/store.rs`
-    /// exercises across worker counts.
+    /// bit-faithful, so a campaign killed at any point (what a SIGKILL
+    /// leaves is a prefix of the log's records, at most one of them torn)
+    /// renders, once resumed, the same report as an uninterrupted one — the
+    /// property `tests/store.rs` checks over record prefixes of a finished
+    /// log at several worker counts.
     pub fn with_checkpoint(mut self, dir: impl Into<std::path::PathBuf>) -> ParallelCampaign {
         self.checkpoint = Some(dir.into());
         self
     }
 
-    /// Stops the campaign once `units` cannot cover the next group: a
-    /// group is judged only when the remaining budget covers all of its
-    /// cells, and replayed groups are free. [`ParallelCampaign::try_run`]
-    /// then returns [`CampaignInterrupted`]. This is deterministic kill
-    /// injection for resume testing; production kills (SIGKILL, OOM) leave
-    /// the same on-disk state, minus at most one torn record.
-    pub fn with_unit_budget(mut self, units: u64) -> ParallelCampaign {
-        self.unit_budget = Some(units);
-        self
-    }
-
     /// Runs the campaign on the group executor and folds in seed order.
-    ///
-    /// # Panics
-    ///
-    /// If a unit budget was set and exhausted — budgeted runs should use
-    /// [`ParallelCampaign::try_run`].
     pub fn run(&self) -> CampaignStats {
-        self.try_run().expect("campaign interrupted by unit budget; use try_run")
-    }
-
-    /// Runs the campaign; [`Err`] only when a configured unit budget ran
-    /// out before every unit completed (the simulated-kill path).
-    pub fn try_run(&self) -> Result<CampaignStats, CampaignInterrupted> {
-        self.try_run_planned(None)
+        self.run_over(None)
     }
 
     /// [`ParallelCampaign::run`] over a plan the caller already built for
@@ -589,12 +541,8 @@ impl ParallelCampaign {
     /// carve leases, then merges over the same plan), so the run generates
     /// nothing. A plan whose fingerprint this run does not resolve is
     /// ignored and the campaign plans afresh.
-    ///
-    /// # Panics
-    ///
-    /// As [`ParallelCampaign::run`], when a unit budget ran out.
     pub fn run_planned(&self, plan: &crate::executor::CampaignPlan) -> CampaignStats {
-        self.try_run_planned(Some(plan)).expect("campaign interrupted by unit budget")
+        self.run_over(Some(plan))
     }
 }
 
@@ -799,8 +747,8 @@ pub(crate) fn judge_group(
 
 /// The fold half of the campaign loop: folds one group's verdict into
 /// campaign statistics and dedup/attribution, in canonical group order.
-/// Shared verbatim by the sequential loop and the executor's consumer, so
-/// the two paths cannot drift.
+/// Shared verbatim by the sequential loop and the parallel runner's fold
+/// loop, so the two paths cannot drift.
 pub(crate) fn fold_verdict(
     ctx: &CampaignCtx<'_>,
     u: &UbProgram,

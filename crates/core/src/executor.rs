@@ -1,4 +1,4 @@
-//! The unified campaign task executor: group-granular streaming execution
+//! The unified campaign task executor: group-granular parallel judging
 //! with a canonical-order fold, checkpointing and resume.
 //!
 //! [`ParallelCampaign::run`] decomposes a campaign into three stages:
@@ -6,28 +6,29 @@
 //! 1. **Generate** — one task per seed id, producing that seed's UB programs
 //!    (each seed id derives its own RNG stream from the campaign seed, so
 //!    scheduling cannot perturb generation).
-//! 2. **Judge** — one task per `(program, sanitizer)` group, drained by
-//!    [`Executor::map_consume`]: a task compiles and runs the group's
-//!    compiler × opt matrix and judges it with the campaign's oracle
-//!    ([`crate::campaign::judge_group`]), returning a small verdict. Tasks
-//!    share a `CompileSession` that memoizes the sanitizer-independent
-//!    `lower → early-opts` prefix, and a task drops its compiled modules
-//!    as soon as it has judged them, so memory is O(workers) groups.
-//! 3. **Fold** — the streaming consumer receives verdicts **in canonical
-//!    group order** through a bounded look-ahead window and folds each with
-//!    [`crate::campaign::fold_verdict`] (dedup, `missed_at`/`duplicates`,
-//!    reduction on first sight) — the *same* pair of functions the
-//!    sequential loop runs — so discrepancy counts, crash-site mapping and
-//!    dedup/attribution are bit-identical to
+//! 2. **Judge** — one task per `(program, sanitizer)` group on
+//!    [`Executor::map`]: a task replays the group's checkpointed verdict,
+//!    or compiles and runs the group's compiler × opt matrix and judges it
+//!    with the campaign's oracle ([`crate::campaign::judge_group`]). Either
+//!    way it returns a small verdict. Tasks share a `CompileSession` that
+//!    memoizes the sanitizer-independent `lower → early-opts` prefix, and
+//!    a task drops its compiled modules as soon as it has judged them, so
+//!    compiled memory is O(workers) groups; what is collected is one small
+//!    verdict per group.
+//! 3. **Fold** — one loop over the collected verdicts **in canonical group
+//!    order** folds each with [`crate::campaign::fold_verdict`] (dedup,
+//!    `missed_at`/`duplicates`, reduction on first sight) — the *same* pair
+//!    of functions the sequential loop runs — so discrepancy counts,
+//!    crash-site mapping and dedup/attribution are bit-identical to
 //!    [`crate::campaign::run_campaign`] at any worker count, on a cached or
 //!    an uncached backend.
 //!
 //! **Checkpointing** ([`ParallelCampaign::with_checkpoint`]): every judged
 //! group's verdict is appended to a [`CampaignLog`] keyed by the campaign
-//! fingerprint, and groups a previous invocation logged are *replayed*
-//! instead of recompiled and rejudged. Because group planning is
-//! deterministic and replay is byte-faithful, a campaign killed at any
-//! point and relaunched over the same store produces a final report
+//! fingerprint as soon as it is judged, and groups a previous invocation
+//! logged are *replayed* instead of recompiled and rejudged. Because group
+//! planning is deterministic and replay is byte-faithful, a campaign killed
+//! at any point and relaunched over the same store produces a final report
 //! bit-identical to an uninterrupted run. A verdict is a few bytes, and it
 //! does not care whether the backend's artifacts carry a module, so every
 //! backend's campaign is resumable.
@@ -42,16 +43,15 @@
 //! of their task inputs (the cache and the checkpoint log memoize a
 //! deterministic function, so they can only change *when/where* a group's
 //! verdict is computed, never what it is), and stage 3 is the sequential
-//! fold consuming those verdicts in the sequential order.
+//! fold over those verdicts in the sequential order.
 
 use crate::campaign::{
     fold_verdict, generate_programs, judge_group, test_matrix, CampaignConfig, CampaignCtx,
-    CampaignInterrupted, CampaignStats, GroupVerdict, ParallelCampaign,
+    CampaignStats, GroupVerdict, ParallelCampaign,
 };
 use crate::persist::{campaign_fingerprint, dec_verdict, enc_verdict};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use ubfuzz_backend::CompilerBackend;
 use ubfuzz_exec::Executor;
 use ubfuzz_guide::{Frontier, GuidePlan};
@@ -72,11 +72,6 @@ struct Group {
     /// The compiler × opt matrix, in campaign order; one unit per cell.
     matrix: Vec<(CompilerId, OptLevel)>,
 }
-
-/// Bounded look-ahead of the streaming fold, in groups per worker: enough
-/// in-flight work to keep every worker busy while the consumer folds. A
-/// finished group waiting in the window is only its verdict.
-const STREAM_WINDOW_PER_WORKER: usize = 8;
 
 /// The deterministic decomposition of one campaign: the canonical program
 /// list, the `(program, sanitizer)` groups, and the plan's identity. Every
@@ -277,24 +272,17 @@ pub fn run_group_range(
 impl ParallelCampaign {
     /// The merge: runs this campaign over `self.shards` executor
     /// threads. With a checkpoint directory every judged group's verdict is
-    /// checkpointed there and compatible prior checkpoints are replayed;
-    /// the unit budget (testing hook) bounds the units of *newly judged*
-    /// groups — a group runs only when the remaining budget covers all of
-    /// its cells — before the run reports [`CampaignInterrupted`]. `given`
-    /// is used instead of planning again when it is the plan this run
-    /// resolves.
-    pub(crate) fn try_run_planned(
-        &self,
-        given: Option<&CampaignPlan>,
-    ) -> Result<CampaignStats, CampaignInterrupted> {
+    /// checkpointed there and compatible prior checkpoints are replayed.
+    /// `given` is used instead of planning again when it is the plan this
+    /// run resolves.
+    pub(crate) fn run_over(&self, given: Option<&CampaignPlan>) -> CampaignStats {
         let cfg = &self.config;
-        let workers = self.shards;
         let store_dir = self.checkpoint.as_deref();
-        // Scope the campaign's recorder to this (consumer) thread for the
-        // whole run: store opens and replay spans land in it. Group tasks
-        // re-attach per task — worker threads are executor-internal.
+        // Scope the campaign's recorder to the calling thread for the whole
+        // run: store opens and the fold land in it. Group tasks re-attach
+        // per task — worker threads are executor-internal.
         let _obs = cfg.recorder.clone().map(obs::attach);
-        let exec = Executor::new(workers);
+        let exec = Executor::new(self.shards);
         let backend = cfg.resolve_backend();
         let oracle = cfg.resolve_oracle();
         let ctx = CampaignCtx { cfg, backend: backend.as_ref(), oracle: oracle.as_ref() };
@@ -305,17 +293,16 @@ impl ParallelCampaign {
 
         // The frontier snapshot this campaign starts from (and, when
         // guided, plans against); per-group deltas are absorbed during the
-        // fold and the union is persisted back on successful completion.
+        // fold and the union is persisted back on completion.
         let mut frontier_store = store_dir.map(FrontierStore::open);
         let mut frontier = frontier_store
             .as_ref()
             .map(|s| Frontier::from_covered(s.covered().clone()))
             .unwrap_or_default();
 
-        // Stages 1 + planning: the deterministic decomposition shared with
+        // Stage 1 + planning: the deterministic decomposition shared with
         // the campaign service's workers. Group order is exactly the
-        // sequential loop's iteration order; the streaming fold relies on
-        // it.
+        // sequential loop's iteration order; the fold relies on it.
         let mut owned = None;
         let plan = resolve_plan(cfg, &exec, ctx.backend, &frontier, given, &mut owned);
         let CampaignPlan { programs, groups, .. } = plan;
@@ -324,7 +311,6 @@ impl ParallelCampaign {
         // identity and the plan size; an incompatible log on disk
         // cold-starts rather than mixes.
         let log = store_dir.map(|dir| CampaignLog::open(dir, plan.fingerprint, groups.len()));
-        let budget = AtomicU64::new(self.unit_budget.unwrap_or(u64::MAX));
 
         // Seed/program tallies are generation facts, independent of compile
         // results; fill them exactly as the sequential loop would.
@@ -334,69 +320,38 @@ impl ParallelCampaign {
         }
         stats.units = plan.units();
 
-        // Stages 2+3, overlapped: workers judge (or replay) groups; the
-        // consumer folds their verdicts in canonical order.
-        let mut bug_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut starved = false;
-        let mut completed = 0usize;
-        let window = workers.saturating_mul(STREAM_WINDOW_PER_WORKER).max(1);
+        // Stage 2: every group's verdict, replayed or judged, in group
+        // order.
         let ctx = &ctx;
-        exec.map_consume(
-            groups.iter().collect(),
-            window,
-            |g, group| {
-                let _obs = cfg.recorder.clone().map(obs::attach);
-                // Replay beats recompute: a prior invocation already paid
-                // for this group. Only an actual replay opens a `Replay`
-                // span; a record that fails to decode falls through to the
-                // judge path.
-                if let Some(log) = log.as_ref().filter(|log| log.has_replay(g)) {
-                    let _replay = obs::Span::enter(Stage::Replay, g as u64);
-                    if let Some(verdict) = log.take_replay(g, dec_verdict) {
-                        return Some(verdict);
-                    }
+        let verdicts = exec.map((0..groups.len()).collect(), |_, g| {
+            let _obs = cfg.recorder.clone().map(obs::attach);
+            // Replay beats recompute: a prior invocation already paid for
+            // this group. Only an actual replay opens a `Replay` span; a
+            // record that fails to decode falls through to the judge path.
+            if let Some(log) = log.as_ref().filter(|log| log.has_replay(g)) {
+                let _replay = obs::Span::enter(Stage::Replay, g as u64);
+                if let Some(verdict) = log.take_replay(g, dec_verdict) {
+                    return verdict;
                 }
-                // Claim the whole group's budget *before* judging, so a
-                // "kill" stops work at a group boundary.
-                let cells = group.matrix.len() as u64;
-                budget
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(cells))
-                    .ok()?;
-                Some(compute_group(ctx, plan, g, log.as_ref()))
-            },
-            |g, verdict| match verdict {
-                // A starved run keeps consuming — cheaply — so the stream
-                // drains, but folds nothing more: the partial campaign is
-                // reported as interrupted, never as a report.
-                None => starved = true,
-                Some(verdict) => {
-                    let group = &groups[g];
-                    if log.is_some() {
-                        completed += group.matrix.len();
-                    }
-                    if !starved {
-                        frontier.absorb(&verdict.delta);
-                        let u = &programs[group.pi];
-                        fold_verdict(ctx, u, group.sanitizer, &verdict, &mut stats, &mut bug_index);
-                    }
-                }
-            },
-        );
+            }
+            compute_group(ctx, plan, g, log.as_ref())
+        });
+
+        // Stage 3: the sequential loop's fold, in canonical group order.
+        let mut bug_index: BTreeMap<String, usize> = BTreeMap::new();
+        for (group, verdict) in groups.iter().zip(&verdicts) {
+            frontier.absorb(&verdict.delta);
+            let u = &programs[group.pi];
+            fold_verdict(ctx, u, group.sanitizer, verdict, &mut stats, &mut bug_index);
+        }
 
         stats.cache =
             ctx.backend.prefix_cache().map(|c| c.stats()).unwrap_or_default() - cache_before;
-        if starved {
-            // Interrupted: the checkpoint log holds every judged group's
-            // delta, so the resume reconstructs the frontier; persisting a
-            // partial union here would hand the *next* campaign a frontier
-            // no finished run ever produced.
-            return Err(CampaignInterrupted { completed, total: stats.units });
-        }
         stats.frontier_points = frontier.len();
         stats.frontier_fingerprint = frontier.fingerprint();
         if let Some(fs) = frontier_store.as_mut() {
             fs.save(frontier.covered());
         }
-        Ok(stats)
+        stats
     }
 }

@@ -30,8 +30,8 @@ pub mod persist;
 pub mod report;
 
 pub use campaign::{
-    run_campaign, CampaignConfig, CampaignConfigBuilder, CampaignInterrupted, CampaignStats,
-    FoundBug, ParallelCampaign,
+    run_campaign, CampaignConfig, CampaignConfigBuilder, CampaignStats, FoundBug,
+    ParallelCampaign,
 };
 pub use ubfuzz_backend::{CompilerBackend, SimBackend};
 pub use ubfuzz_guide::{Frontier, GuidePlan, Strategy};

@@ -188,7 +188,8 @@ fn shorten(name: &str) -> String {
 /// shared [`CompileSession`] reuses the pre-sanitizer prefix across the
 /// three sanitizers of every `(vendor, opt)` cell. Coverage is unaffected by
 /// either: hit points live only in the sanitizer passes and the runtime
-/// (never the cached prefix), and the collector is an order-insensitive set.
+/// (never the cached prefix), and each task returns its [`cov::capture`]
+/// delta, whose union is order-insensitive.
 ///
 /// Share one backend across table entry points and the
 /// sanitizer-independent compile prefixes persist between them. (The
@@ -207,9 +208,8 @@ pub fn coverage_experiment(backend: &dyn CompilerBackend, seeds: usize) -> Strin
     );
     let seed_opts = SeedOptions::default();
     let run_mix = |programs: &[ubfuzz_minic::Program]| {
-        let collector = cov::Collector::new();
-        exec.map((0..programs.len()).collect(), |_, pi: usize| {
-            collector.attach(|| {
+        let deltas = exec.map((0..programs.len()).collect(), |_, pi: usize| {
+            cov::capture(|| {
                 let p = &programs[pi];
                 let fp = backend.fingerprint(p);
                 for tc in &toolchains {
@@ -232,8 +232,13 @@ pub fn coverage_experiment(backend: &dyn CompilerBackend, seeds: usize) -> Strin
                     }
                 }
             })
+            .1
         });
-        (collector.stats(Vendor::Gcc), collector.stats(Vendor::Llvm))
+        let mut covered = cov::CovDelta::new();
+        for delta in &deltas {
+            covered.merge(delta);
+        }
+        (cov::stats_of(&covered, Vendor::Gcc), cov::stats_of(&covered, Vendor::Llvm))
     };
     let seeds_programs: Vec<_> =
         (0..seeds as u64).map(|s| generate_seed(s, &seed_opts)).collect();

@@ -15,11 +15,15 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
-use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
+use ubfuzz::campaign::{CampaignConfig, CampaignConfigBuilder, GeneratorChoice, ParallelCampaign};
 use ubfuzz::obs::{Event, Histogram, MetricsSink, Recorder, Stage, TraceRecorder};
 use ubfuzz::{run_campaign, SimBackend};
 
 fn small_config(first_seed: u64, generator: GeneratorChoice) -> CampaignConfig {
+    small_builder(first_seed, generator).build()
+}
+
+fn small_builder(first_seed: u64, generator: GeneratorChoice) -> CampaignConfigBuilder {
     // Mirrors `parallel.rs`: small programs keep each full campaign fast;
     // the observer property is size-independent.
     CampaignConfig::builder()
@@ -37,7 +41,6 @@ fn small_config(first_seed: u64, generator: GeneratorChoice) -> CampaignConfig {
             max_per_kind: 2,
             ..ubfuzz::ubgen::GenOptions::default()
         })
-        .build()
 }
 
 /// A runner over `cfg` at `workers`: on the default cached backend, or on
@@ -70,13 +73,13 @@ impl std::io::Write for SharedBuf {
 /// the trace itself demonstrably observed the pipeline.
 #[test]
 fn traced_campaign_output_is_byte_identical() {
-    let cfg = small_config(11, GeneratorChoice::Ubfuzz);
-    let sequential = run_campaign(&cfg);
+    let sequential = run_campaign(&small_config(11, GeneratorChoice::Ubfuzz));
     for workers in [1usize, 2, 8, 16] {
         for cache in [true, false] {
             let buf = SharedBuf::default();
             let trace = Arc::new(TraceRecorder::new(Box::new(buf.clone())));
-            let traced = runner(&cfg, workers, cache).with_recorder(trace.clone()).run();
+            let cfg = small_builder(11, GeneratorChoice::Ubfuzz).recorder(trace.clone()).build();
+            let traced = runner(&cfg, workers, cache).run();
             assert_eq!(
                 sequential, traced,
                 "trace changed results at {workers} workers (cache {cache})"
@@ -105,7 +108,6 @@ fn traced_campaign_output_is_byte_identical() {
 /// sequential and every parallel width count the same events.
 #[test]
 fn structural_span_counts_are_schedule_independent() {
-    let cfg = small_config(5, GeneratorChoice::Ubfuzz);
     let counts = |stats: &ubfuzz::CampaignStats, sink: &MetricsSink| {
         let snap = sink.snapshot();
         let of = |stage: Stage| snap.stages.get(&stage).map(|h| h.count).unwrap_or(0);
@@ -117,8 +119,7 @@ fn structural_span_counts_are_schedule_independent() {
         )
     };
     let seq_sink = Arc::new(MetricsSink::new());
-    let mut seq_cfg = cfg.clone();
-    seq_cfg.recorder = Some(seq_sink.clone());
+    let seq_cfg = small_builder(5, GeneratorChoice::Ubfuzz).recorder(seq_sink.clone()).build();
     let (seq_stats, seq_gen, seq_run, seq_oracle) = counts(&run_campaign(&seq_cfg), &seq_sink);
     assert_eq!(seq_gen, 3, "one generate span per seed");
     assert!(seq_oracle > 0, "oracle spans observed");
@@ -129,10 +130,8 @@ fn structural_span_counts_are_schedule_independent() {
     // match the plain sequential loop span-for-span.
     for workers in [1usize, 2, 8, 16] {
         let sink = Arc::new(MetricsSink::new());
-        let par = ParallelCampaign::new(cfg.clone())
-            .with_recorder(sink.clone())
-            .with_shards(workers)
-            .run();
+        let par_cfg = small_builder(5, GeneratorChoice::Ubfuzz).recorder(sink.clone()).build();
+        let par = ParallelCampaign::new(par_cfg).with_shards(workers).run();
         let (par_stats, par_gen, par_run, par_oracle) = counts(&par, &sink);
         assert_eq!(seq_stats, par_stats, "{workers} workers diverge");
         assert_eq!(

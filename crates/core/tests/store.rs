@@ -1,8 +1,9 @@
 //! The persistent campaign store end-to-end: warm prefix caches across
-//! backend reopens, kill-then-resume checkpoint equivalence (property-tested
-//! across worker counts), and cross-invocation bug-corpus merges.
+//! backend reopens, kill-then-resume checkpoint equivalence (every kind of
+//! record prefix a kill leaves, across worker counts), and
+//! cross-invocation bug-corpus merges.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
 use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
@@ -114,58 +115,95 @@ fn warm_store_keeps_the_cold_frontier() {
     let _ = std::fs::remove_dir_all(&warm_dir);
 }
 
-/// The checkpoint acceptance property: kill the campaign after every budget
-/// of K units, resume until done, at several worker counts — the final
-/// report is bit-identical to the uninterrupted run.
+/// The records of the finished checkpoint log at `path`, in file order,
+/// each with the byte offset where it ends: record 0 is the campaign
+/// identity, record k the k-th group verdict.
+fn log_records(path: &Path) -> Vec<(u64, Vec<u8>)> {
+    use ubfuzz_store::wire;
+    let len = std::fs::metadata(path).unwrap().len();
+    let mut file = std::fs::File::open(path).unwrap();
+    let (mut at, mut buf, mut records) = (wire::HEADER_LEN as u64, Vec::new(), Vec::new());
+    while let Some((off, payload_len)) = wire::read_record_at(&mut file, len, at, &mut buf) {
+        at = off + payload_len as u64 + 8;
+        records.push((at, buf.clone()));
+    }
+    assert_eq!(at, len, "a finished log is whole records");
+    records
+}
+
+/// The checkpoint acceptance property. A SIGKILL leaves a prefix of the
+/// checkpoint log's records, at most one of them torn, and no
+/// `frontier.bin`. So: cut a finished log after k whole group records (k =
+/// 0, 1, half, all but one, all) and once mid-record, resume over only that
+/// `campaign.bin` — at a worker count that differs from the writer's for
+/// most cuts — and the report and the frontier are the uninterrupted
+/// run's, while every replayed group is a compile saved.
 #[test]
 fn killed_and_resumed_campaign_reports_bit_identically() {
-    // A slim program budget keeps the kill/resume loop to a handful of
-    // relaunches per worker count (each relaunch replays the log and
-    // regenerates seeds); the equivalence argument is size-independent.
     let mut cfg = small_config(23);
     cfg.gen_options.max_per_kind = 1;
     let reference = run_campaign(&cfg);
     assert!(!reference.bugs.is_empty(), "reference campaign finds something to compare");
+    let plan = ubfuzz::executor::CampaignPlan::new(&cfg, None);
+    let widths = [1usize, 2, 8];
 
-    for workers in [1usize, 2, 8] {
-        let dir = tmp_dir(&format!("resume-w{workers}"));
-        let mut kills = 0;
-        let resumed = loop {
-            let attempt = ParallelCampaign::new(cfg.clone())
-                .with_shards(workers)
-                .with_checkpoint(&dir)
-                .with_unit_budget(25)
-                .try_run();
-            match attempt {
-                Ok(stats) => break stats,
-                Err(interrupted) => {
-                    kills += 1;
-                    assert!(
-                        interrupted.total > 0 && kills < 10_000,
-                        "resume must make progress: {interrupted}"
-                    );
-                }
-            }
-        };
-        assert!(kills > 0, "budget of 25 units must interrupt at least once");
-        assert_eq!(
-            reference, resumed,
-            "{workers}-worker kill/resume diverges after {kills} kills"
-        );
-        assert_eq!(ubfuzz::report::table6(&reference), ubfuzz::report::table6(&resumed));
-
-        // A further run replays the complete log: no compiles at all.
-        let replay = ParallelCampaign::new(cfg.clone())
+    for (wi, &workers) in widths.iter().enumerate() {
+        let written_dir = tmp_dir(&format!("resume-w{workers}"));
+        let written = ParallelCampaign::new(cfg.clone())
             .with_shards(workers)
-            .with_checkpoint(&dir)
+            .with_checkpoint(&written_dir)
             .run();
-        assert_eq!(reference, replay);
-        assert_eq!(
-            replay.cache,
-            SessionStats::default(),
-            "full replay never touches the compile pipeline"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reference, written);
+        let written_log = written_dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
+        let log = std::fs::read(&written_log).unwrap();
+        let ends: Vec<u64> = log_records(&written_log).into_iter().map(|(end, _)| end).collect();
+        let n = ends.len() - 1;
+        assert_eq!(n, plan.groups(), "one record per group");
+        let half = n / 2;
+        // (bytes kept, whole group records among them)
+        let mut cuts: Vec<(u64, usize)> = [0, 1, half, n - 1, n].map(|k| (ends[k], k)).to_vec();
+        cuts.push(((ends[half] + ends[half + 1]) / 2, half));
+
+        for (ci, &(keep, k)) in cuts.iter().enumerate() {
+            let resume_workers = widths[(wi + ci) % widths.len()];
+            let case = format!("w{workers} → w{resume_workers}, {k}/{n} records, {keep} bytes");
+            let dir = tmp_dir(&format!("resume-w{workers}-cut{ci}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
+            std::fs::write(&path, &log[..keep as usize]).unwrap();
+            let opened = ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), n);
+            assert_eq!(opened.replayed(), k, "{case}");
+            assert_eq!(opened.telemetry().tail_truncated(), !ends.contains(&keep), "{case}");
+            drop(opened);
+
+            let resumed = ParallelCampaign::new(cfg.clone())
+                .with_shards(resume_workers)
+                .with_checkpoint(&dir)
+                .run();
+            assert_eq!(reference, resumed, "{case}");
+            assert_eq!(
+                ubfuzz::report::table6(&reference),
+                ubfuzz::report::table6(&resumed),
+                "{case}"
+            );
+            assert_eq!(
+                (resumed.frontier_points, resumed.frontier_fingerprint),
+                (reference.frontier_points, reference.frontier_fingerprint),
+                "{case}: the frontier is rebuilt from the log alone"
+            );
+            let compiled = resumed.cache.san_misses;
+            match k {
+                0 => assert_eq!(compiled, written.cache.san_misses, "{case}"),
+                k if k == n => assert_eq!(
+                    resumed.cache,
+                    SessionStats::default(),
+                    "{case}: a full replay never touches the compile pipeline"
+                ),
+                _ => assert!(compiled < written.cache.san_misses, "{case}: {compiled} cells"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&written_dir);
     }
 }
 
@@ -189,42 +227,33 @@ fn undecodable_checkpoint_record_is_recomputed_to_the_same_report() {
     // the last record naming an injected defect (`…-dNN`), with one byte of
     // the id changed, re-framed and appended like every other record.
     let log = dir.join(ubfuzz_store::checkpoint::CHECKPOINT_FILE);
-    let mut bytes = std::fs::read(&log).unwrap();
-    let mut file = std::fs::File::open(&log).unwrap();
-    let (mut at, mut buf, mut bad) = (wire::HEADER_LEN as u64, Vec::new(), None);
-    while let Some((off, len)) = wire::read_record_at(&mut file, bytes.len() as u64, at, &mut buf) {
-        let id_at = buf.windows(4).position(|w| {
-            w[..2] == *b"-d" && w[2].is_ascii_digit() && w[3].is_ascii_digit()
-        });
-        if let Some(pos) = id_at {
-            let mut payload = buf.clone();
+    let bad = log_records(&log)
+        .into_iter()
+        .rev()
+        .find_map(|(_, mut payload)| {
+            let pos = payload.windows(4).position(|w| {
+                w[..2] == *b"-d" && w[2].is_ascii_digit() && w[3].is_ascii_digit()
+            })?;
             payload[pos + 1] = b'x';
-            bad = Some(payload);
-        }
-        at = off + len as u64 + 8;
-    }
-    let bad = bad.expect("some group files a bug attributed to a defect");
+            Some(payload)
+        })
+        .expect("some group files a bug attributed to a defect");
+    let mut bytes = std::fs::read(&log).unwrap();
     bytes.extend_from_slice(&wire::frame(&bad));
     std::fs::write(&log, &bytes).unwrap();
 
-    let runner = |budget| {
-        ParallelCampaign::new(cfg.clone())
-            .with_shards(2)
-            .with_checkpoint(&dir)
-            .with_unit_budget(budget)
-            .try_run()
-    };
-    // Every other group replays, so a zero budget stops on that one group…
-    let stopped = runner(0).expect_err("the undecodable group must be rejudged");
-    let cells = stopped.total - stopped.completed;
-    assert!((1..=10).contains(&cells), "one group's matrix is missing: {stopped}");
-    // …and a budget of exactly its cells finishes the campaign,
-    // byte-identical to fresh.
-    let rerun = runner(cells as u64).expect("only the undecodable group is rejudged");
-    assert_eq!(render(&rerun), render(&fresh));
-    assert_eq!(rerun.bugs, fresh.bugs);
-    // The rejudged verdict was appended: the next run replays it all.
-    assert_eq!(render(&runner(0).expect("full replay")), render(&fresh));
+    let rerun = || ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    // Every other group replays, so the rerun compiles one group's matrix,
+    // byte-identical to fresh…
+    let rejudged = rerun();
+    let cells = rejudged.cache.san_misses;
+    assert!((1..=10).contains(&cells), "one group's matrix is rejudged: {:?}", rejudged.cache);
+    assert_eq!(render(&rejudged), render(&fresh));
+    assert_eq!(rejudged.bugs, fresh.bugs);
+    // …and appends its verdict: the next run replays it all.
+    let replayed = rerun();
+    assert_eq!(replayed.cache, SessionStats::default());
+    assert_eq!(render(&replayed), render(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,47 +1,30 @@
 //! A deterministic ordered task executor.
 //!
 //! Every campaign runner in the workspace has the same shape: a statically
-//! known list of independent tasks (compile-and-run cells, seed expansions,
-//! analyzer invocations) whose results must be *merged in task order* so the
-//! output is bit-identical to the sequential loop. One scheduling engine
-//! provides exactly that contract, in two shapes:
-//!
-//! * [`Executor::map_consume`] streams results to a consumer in index
-//!   order while workers claim tasks in index order, at most `window`
-//!   ahead of the consumer, so memory is bounded whatever the task count;
-//! * [`Executor::map`] collects that stream into a vector (a window of the
-//!   whole task list).
+//! known list of independent tasks (seed expansions, `(program, sanitizer)`
+//! group judgments, analyzer invocations) whose results must be *merged in
+//! task order* so the output is bit-identical to the sequential loop.
+//! [`Executor::map`] provides exactly that contract: it runs every task on
+//! the executor's threads and returns the results in task order, and the
+//! caller folds them.
 //!
 //! Tasks are indexed `0..n`, so thread scheduling can never reorder
-//! observable output. Claiming from one shared counter balances uneven
-//! task costs without any per-worker queues.
+//! observable output. Claiming indices from one shared counter balances
+//! uneven task costs without any per-worker queues.
 //!
-//! The implementation is plain `std`: one mutex-guarded claim state, two
-//! condvars, scoped threads. Task sets are in the thousands at most and
-//! each task is a full compile+run pipeline, so claim overhead is noise.
+//! The implementation is plain `std`: one atomic claim counter, scoped
+//! threads, and one result list per worker. Task sets are in the thousands
+//! at most and each task is a full compile+run pipeline, so claim overhead
+//! is noise; the collected results are what the caller folds, so they are
+//! meant to be small (the campaign's are per-group verdicts).
 
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Poison-recovering lock. A panicking task must abort *its* unit of work,
-/// not every later lock acquisition: the executor already propagates panics
-/// deliberately (through [`AbortGuard`]), so the poison flag carries no
-/// extra information — recover the guard and move on. The state behind
-/// these locks (task slots, result slots, counters) stays consistent across
-/// an unwind because each critical section is a single take/store.
-trait Relock<T> {
-    fn relock(&self) -> MutexGuard<'_, T>;
-}
-
-impl<T> Relock<T> for Mutex<T> {
-    fn relock(&self) -> MutexGuard<'_, T> {
-        self.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// An ordered task executor with a fixed worker count.
 ///
 /// Construction is cheap; the threads live only for the duration of each
-/// [`Executor::map_consume`] (or [`Executor::map`]) call.
+/// [`Executor::map`] call.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -71,6 +54,11 @@ impl Executor {
     /// telemetry like cache counters is fine; anything order-dependent is
     /// not). Tasks run on executor threads, never the caller's, so a task
     /// that wants a thread-scoped recorder attaches it itself.
+    ///
+    /// # Panics
+    ///
+    /// With the first panicking task's payload. Once a task panics no
+    /// worker claims another task; tasks already running finish first.
     pub fn map<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -78,171 +66,55 @@ impl Executor {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = tasks.len();
-        let mut out = Vec::with_capacity(n);
-        self.map_consume(tasks, n, f, |_, r| out.push(r));
-        out
-    }
-
-    /// Runs `f` over every task and feeds the results to `consume` **in
-    /// task order**, holding at most `window` completed-but-unconsumed
-    /// results at any moment.
-    ///
-    /// The consumer (running on the calling thread) overlaps with the
-    /// workers, and memory is capped at `window` results regardless of `n`.
-    /// Tasks are claimed in index order — a worker that would run more than
-    /// `window` tasks ahead of the consumer parks until the consumer catches
-    /// up, and because claims are ordered, the task the consumer is waiting
-    /// on is always the one a non-parked worker holds (no deadlock at any
-    /// `window ≥ 1`).
-    ///
-    /// Determinism contract: `consume` observes exactly the sequence
-    /// `(0, f(0, t0)), (1, f(1, t1)), …` whatever the worker count or
-    /// scheduling.
-    pub fn map_consume<T, R, F, C>(&self, tasks: Vec<T>, window: usize, f: F, mut consume: C)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-        C: FnMut(usize, R),
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        let window = window.max(1);
-        let slots: Vec<Mutex<Option<T>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let state = StreamState {
-            inner: Mutex::new(StreamInner { next: 0, cursor: 0, done: vec![false; n], aborted: false }),
-            claim_cv: Condvar::new(),
-            result_cv: Condvar::new(),
-        };
+        let tasks: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        // `Relaxed` suffices: the counter publishes no data (a task passes
+        // through its slot's lock, a result through `join`).
+        let next = AtomicUsize::new(0);
+        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
-                let slots = &slots;
-                let results = &results;
-                let state = &state;
-                let f = &f;
-                scope.spawn(move || {
-                    // If this worker unwinds, wake everyone so the consumer
-                    // and peers exit instead of parking forever; the scope
-                    // then re-raises the panic.
-                    let _abort = AbortGuard(state);
-                    while let Some(i) = state.claim(n, window) {
-                        let task = slots[i]
-                            .relock()
-                            .take()
-                            .expect("task claimed twice");
-                        let r = f(i, task);
-                        *results[i].relock() = Some(r);
-                        state.complete(i);
-                    }
-                });
-            }
-            // The consumer runs here, inside the scope, on the caller's
-            // thread — guarded the same way so a panicking `consume` frees
-            // the workers before the scope joins them.
-            let _abort = AbortGuard(&state);
-            for (i, slot) in results.iter().enumerate() {
-                if !state.await_result(i) {
-                    break; // a worker died; its panic surfaces at scope exit
+            let workers: Vec<_> = (0..self.workers.min(n))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _stop = StopClaims { next: &next, n };
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break done;
+                            }
+                            let task = tasks[i]
+                                .lock()
+                                .expect("a task slot is locked only to take its task")
+                                .take()
+                                .expect("each index is claimed once");
+                            done.push((i, f(i, task)));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                match worker.join() {
+                    Ok(done) => done.into_iter().for_each(|(i, r)| out[i] = Some(r)),
+                    Err(panic) => std::panic::resume_unwind(panic),
                 }
-                let r = slot.relock().take().expect("completed result present");
-                consume(i, r);
-                state.advance();
             }
         });
+        out.into_iter().map(|r| r.expect("every task ran")).collect()
     }
 }
 
-/// Shared state of a [`Executor::map_consume`] run.
-struct StreamState {
-    inner: Mutex<StreamInner>,
-    /// Signaled when the consumer advances (parked claimants recheck).
-    claim_cv: Condvar,
-    /// Signaled when a result lands (the consumer rechecks).
-    result_cv: Condvar,
+/// Moves the claim counter past the last task if its worker unwinds, so a
+/// panicking task stops every worker's claims and [`Executor::map`]
+/// propagates the panic instead of running the rest of the tasks.
+struct StopClaims<'a> {
+    next: &'a AtomicUsize,
+    n: usize,
 }
 
-struct StreamInner {
-    /// Next unclaimed task index.
-    next: usize,
-    /// Next index the consumer will take.
-    cursor: usize,
-    /// Completion flags, indexed by task.
-    done: Vec<bool>,
-    /// Set when any participant unwinds.
-    aborted: bool,
-}
-
-impl StreamState {
-    /// Claims the next task index, parking while the claim would run more
-    /// than `window` ahead of the consumer. `None` when tasks are exhausted
-    /// or the run aborted.
-    fn claim(&self, n: usize, window: usize) -> Option<usize> {
-        let mut inner = self.inner.relock();
-        loop {
-            if inner.aborted || inner.next >= n {
-                return None;
-            }
-            if inner.next < inner.cursor + window {
-                let i = inner.next;
-                inner.next += 1;
-                return Some(i);
-            }
-            inner = self.claim_cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Marks task `i` complete and wakes the consumer.
-    fn complete(&self, i: usize) {
-        let mut inner = self.inner.relock();
-        inner.done[i] = true;
-        drop(inner);
-        self.result_cv.notify_all();
-    }
-
-    /// Waits until task `i`'s result landed; `false` on abort.
-    fn await_result(&self, i: usize) -> bool {
-        let mut inner = self.inner.relock();
-        loop {
-            if inner.done[i] {
-                return true;
-            }
-            if inner.aborted {
-                return false;
-            }
-            inner = self.result_cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Advances the consumption cursor, unparking claim-bounded workers.
-    fn advance(&self) {
-        let mut inner = self.inner.relock();
-        inner.cursor += 1;
-        drop(inner);
-        self.claim_cv.notify_all();
-    }
-
-    fn abort(&self) {
-        let mut inner = self.inner.relock();
-        inner.aborted = true;
-        drop(inner);
-        self.claim_cv.notify_all();
-        self.result_cv.notify_all();
-    }
-}
-
-/// Sets the abort flag if the holder unwinds (and only then): parked peers
-/// wake, drain, and the panic propagates out of the thread scope instead of
-/// deadlocking it.
-struct AbortGuard<'a>(&'a StreamState);
-
-impl Drop for AbortGuard<'_> {
+impl Drop for StopClaims<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.abort();
+            self.next.store(self.n, Ordering::Relaxed);
         }
     }
 }
@@ -250,7 +122,6 @@ impl Drop for AbortGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_task_order() {
@@ -302,11 +173,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
+    fn tasks_run_only_on_executor_threads() {
+        let caller = std::thread::current().id();
+        for workers in [1, 4] {
+            let out = Executor::new(workers).map((0..16).collect(), |_, t: usize| {
+                assert_ne!(std::thread::current().id(), caller, "task ran on the caller");
+                t
+            });
+            assert_eq!(out.len(), 16);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 13 exploded")]
     fn panicking_task_propagates_instead_of_hanging() {
-        // The abort guard must wake the consumer and parked workers, so the
-        // scope re-raises the panic — a hang here (test timeout) is the
-        // deadlock regression.
+        // The first panic surfaces with its own payload; a hang here (test
+        // timeout) is the deadlock regression.
         let exec = Executor::new(4);
         let _ = exec.map((0..64).collect(), |i, t: usize| {
             if i == 13 {
@@ -317,102 +199,51 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_task_stops_further_claims() {
+        use std::sync::mpsc::{channel, Sender};
+        use std::time::Duration;
+        // Sends once the thread that holds it exits: after its worker has
+        // unwound past the claim loop.
+        struct SignalOnExit(Sender<()>);
+        impl Drop for SignalOnExit {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<SignalOnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        // Task 0 panics; task 1, on the other worker, finishes only once
+        // task 0's worker thread has exited, so its next claim comes after
+        // the panic. Without the stop, that worker would run all n tasks.
+        let n = 64;
+        let (tx, rx) = channel();
+        let rx = Mutex::new(rx);
+        let started = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Executor::new(2).map((0..n).collect(), |i, t: usize| {
+                started.fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    ON_EXIT.with(|slot| *slot.borrow_mut() = Some(SignalOnExit(tx.clone())));
+                    panic!("task 0 exploded");
+                }
+                if i == 1 {
+                    let exited = rx.lock().unwrap().recv_timeout(Duration::from_secs(60));
+                    exited.expect("task 0's worker exits");
+                }
+                t
+            })
+        }));
+        let payload = caught.expect_err("the task panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 0 exploded"));
+        let started = started.load(Ordering::Relaxed);
+        assert!(started <= 2, "{started} of {n} tasks started after a panic");
+    }
+
+    #[test]
     #[should_panic(expected = "worker count must be nonzero")]
     fn zero_workers_panics() {
         let _ = Executor::new(0);
-    }
-
-    #[test]
-    fn map_consume_is_in_order_and_complete() {
-        for workers in [1, 2, 4, 16] {
-            for window in [1, 2, 7, 1000] {
-                let exec = Executor::new(workers);
-                let mut seen = Vec::new();
-                exec.map_consume((0..100).collect(), window, |i, t: usize| {
-                    assert_eq!(i, t);
-                    t * 3
-                }, |i, r| {
-                    assert_eq!(r, i * 3);
-                    seen.push(i);
-                });
-                assert_eq!(seen, (0..100).collect::<Vec<_>>(), "w{workers} win{window}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_consume_bounds_outstanding_results() {
-        // With window W, a worker may never be computing (or have
-        // completed) a task more than W past the consumer's cursor. We
-        // observe the high-water mark of (claimed index − consumed count).
-        let exec = Executor::new(4);
-        let window = 3;
-        let claimed_max = AtomicUsize::new(0);
-        let consumed = AtomicUsize::new(0);
-        exec.map_consume(
-            (0..200).collect(),
-            window,
-            |i, _t: usize| {
-                let ahead = i - consumed.load(Ordering::Relaxed).min(i);
-                claimed_max.fetch_max(ahead, Ordering::Relaxed);
-            },
-            |_, _| {
-                consumed.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        // The consumer may lag its counter update by the in-flight
-        // notification, so allow exactly that slack.
-        assert!(
-            claimed_max.load(Ordering::Relaxed) <= window + 1,
-            "look-ahead {} exceeds window {window}",
-            claimed_max.load(Ordering::Relaxed)
-        );
-    }
-
-    #[test]
-    fn map_consume_handles_empty_and_tiny_inputs() {
-        let exec = Executor::new(4);
-        let mut count = 0;
-        exec.map_consume(Vec::<usize>::new(), 4, |_, t| t, |_, _| count += 1);
-        assert_eq!(count, 0);
-        let mut out = Vec::new();
-        exec.map_consume(vec![7], 1, |_, t| t + 1, |_, r| out.push(r));
-        assert_eq!(out, vec![8]);
-    }
-
-    // (The scope rewraps worker panics as "a scoped thread panicked"; the
-    // consumer panic below unwinds on the calling thread and keeps its
-    // message.)
-    #[test]
-    #[should_panic(expected = "panicked")]
-    fn map_consume_worker_panic_propagates() {
-        let exec = Executor::new(4);
-        exec.map_consume(
-            (0..64).collect(),
-            2,
-            |i, t: usize| {
-                if i == 13 {
-                    panic!("task 13 exploded");
-                }
-                t
-            },
-            |_, _| {},
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "consumer exploded")]
-    fn map_consume_consumer_panic_propagates() {
-        let exec = Executor::new(4);
-        exec.map_consume(
-            (0..64).collect(),
-            2,
-            |_, t: usize| t,
-            |i, _| {
-                if i == 5 {
-                    panic!("consumer exploded");
-                }
-            },
-        );
     }
 }

@@ -132,7 +132,6 @@ struct CampaignView {
     strategy: Strategy,
     san: SanPolicy,
     phase: Phase,
-    fingerprint: u64,
     units: usize,
     computed: usize,
     replayed: usize,
@@ -291,7 +290,6 @@ fn handle_connection(mut stream: UnixStream, config: &DaemonConfig, shared: &Sha
                     strategy,
                     san,
                     phase: Phase::Queued,
-                    fingerprint: 0,
                     units: 0,
                     computed: 0,
                     replayed: 0,
@@ -495,7 +493,6 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
     {
         let mut st = relock(shared);
         let c = campaign_mut(&mut st, id);
-        c.fingerprint = fingerprint;
         c.units = units;
         c.frontier = frontier0;
     }
@@ -748,7 +745,6 @@ mod tests {
             strategy: Strategy::Guided,
             san: SanPolicy::Partial { ratio_pm: 500, salt: 3 },
             phase: Phase::Running,
-            fingerprint: 7,
             units: 10,
             computed: 3,
             replayed: 0,
@@ -809,7 +805,6 @@ mod tests {
             strategy: Strategy::Uniform,
             san: SanPolicy::Full,
             phase: Phase::Done,
-            fingerprint: 7,
             units: 10,
             computed: 10,
             replayed: 0,

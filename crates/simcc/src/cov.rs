@@ -28,21 +28,16 @@
 //!
 //! **Capture is scoped, not global.** Hits are recorded only while a
 //! capture frame is installed on the recording thread: [`capture`] collects
-//! one unit's hits into a [`CovDelta`] the scheduler threads back to the
-//! campaign frontier, and a [`Collector`] aggregates a whole measurement
-//! window across worker threads. Outside any frame, [`hit()`] is a no-op —
-//! there is no process-wide map, so concurrent campaigns (or serve workers
-//! hosted in one process) can no longer cross-contaminate each other's
-//! coverage, and a panicking unit can poison at most the collector it was
-//! attached to, which recovers the lock and reports the event instead of
-//! propagating the panic to every later unit.
+//! one task's hits into a [`CovDelta`] that the task returns to its caller,
+//! which unions the deltas it cares about (the campaign frontier, a Table 5
+//! measurement window). Outside any frame, [`hit()`] is a no-op — there is
+//! no process-wide map and no shared lock, so concurrent campaigns (or
+//! serve workers hosted in one process) cannot cross-contaminate each
+//! other's coverage, and a panicking task loses only its own frame.
 
-use crate::relock;
 use crate::target::Vendor;
 use std::cell::RefCell;
 use std::cmp::Ordering as Cmp;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Coverage point kinds: Gcov's LC/FC/BC columns, plus the partial-policy
 /// skip branches that Table 5 does not count.
@@ -380,15 +375,9 @@ impl FromIterator<CovPoint> for CovDelta {
     }
 }
 
-/// Where the current thread's hits go: a frame-local delta ([`capture`]) or
-/// a shared cross-thread collector ([`Collector::attach`]).
-enum Sink {
-    Local(CovDelta),
-    Shared(Arc<CollectorInner>),
-}
-
 thread_local! {
-    static SINKS: RefCell<Vec<Sink>> = const { RefCell::new(Vec::new()) };
+    /// The thread's capture frames, innermost last.
+    static FRAMES: RefCell<Vec<CovDelta>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Pops the top capture frame on scope exit — including panic unwinds, so a
@@ -398,8 +387,8 @@ struct FrameGuard;
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
-        SINKS.with(|s| {
-            s.borrow_mut().pop();
+        FRAMES.with(|frames| {
+            frames.borrow_mut().pop();
         });
     }
 }
@@ -409,81 +398,23 @@ impl Drop for FrameGuard {
 /// nothing captures. Hit sites name their point with [`hit!`] or
 /// [`point!`], so the id is always a registered one.
 pub fn hit(vendor: Vendor, id: PointId) {
-    SINKS.with(|s| {
-        if let Some(top) = s.borrow_mut().last_mut() {
-            match top {
-                Sink::Local(delta) => delta.set(vendor, id),
-                Sink::Shared(inner) => inner.record(vendor, id),
-            }
+    FRAMES.with(|frames| {
+        if let Some(top) = frames.borrow_mut().last_mut() {
+            top.set(vendor, id);
         }
     });
 }
 
 /// Runs `f` with a fresh capture frame on this thread and returns its value
-/// together with the coverage points it hit — the per-unit seam the
-/// executor uses to thread sanitizer coverage back to the scheduler.
+/// together with the coverage points it hit — the one seam through which
+/// callers collect sanitizer coverage (a campaign's group verdicts, the
+/// Table 5 experiment's per-program tasks).
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, CovDelta) {
-    SINKS.with(|s| s.borrow_mut().push(Sink::Local(CovDelta::new())));
+    FRAMES.with(|frames| frames.borrow_mut().push(CovDelta::new()));
     let _guard = FrameGuard;
     let value = f();
-    let delta = SINKS.with(|s| match s.borrow_mut().last_mut() {
-        Some(Sink::Local(delta)) => std::mem::take(delta),
-        _ => CovDelta::new(),
-    });
-    (value, delta)
-}
-
-#[derive(Debug, Default)]
-struct CollectorInner {
-    covered: Mutex<CovDelta>,
-    poison_recoveries: AtomicUsize,
-}
-
-impl CollectorInner {
-    fn record(&self, vendor: Vendor, id: PointId) {
-        relock(&self.covered, &self.poison_recoveries).set(vendor, id);
-    }
-}
-
-/// A shared coverage aggregate for one measurement window: worker threads
-/// [`Collector::attach`] their task bodies and every hit lands in one
-/// poison-recovering set. Replaces the old process-global hit map — each
-/// experiment owns its collector, so concurrent campaigns in one process
-/// observe only their own hits.
-#[derive(Debug, Clone, Default)]
-pub struct Collector {
-    inner: Arc<CollectorInner>,
-}
-
-impl Collector {
-    /// A fresh, empty collector.
-    pub fn new() -> Collector {
-        Collector::default()
-    }
-
-    /// Runs `f` with this collector installed as the thread's capture
-    /// frame; every [`hit`] inside lands in the shared set.
-    pub fn attach<T>(&self, f: impl FnOnce() -> T) -> T {
-        SINKS.with(|s| s.borrow_mut().push(Sink::Shared(self.inner.clone())));
-        let _guard = FrameGuard;
-        f()
-    }
-
-    /// A copy of everything collected so far, in canonical order.
-    pub fn snapshot(&self) -> CovDelta {
-        relock(&self.inner.covered, &self.inner.poison_recoveries).clone()
-    }
-
-    /// Gcov-style percentages over the collected points for `vendor`.
-    pub fn stats(&self, vendor: Vendor) -> CovStats {
-        stats_of(&self.snapshot(), vendor)
-    }
-
-    /// How many times a poisoned lock was recovered (a unit panicked while
-    /// holding it). Non-zero is a telemetry event, never an abort.
-    pub fn poison_recoveries(&self) -> usize {
-        self.inner.poison_recoveries.load(Ordering::Relaxed)
-    }
+    let delta = FRAMES.with(|frames| frames.borrow_mut().last_mut().map(std::mem::take));
+    (value, delta.unwrap_or_default())
 }
 
 /// Coverage percentages for one vendor, Gcov style.
@@ -555,30 +486,6 @@ mod tests {
         hit!(Vendor::Gcc, "asan.rs", "run");
         let ((), delta) = capture(|| hit!(Vendor::Gcc, "ubsan.rs", "run"));
         assert_eq!(delta.len(), 1);
-    }
-
-    #[test]
-    fn collector_aggregates_across_threads_and_recovers_poison() {
-        let collector = Collector::new();
-        std::thread::scope(|scope| {
-            for id in [point!("asan.rs", "run"), point!("ubsan.rs", "run")] {
-                let c = &collector;
-                scope.spawn(move || c.attach(|| hit(Vendor::Gcc, id)));
-            }
-        });
-        assert_eq!(collector.snapshot().len(), 2);
-        assert!(collector.stats(Vendor::Gcc).func_pct > 0.0);
-        // Poison the lock from a panicking attach; the collector recovers
-        // and keeps collecting, counting the recovery for telemetry.
-        let inner = collector.inner.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = inner.covered.lock().unwrap();
-            panic!("holder dies");
-        })
-        .join();
-        collector.attach(|| hit!(Vendor::Llvm, "msan.rs", "run"));
-        assert_eq!(collector.snapshot().len(), 3);
-        assert!(collector.poison_recoveries() > 0, "recovery must be observable");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub(crate) fn relock<'a, T>(
     })
 }
 
-pub use cov::{Collector, CovDelta, CovPoint};
+pub use cov::{CovDelta, CovPoint};
 pub use defects::{BugStatus, Defect, DefectCategory, DefectRegistry, DEFECTS};
 pub use ir::{Module, Sanitizer};
 pub use lower::CompileError;

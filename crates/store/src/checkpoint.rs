@@ -240,8 +240,8 @@ impl CampaignLog {
 
     /// Takes group `index`'s replayed payload, reading its record on
     /// demand and handing the payload to `decode`. Consuming rather than
-    /// preloading keeps resumed campaigns' memory proportional to the
-    /// in-flight streaming window. `None` when nothing is logged for the
+    /// preloading means each record is read and decoded once, by the task
+    /// that replays its group. `None` when nothing is logged for the
     /// group, or when its record cannot be read or decoded (recorded as an
     /// event; the caller recomputes the group).
     pub fn take_replay<T>(
