@@ -35,9 +35,11 @@
 //!
 //! **Worker ranges** ([`run_group_range`]): a campaign-service worker runs
 //! stages 1 and 2 over its leased group range into its own checkpoint
-//! shard. It shares the merge's plan step and its judge-and-record step,
-//! so a group a worker logged replays in the merge exactly as if the merge
-//! had judged it, and the merge only folds.
+//! shard. Nothing crosses seeds, so it plans only the seed span that covers
+//! its range ([`CampaignPlan::seed_span`] of the daemon's full plan): a
+//! seed slice whose groups keep their global indices. It shares the
+//! merge's judge-and-record step, so a group a worker logged replays in the
+//! merge exactly as if the merge had judged it, and the merge only folds.
 //!
 //! The determinism argument, in one line: stages 1 and 2 are pure functions
 //! of their task inputs (the cache and the checkpoint log memoize a
@@ -51,6 +53,7 @@ use crate::campaign::{
 };
 use crate::persist::{campaign_fingerprint, dec_verdict, enc_verdict};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 use ubfuzz_backend::CompilerBackend;
 use ubfuzz_exec::Executor;
@@ -76,19 +79,40 @@ struct Group {
 /// The deterministic decomposition of one campaign: the canonical program
 /// list, the `(program, sanitizer)` groups, and the plan's identity. Every
 /// participant in a multi-process campaign — the daemon, each worker, the
-/// final merge — arrives at the same plan from the same [`CampaignConfig`]
-/// and store, which is what lets a bare group index address work across
-/// processes. The daemon builds it once ([`CampaignPlan::new`]), carves
-/// leases from [`CampaignPlan::groups`] and hands the same plan to its
-/// merge ([`crate::campaign::ParallelCampaign::run_planned`]), so the merge
+/// final merge — arrives at the same plan, or a seed slice of it, from the
+/// same [`CampaignConfig`] and store, which is what lets a bare group index
+/// address work across processes. The daemon builds it once
+/// ([`CampaignPlan::new`]), carves leases from [`CampaignPlan::groups`],
+/// maps each lease to its [`CampaignPlan::seed_span`] for the worker, and
+/// hands the same plan to its merge
+/// ([`crate::campaign::ParallelCampaign::run_planned`]), so the merge
 /// generates nothing.
 pub struct CampaignPlan {
     programs: Vec<UbProgram>,
     fingerprints: Vec<ProgramFingerprint>,
+    /// The slice's groups; `groups[i]` is the campaign's group `base + i`.
     groups: Vec<Group>,
+    /// Where each planned seed's groups start, in global indices: the
+    /// slice's `i`-th seed holds groups `seed_starts[i]..seed_starts[i + 1]`,
+    /// so the length is the slice's seed count plus one.
+    seed_starts: Vec<usize>,
+    /// Global index of the slice's first group: 0 for the full plan.
+    base: usize,
     /// Full plan identity: the checkpoint log's key (see
-    /// [`campaign_fingerprint`]).
+    /// [`campaign_fingerprint`]). A seed slice carries its campaign's.
     fingerprint: u64,
+}
+
+/// The seeds a worker regenerates to judge a lease's group range, as
+/// [`CampaignPlan::seed_span`] maps it: the campaign daemon's addressing
+/// data for one worker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeedSpan {
+    /// Seed offsets `[S, E)` into the campaign's `cfg.seeds`.
+    pub seeds: Range<usize>,
+    /// The span's global group indices: seed S's first group to the end of
+    /// seed E − 1's groups. Covers the lease's range.
+    pub groups: Range<usize>,
 }
 
 impl CampaignPlan {
@@ -100,7 +124,18 @@ impl CampaignPlan {
     pub fn new(cfg: &CampaignConfig, store_dir: Option<&Path>) -> CampaignPlan {
         let backend = cfg.resolve_backend();
         let guidance = cfg.resolve_guidance(&starting_frontier(store_dir));
-        build_plan(cfg, &Executor::auto(), backend.as_ref(), guidance.as_ref())
+        build_plan(cfg, &Executor::auto(), backend.as_ref(), guidance.as_ref(), 0..cfg.seeds, 0)
+    }
+
+    /// The seed span covering global group range `range` of this full
+    /// plan: from the seed holding group `range.start` to the last seed
+    /// holding a group below `range.end`. A seed that straddles a range
+    /// boundary belongs to the spans on both sides.
+    pub fn seed_span(&self, range: Range<usize>) -> SeedSpan {
+        let starts = &self.seed_starts;
+        let first = starts.partition_point(|&s| s <= range.start).saturating_sub(1);
+        let end = starts.partition_point(|&s| s < range.end).max(first);
+        SeedSpan { seeds: first..end, groups: starts[first]..starts[end] }
     }
 
     /// The campaign fingerprint: the checkpoint log identity.
@@ -120,46 +155,54 @@ impl CampaignPlan {
     }
 }
 
-/// Builds the campaign plan. Stage-1 generation runs on `exec`; group order
-/// is exactly the sequential loop's iteration order. `guidance` — the
-/// resolved guided-generation budgets, `None` in uniform mode — steers
-/// generation and folds its frontier fingerprint into the plan identity,
-/// so every participant must resolve it from the same frontier state (the
-/// store's `frontier.bin` at campaign start).
+/// Builds the plan of the seed slice `seeds` (offsets into `cfg.seeds`)
+/// whose first group is the campaign's group `base`; the full plan is the
+/// slice `0..cfg.seeds` at base 0. Stage-1 generation runs on `exec`;
+/// group order is exactly the sequential loop's iteration order.
+/// `guidance` — the resolved guided-generation budgets, `None` in uniform
+/// mode — steers generation and folds its frontier fingerprint into the
+/// plan identity, so every participant must resolve it from the same
+/// frontier state (the store's `frontier.bin` at campaign start).
 fn build_plan(
     cfg: &CampaignConfig,
     exec: &Executor,
     backend: &dyn CompilerBackend,
     guidance: Option<&GuidePlan>,
+    seeds: Range<usize>,
+    base: usize,
 ) -> CampaignPlan {
     let toolchains = backend.toolchains();
     // Stage 1: per-seed generation, results in canonical seed order (each
     // seed id derives its own RNG stream, so scheduling cannot perturb it).
-    let seed_ids: Vec<u64> = (cfg.first_seed..cfg.first_seed + cfg.seeds as u64).collect();
+    let seed_ids: Vec<u64> = seeds.map(|s| cfg.first_seed + s as u64).collect();
     let per_seed = exec.map(seed_ids, |_, seed_id| {
         // Executor worker threads carry no recorder of their own; each task
         // scopes the campaign's recorder so generation spans land in it.
         let _obs = cfg.recorder.clone().map(obs::attach);
         generate_programs(cfg, seed_id, guidance)
     });
-    let programs: Vec<UbProgram> = per_seed.into_iter().flatten().collect();
-    let fingerprints: Vec<_> =
-        programs.iter().map(|u| backend.fingerprint(&u.program)).collect();
-    let mut groups: Vec<Group> = Vec::new();
-    for (pi, u) in programs.iter().enumerate() {
-        for sanitizer in san::sanitizers_for(u.kind) {
-            let matrix = test_matrix(&toolchains, sanitizer);
-            // An empty matrix (no toolchain ships this sanitizer — e.g. a
-            // gcc-only real-toolchain backend asked for MSan) plans no
-            // group: judging zero cells files nothing in the sequential
-            // loop either.
-            if !matrix.is_empty() {
-                groups.push(Group { pi, sanitizer, matrix });
+    let (mut programs, mut groups, mut seed_starts) = (Vec::new(), Vec::new(), vec![base]);
+    for seed_programs in per_seed {
+        for u in seed_programs {
+            let pi = programs.len();
+            for sanitizer in san::sanitizers_for(u.kind) {
+                let matrix = test_matrix(&toolchains, sanitizer);
+                // An empty matrix (no toolchain ships this sanitizer — e.g.
+                // a gcc-only real-toolchain backend asked for MSan) plans no
+                // group: judging zero cells files nothing in the sequential
+                // loop either.
+                if !matrix.is_empty() {
+                    groups.push(Group { pi, sanitizer, matrix });
+                }
             }
+            programs.push(u);
         }
+        seed_starts.push(base + groups.len());
     }
+    let fingerprints: Vec<_> =
+        programs.iter().map(|u: &UbProgram| backend.fingerprint(&u.program)).collect();
     let fingerprint = campaign_fingerprint(cfg, backend, guidance);
-    CampaignPlan { programs, fingerprints, groups, fingerprint }
+    CampaignPlan { programs, fingerprints, groups, seed_starts, base, fingerprint }
 }
 
 /// The frontier a campaign *starts* from: the store's persisted
@@ -174,35 +217,16 @@ fn starting_frontier(store_dir: Option<&Path>) -> Frontier {
     }
 }
 
-/// The plan step shared by the merge and a worker's range: resolves the
-/// guidance `cfg` plans under from the starting `frontier`, then returns
-/// `given` when it is that plan (same fingerprint — a stale plan is
-/// ignored, never mixed in) or builds the plan into `slot`.
-fn resolve_plan<'a>(
-    cfg: &CampaignConfig,
-    exec: &Executor,
-    backend: &dyn CompilerBackend,
-    frontier: &Frontier,
-    given: Option<&'a CampaignPlan>,
-    slot: &'a mut Option<CampaignPlan>,
-) -> &'a CampaignPlan {
-    let guidance = cfg.resolve_guidance(frontier);
-    let fingerprint = campaign_fingerprint(cfg, backend, guidance.as_ref());
-    match given {
-        Some(plan) if plan.fingerprint == fingerprint => plan,
-        _ => slot.insert(build_plan(cfg, exec, backend, guidance.as_ref())),
-    }
-}
-
-/// The judge step shared by the merge and a worker's range: judges group
-/// `g` of `plan` and checkpoints its verdict into `log`.
+/// The judge step shared by the merge and a worker's range: judges the
+/// campaign's group `g` (a global index inside `plan`'s slice) and
+/// checkpoints its verdict into `log`.
 fn compute_group(
     ctx: &CampaignCtx<'_>,
     plan: &CampaignPlan,
     g: usize,
     log: Option<&CampaignLog>,
 ) -> GroupVerdict {
-    let group = &plan.groups[g];
+    let group = &plan.groups[g - plan.base];
     let u = &plan.programs[group.pi];
     let verdict = judge_group(ctx, &plan.fingerprints[group.pi], u, group.sanitizer, &group.matrix);
     if let Some(log) = log {
@@ -231,42 +255,73 @@ pub struct RangeStats {
     pub replayed: usize,
 }
 
-/// Worker-mode entry: judges the groups of `range` (group indices of the
-/// plan) and records their verdicts to checkpoint shard `shard` under
-/// `store_dir`. Folding is the daemon's job: its merge replays the shard
-/// union through the canonical-order fold, so the merged report is
-/// bit-identical to a single-process run. Groups any existing shard
-/// already completed are skipped, which is what makes a re-issued lease
-/// over a half-finished range cheap. Compiles run on the backend `cfg`
-/// resolves.
+/// Worker-mode entry: judges the groups of `range` (global group indices
+/// of the campaign plan) and records their verdicts to checkpoint shard
+/// `shard` under `store_dir`. It plans only `span`, the seed span the
+/// daemon mapped `range` to ([`CampaignPlan::seed_span`]); `groups` is the
+/// full plan's group count, which the shard header records. Folding is the
+/// daemon's job: its merge replays the shard union through the
+/// canonical-order fold, so the merged report is bit-identical to a
+/// single-process run. Groups any existing shard already completed are
+/// skipped, which is what makes a re-issued lease over a half-finished
+/// range cheap. Compiles run on the backend `cfg` resolves.
+///
+/// `Err` (and nothing recorded) when the span disagrees with this
+/// process's plan: its seeds lie outside the campaign, they regenerate to a
+/// different group count than `span.groups`, or `span.groups` does not
+/// cover `range`. That is a worker whose generation drifted from the
+/// daemon's, which the campaign fingerprint cannot see.
 pub fn run_group_range(
     cfg: &CampaignConfig,
     workers: usize,
     store_dir: &Path,
     shard: u64,
-    range: std::ops::Range<usize>,
-) -> RangeStats {
+    range: Range<usize>,
+    span: &SeedSpan,
+    groups: usize,
+) -> Result<RangeStats, String> {
     let _obs = cfg.recorder.clone().map(obs::attach);
+    if span.seeds.start > span.seeds.end || span.seeds.end > cfg.seeds {
+        let seeds = cfg.seeds;
+        return Err(format!("seed span {:?} is outside the campaign's {seeds} seeds", span.seeds));
+    }
     let exec = Executor::new(workers);
     let backend = cfg.resolve_backend();
     let oracle = cfg.resolve_oracle();
     let ctx = CampaignCtx { cfg, backend: backend.as_ref(), oracle: oracle.as_ref() };
-    let (frontier, mut owned) = (starting_frontier(Some(store_dir)), None);
-    let plan = resolve_plan(cfg, &exec, ctx.backend, &frontier, None, &mut owned);
-    let log = CampaignLog::open_shard(store_dir, plan.fingerprint, plan.groups.len(), shard);
-    let indices: Vec<usize> = range.filter(|g| *g < plan.groups.len()).collect();
-    let (ctx, log) = (&ctx, &log);
-    let outcomes = exec.map(indices, |_, g| {
+    let guidance = cfg.resolve_guidance(&starting_frontier(Some(store_dir)));
+    let (seeds, base) = (span.seeds.clone(), span.groups.start);
+    let plan = build_plan(cfg, &exec, ctx.backend, guidance.as_ref(), seeds, base);
+    // The span must be exactly what these seeds plan, cover the range, and
+    // sit inside the campaign: at group 0 when it starts at seed 0, at the
+    // last group when it ends at the last seed.
+    let slice = base..base.saturating_add(plan.groups.len());
+    if slice != span.groups
+        || range.start < slice.start
+        || range.end > slice.end
+        || slice.end > groups
+        || (span.seeds.start == 0 && base != 0)
+        || (span.seeds.end == cfg.seeds && slice.end != groups)
+    {
+        return Err(format!(
+            "seeds {:?} plan groups {slice:?}, but the lease sent span {:?} for range \
+             {range:?} of {groups} groups",
+            span.seeds, span.groups
+        ));
+    }
+    let log = CampaignLog::open_shard(store_dir, plan.fingerprint, groups, shard);
+    let (ctx, log, plan) = (&ctx, &log, &plan);
+    let outcomes = exec.map(range.collect(), |_, g| {
         let _obs = cfg.recorder.clone().map(obs::attach);
         let fresh = !log.has_replay(g);
         if fresh {
             compute_group(ctx, plan, g, Some(log));
         }
-        (fresh, plan.groups[g].matrix.len())
+        (fresh, plan.groups[g - base].matrix.len())
     });
     let computed = outcomes.iter().filter(|(fresh, _)| *fresh).map(|(_, units)| units).sum();
     let replayed = outcomes.iter().filter(|(fresh, _)| !fresh).map(|(_, units)| units).sum();
-    RangeStats { computed, replayed }
+    Ok(RangeStats { computed, replayed })
 }
 
 impl ParallelCampaign {
@@ -300,11 +355,22 @@ impl ParallelCampaign {
             .map(|s| Frontier::from_covered(s.covered().clone()))
             .unwrap_or_default();
 
-        // Stage 1 + planning: the deterministic decomposition shared with
-        // the campaign service's workers. Group order is exactly the
-        // sequential loop's iteration order; the fold relies on it.
-        let mut owned = None;
-        let plan = resolve_plan(cfg, &exec, ctx.backend, &frontier, given, &mut owned);
+        // Stage 1 + planning: the deterministic decomposition the campaign
+        // service's workers slice. Group order is exactly the sequential
+        // loop's iteration order; the fold relies on it. A `given` plan is
+        // used when it is this run's (same fingerprint — a stale plan is
+        // ignored, never mixed in).
+        let guidance = cfg.resolve_guidance(&frontier);
+        let fingerprint = campaign_fingerprint(cfg, ctx.backend, guidance.as_ref());
+        let owned;
+        let plan = match given {
+            Some(plan) if plan.fingerprint == fingerprint => plan,
+            _ => {
+                let seeds = 0..cfg.seeds;
+                owned = build_plan(cfg, &exec, ctx.backend, guidance.as_ref(), seeds, 0);
+                &owned
+            }
+        };
         let CampaignPlan { programs, groups, .. } = plan;
 
         // The checkpoint log identifies the campaign by the full plan

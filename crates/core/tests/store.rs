@@ -3,12 +3,15 @@
 //! record prefix a kill leaves, across worker counts), and
 //! cross-invocation bug-corpus merges.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use ubfuzz::backend::{CompilerBackend, SimBackend};
 use ubfuzz::campaign::{CampaignConfig, GeneratorChoice, ParallelCampaign};
+use ubfuzz::executor::{run_group_range, CampaignPlan, SeedSpan};
+use ubfuzz::obs::{MetricsSink, Stage};
 use ubfuzz::{persist, run_campaign, SanPolicy, SessionStats};
-use ubfuzz_store::BugCorpus;
+use ubfuzz_store::{BugCorpus, CampaignLog, LeaseTable};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -422,24 +425,139 @@ fn worker_ranges_then_merge_compile_nothing() {
     let dir = tmp_dir("worker-ranges");
     let mut cfg = small_config(37);
     cfg.gen_options.max_per_kind = 1;
-    let plan = ubfuzz::executor::CampaignPlan::new(&cfg, Some(&dir));
+    let plan = CampaignPlan::new(&cfg, Some(&dir));
     let (units, groups) = (plan.units(), plan.groups());
     assert!(groups > 1, "the plan splits into two ranges");
-    drop(ubfuzz_store::CampaignLog::open(&dir, plan.fingerprint(), groups));
+    drop(CampaignLog::open(&dir, plan.fingerprint(), groups));
 
     let mid = groups / 2;
-    let first = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 1, 0..mid);
-    let second = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 2, mid..groups);
+    let judge = |shard: u64, range: Range<usize>| {
+        let span = plan.seed_span(range.clone());
+        run_group_range(&cfg, 2, &dir, shard, range, &span, groups).expect("span is the plan's")
+    };
+    let first = judge(1, 0..mid);
+    let second = judge(2, mid..groups);
     assert_eq!((first.replayed, second.replayed), (0, 0));
     assert!(first.computed > 0 && second.computed > 0);
     assert_eq!(first.computed + second.computed, units, "fresh shards judge every unit");
 
-    let reissued = ubfuzz::executor::run_group_range(&cfg, 2, &dir, 1, 0..mid);
+    let reissued = judge(1, 0..mid);
     assert_eq!(reissued.computed, 0, "a re-issued range recomputes nothing");
     assert_eq!(reissued.replayed, first.computed);
 
     let merged = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
     assert_eq!(merged, run_campaign(&cfg));
     assert_eq!(merged.cache, SessionStats::default(), "the merge replays every group");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The leases `LeaseTable::carve` cuts a plan's groups into, as the daemon
+/// carves them.
+fn carved(plan: &CampaignPlan, parts: usize) -> Vec<Range<usize>> {
+    let dir = tmp_dir(&format!("carve-{parts}"));
+    let mut table = LeaseTable::open(&dir);
+    table.carve(plan.fingerprint(), plan.groups(), parts, 600);
+    let ranges = table.run().map(|l| l.start as usize..l.end as usize).collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    ranges
+}
+
+/// Runs each `(range, span)` into its own shard of a fresh store, checking
+/// that the range generates exactly its span's seeds, then merges: the
+/// checkpointed merge must equal the sequential reference and compile
+/// nothing.
+fn run_slices_then_merge(cfg: &CampaignConfig, leases: &[(Range<usize>, SeedSpan)], tag: &str) {
+    let dir = tmp_dir(tag);
+    let plan = CampaignPlan::new(cfg, Some(&dir));
+    drop(CampaignLog::open(&dir, plan.fingerprint(), plan.groups()));
+    for (shard, (range, span)) in (1..).zip(leases) {
+        let sink = Arc::new(MetricsSink::new());
+        let mut sliced = cfg.clone();
+        sliced.recorder = Some(sink.clone());
+        run_group_range(&sliced, 2, &dir, shard, range.clone(), span, plan.groups())
+            .unwrap_or_else(|e| panic!("{tag}: range {range:?}: {e}"));
+        let generated = sink.snapshot().stages.get(&Stage::Generate).map_or(0, |h| h.count);
+        assert_eq!(generated, span.seeds.len() as u64, "{tag}: {range:?} generates {span:?}");
+    }
+    let merged = ParallelCampaign::new(cfg.clone()).with_shards(2).with_checkpoint(&dir).run();
+    assert_eq!(merged, run_campaign(cfg), "{tag}");
+    assert_eq!(merged.cache, SessionStats::default(), "{tag}: the merge replays every group");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seed slices: whatever way a campaign's groups are cut into leases, each
+/// worker range generates only the seeds of its span (a seed straddling a
+/// cut is generated on both sides), and the merge over the shard union is
+/// the sequential reference. Cuts: the daemon's 2- and 3-way carves, one
+/// exactly at a seed boundary and one inside a seed; and a Juliet campaign,
+/// whose later seeds plan no groups.
+#[test]
+fn seed_slices_generate_only_their_seeds_and_merge_to_the_reference() {
+    let mut cfg = small_config(41);
+    cfg.seeds = 3;
+    cfg.gen_options.max_per_kind = 1;
+    let plan = CampaignPlan::new(&cfg, None);
+    let groups = plan.groups();
+    let boundary = plan.seed_span(0..1).groups.end;
+    assert!(1 < boundary && boundary < groups, "seed 0 holds several groups, not all");
+    let mut cuts = vec![carved(&plan, 2), carved(&plan, 3)];
+    cuts.push(vec![0..boundary, boundary..groups]);
+    cuts.push(vec![0..boundary - 1, boundary - 1..groups]);
+    for (i, cut) in cuts.iter().enumerate() {
+        let leases: Vec<_> = cut.iter().map(|r| (r.clone(), plan.seed_span(r.clone()))).collect();
+        let spanned: usize = leases.iter().map(|(_, span)| span.seeds.len()).sum();
+        assert!(spanned < cfg.seeds + cut.len(), "at most one overlap seed per cut");
+        run_slices_then_merge(&cfg, &leases, &format!("slices-{i}"));
+    }
+    let at_boundary = [plan.seed_span(0..boundary), plan.seed_span(boundary..groups)];
+    assert_eq!(at_boundary[0].seeds.end, at_boundary[1].seeds.start, "no overlap seed");
+    let inside = [plan.seed_span(0..boundary - 1), plan.seed_span(boundary - 1..groups)];
+    assert_eq!(inside[0].seeds, 0..1);
+    assert_eq!(inside[1].seeds.start, 0, "seed 0 straddles the cut");
+
+    // Juliet: only the first seed generates, so every lease maps to seed 0;
+    // a span that also carries the empty later seeds plans the same groups.
+    let juliet = CampaignConfig::builder().seeds(3).generator(GeneratorChoice::Juliet).build();
+    let plan = CampaignPlan::new(&juliet, None);
+    let groups = plan.groups();
+    let mut leases: Vec<_> =
+        carved(&plan, 2).into_iter().map(|r| (r.clone(), plan.seed_span(r))).collect();
+    assert!(leases.iter().all(|(_, span)| span.seeds == (0..1)), "{leases:?}");
+    run_slices_then_merge(&juliet, &leases, "slices-juliet");
+    leases = vec![(0..groups, SeedSpan { seeds: 0..3, groups: 0..groups })];
+    run_slices_then_merge(&juliet, &leases, "slices-juliet-empty-seeds");
+}
+
+/// A worker whose seeds do not plan the span the daemon sent refuses the
+/// range: `run_group_range` reports the disagreement and records nothing,
+/// so the daemon reclaims the lease and the merge judges the groups itself.
+#[test]
+fn a_span_the_seeds_do_not_plan_is_refused_and_records_nothing() {
+    let dir = tmp_dir("wrong-span");
+    let mut cfg = small_config(43);
+    cfg.gen_options.max_per_kind = 1;
+    let plan = CampaignPlan::new(&cfg, Some(&dir));
+    let groups = plan.groups();
+    let range = groups / 2..groups;
+    let span = plan.seed_span(range.clone());
+    let refused = [
+        // A wrong base: the seeds plan a different group count.
+        SeedSpan { groups: span.groups.start + 1..span.groups.end, ..span.clone() },
+        // A span that does not cover the range.
+        plan.seed_span(0..1),
+        // Seeds outside the campaign.
+        SeedSpan { seeds: 0..cfg.seeds + 1, groups: 0..groups },
+    ];
+    for wrong in &refused {
+        let err = run_group_range(&cfg, 2, &dir, 1, range.clone(), wrong, groups)
+            .expect_err("a span the seeds do not plan is refused");
+        assert!(err.contains(&format!("{:?}", wrong.seeds)), "the error names the span: {err}");
+    }
+    assert!(!dir.join(ubfuzz_store::checkpoint::shard_file(1)).exists(), "no shard written");
+    let log = CampaignLog::open(&dir, plan.fingerprint(), groups);
+    assert!((0..groups).all(|g| !log.has_replay(g)), "nothing recorded");
+    drop(log);
+    let stats = run_group_range(&cfg, 2, &dir, 1, range, &span, groups).expect("the plan's span");
+    assert!(stats.computed > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,15 +5,19 @@
 //! order. For each campaign the scheduler:
 //!
 //! 1. builds the campaign's [`CampaignPlan`] once — generation on every
-//!    core, no compilation — for its fingerprint and its unit and group
-//!    counts, and opens the store's primary checkpoint log so an
-//!    incompatible log (and its shards) is swept before workers arrive;
+//!    core, no compilation — for its fingerprint, its unit and group
+//!    counts, and where each seed's groups start, and opens the store's
+//!    primary checkpoint log so an incompatible log (and its shards) is
+//!    swept before workers arrive;
 //! 2. carves the `(program, sanitizer)` groups `0..groups` into contiguous
 //!    leases in the store's [`LeaseTable`] ([`LeaseTable::carve`]),
 //!    numbered past every lease already there so checkpoint shard files
 //!    never collide;
 //! 3. spawns one worker *process* per lease (`<worker-bin> worker …`,
-//!    defaulting to the daemon's own binary) and polls: a clean exit
+//!    defaulting to the daemon's own binary) with the lease's seed span
+//!    ([`CampaignPlan::seed_span`]) and the plan's group count, so the
+//!    worker generates only the seeds its range covers (a seed straddling
+//!    two leases is generated by both), and polls: a clean exit
 //!    completes the lease; a nonzero exit, a SIGKILL, or a blown deadline
 //!    reclaims it — the range is re-issued under a fresh lease id and the
 //!    replacement's shard replay skips whatever the dead worker finished.
@@ -42,6 +46,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -140,9 +145,10 @@ struct CampaignView {
     /// updated to the merged campaign's final count once done.
     frontier: usize,
     report: Option<String>,
-    /// This run's leases as of the last scheduling tick (`pid=` is what a
-    /// supervisor — or the CI kill leg — targets).
-    leases: Vec<LeaseRecord>,
+    /// This run's leases as of the last scheduling tick, each with its seed
+    /// span's offsets (`pid=` is what a supervisor — or the CI kill leg —
+    /// targets).
+    leases: Vec<(LeaseRecord, Range<usize>)>,
     /// Per-stage latency histograms and counters: the scheduler thread's
     /// own sink (lease lifecycle + merge) folded with every worker
     /// receipt, in lease-completion order (histogram merge is commutative,
@@ -367,9 +373,9 @@ fn render_status(st: &State) -> String {
             c.san,
             c.frontier
         ));
-        for l in &c.leases {
+        for (l, seeds) in &c.leases {
             out.push_str(&format!(
-                "lease id={} campaign={} start={} end={} pid={} state={}\n",
+                "lease id={} campaign={} start={} end={} seeds={seeds:?} pid={} state={}\n",
                 l.id,
                 c.id,
                 l.start,
@@ -523,7 +529,7 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
             let Some(lease) = table.next_pending().cloned() else { break };
             let _issue = obs::Span::enter(Stage::LeaseIssue, lease.id);
             let now = unix_now();
-            match spawn_worker(config, seeds, first_seed, strategy, san, &lease) {
+            match spawn_worker(config, seeds, first_seed, strategy, san, &lease, &plan) {
                 Ok(child) => {
                     table.claim(lease.id, child.id() as u64, now);
                     active.push(Worker { lease_id: lease.id, child });
@@ -584,10 +590,10 @@ fn run_campaign_job(config: &DaemonConfig, shared: &Shared, id: u64) {
             }
         }
 
-        publish_leases(shared, id, &table, computed, replayed, reissued);
+        publish_leases(shared, id, &table, &plan, computed, replayed, reissued);
     };
 
-    publish_leases(shared, id, &table, computed, replayed, reissued);
+    publish_leases(shared, id, &table, &plan, computed, replayed, reissued);
     if failed {
         let mut st = relock(shared);
         let c = campaign_mut(&mut st, id);
@@ -635,16 +641,21 @@ fn campaign_mut(st: &mut State, id: u64) -> &mut CampaignView {
         .expect("scheduler jobs reference submitted campaigns")
 }
 
-/// Publishes this run's leases and counters to the `STATUS` snapshot.
+/// Publishes this run's leases, with their seed spans under `plan`, and
+/// counters to the `STATUS` snapshot.
 fn publish_leases(
     shared: &Shared,
     id: u64,
     table: &LeaseTable,
+    plan: &CampaignPlan,
     computed: usize,
     replayed: usize,
     reissued: u64,
 ) {
-    let leases = table.run().cloned().collect();
+    let leases = table
+        .run()
+        .map(|l| (l.clone(), plan.seed_span(l.start as usize..l.end as usize).seeds))
+        .collect();
     let mut st = relock(shared);
     let c = campaign_mut(&mut st, id);
     c.leases = leases;
@@ -683,6 +694,8 @@ fn parse_receipt_metrics(receipt: &str) -> MetricsSnapshot {
     snap
 }
 
+/// Spawns the worker for `lease`, addressed by its seed span under `plan`
+/// and the plan's group count, so the worker plans only that span.
 fn spawn_worker(
     config: &DaemonConfig,
     seeds: usize,
@@ -690,7 +703,9 @@ fn spawn_worker(
     strategy: Strategy,
     san: SanPolicy,
     lease: &LeaseRecord,
+    plan: &CampaignPlan,
 ) -> std::io::Result<Child> {
+    let span = plan.seed_span(lease.start as usize..lease.end as usize);
     let bin = match &config.worker_bin {
         Some(bin) => bin.clone(),
         None => std::env::current_exe()?,
@@ -713,6 +728,16 @@ fn spawn_worker(
         .arg(lease.start.to_string())
         .arg("--end")
         .arg(lease.end.to_string())
+        .arg("--seed-start")
+        .arg(span.seeds.start.to_string())
+        .arg("--seed-end")
+        .arg(span.seeds.end.to_string())
+        .arg("--base")
+        .arg(span.groups.start.to_string())
+        .arg("--span-end")
+        .arg(span.groups.end.to_string())
+        .arg("--groups")
+        .arg(plan.groups().to_string())
         .arg("--threads")
         .arg(config.worker_threads.to_string())
         .stdin(Stdio::null())
@@ -751,16 +776,19 @@ mod tests {
             reissued: 1,
             frontier: 12,
             report: None,
-            leases: vec![LeaseRecord {
-                id: 2,
-                campaign_fp: 7,
-                start: 0,
-                end: 5,
-                pid: 42,
-                granted: 0,
-                ttl_secs: 600,
-                state: ubfuzz::store::LeaseState::Active,
-            }],
+            leases: vec![(
+                LeaseRecord {
+                    id: 2,
+                    campaign_fp: 7,
+                    start: 0,
+                    end: 5,
+                    pid: 42,
+                    granted: 0,
+                    ttl_secs: 600,
+                    state: ubfuzz::store::LeaseState::Active,
+                },
+                0..3,
+            )],
             metrics: MetricsSnapshot::default(),
         });
         let s = render_status(&st);
@@ -769,7 +797,8 @@ mod tests {
         assert!(s.contains(" leases_issued=0 leases_reclaimed=0 units_merged=0"), "{s}");
         assert!(s.contains("campaign id=1 state=running seeds=4"), "{s}");
         assert!(s.contains("strategy=guided san=partial:500:3 frontier=12"), "{s}");
-        assert!(s.contains("lease id=2 campaign=1 start=0 end=5 pid=42 state=active"), "{s}");
+        let lease = "lease id=2 campaign=1 start=0 end=5 seeds=0..3 pid=42 state=active\n";
+        assert!(s.contains(lease), "{s}");
     }
 
     #[test]

@@ -6,18 +6,22 @@
 //!
 //! * [`daemon`] — accepts campaign submissions over a unix-domain socket,
 //!   carves each campaign's `(program, sanitizer)` group index space into
-//!   contiguous **leases** in
-//!   the store's lease table ([`ubfuzz::store::LeaseTable`], the daemon's
-//!   only lease ledger, persisted as `leases.bin`) and hands every lease to
-//!   a worker *process* that checkpoints into its own shard of the store's
-//!   campaign log ([`ubfuzz::store::CampaignLog`]). A worker that exits
-//!   nonzero, is SIGKILLed, overruns its lease deadline, or cannot be
-//!   spawned is reclaimed: the lease is re-issued under a fresh id and the
+//!   contiguous **leases** in the store's lease table
+//!   ([`ubfuzz::store::LeaseTable`], the daemon's only lease ledger,
+//!   persisted as `leases.bin`) and hands every lease, with the seed span
+//!   that covers it ([`ubfuzz::executor::CampaignPlan::seed_span`]), to a
+//!   worker *process* that generates only those seeds and checkpoints into
+//!   its own shard of the store's campaign log
+//!   ([`ubfuzz::store::CampaignLog`]). A worker that exits nonzero, is
+//!   SIGKILLed, overruns its lease deadline, or cannot be spawned is
+//!   reclaimed: the lease is re-issued under a fresh id and the
 //!   replacement's replay scan skips whatever the dead worker already
 //!   completed.
 //! * [`worker`] — the worker-mode entry
-//!   ([`ubfuzz::executor::run_group_range`] behind flag parsing): compile,
-//!   judge and checkpoint each group's verdict. Folding is the daemon's
+//!   ([`ubfuzz::executor::run_group_range`] behind flag parsing): plan the
+//!   lease's seed slice, then compile, judge and checkpoint each group's
+//!   verdict; a slice that disagrees with the daemon's span is refused
+//!   with a nonzero exit, and nothing is recorded. Folding is the daemon's
 //!   job — once every lease is done it replays the shard union through
 //!   [`ubfuzz::ParallelCampaign::run_planned`], the canonical
 //!   sequential-order fold, so the merged report is **bit-identical** to a

@@ -1,18 +1,24 @@
 //! Worker-mode entry: one leased group range, judged and checkpointed.
 //!
 //! The daemon spawns `<bin> worker --store DIR --seeds N --first-seed F
-//! --shard ID --start A --end B [--threads T]` once per lease; the shard id
+//! --shard ID --start A --end B --seed-start S --seed-end E --base G
+//! --span-end H --groups M [--threads T]` once per lease; the shard id
 //! *is* the lease id, so every worker writes its own `campaign.s<ID>.bin`
 //! (single-writer-per-file keeps the torn-tail recovery story) while the
 //! open-time replay scan unions every sibling shard — a worker re-issued
 //! over a half-finished range only pays for the missing groups. `--start`
-//! and `--end` are group indices of the campaign plan.
+//! and `--end` are group indices of the campaign plan; the rest is the
+//! lease's seed span ([`ubfuzz::executor::CampaignPlan::seed_span`]):
+//! seed offsets `S..E`, the global indices `G..H` of their groups, and the
+//! plan's group count `M`. The worker generates only seeds `S..E`.
 //!
 //! The worker runs [`ubfuzz::executor::run_group_range`] over a
 //! store-backed `SimBackend` (the backend is where the compile cache is
 //! chosen): it compiles each `(program, sanitizer)` group, judges it with
 //! the campaign's oracle and records the verdict — the daemon's merge only
-//! folds verdicts, through the same plan and judge steps. Its stdout is
+//! folds verdicts, through the same judge step. A span its seeds do not
+//! plan exits 1 with the reason on stderr and records nothing; the daemon
+//! reclaims the lease like any failed worker. Its stdout is
 //! the completion receipt the daemon parses: one `computed=N replayed=N`
 //! line (in units, i.e. matrix cells) followed by `metric …` lines ([`ubfuzz::obs::MetricsSnapshot::
 //! encode_lines`]) carrying the per-stage latency histograms sampled in
@@ -23,7 +29,7 @@
 use std::sync::Arc;
 use ubfuzz::backend::SimBackend;
 use ubfuzz::campaign::CampaignConfig;
-use ubfuzz::executor::run_group_range;
+use ubfuzz::executor::{run_group_range, SeedSpan};
 use ubfuzz::{obs, SanPolicy, Strategy};
 
 use crate::{flag_num, flag_value};
@@ -32,7 +38,8 @@ use crate::{flag_num, flag_value};
 /// tolerated, so every binary that forwards its arguments here — the
 /// `ubfuzz-serve` executable, the `ubbench` benchmark — takes the daemon's
 /// spawn line unchanged). Returns the process exit code: 0 on completion,
-/// 2 on flag misuse.
+/// 1 when the seed span disagrees with this worker's plan, 2 on flag
+/// misuse.
 pub fn worker_main(args: &[String]) -> i32 {
     let args = match args.first().map(String::as_str) {
         Some("worker") => &args[1..],
@@ -42,6 +49,7 @@ pub fn worker_main(args: &[String]) -> i32 {
         eprintln!("ubfuzz-serve worker: {what}");
         eprintln!(
             "usage: worker --store DIR --shard ID --start A --end B \
+             --seed-start S --seed-end E --base G --span-end H --groups M \
              [--seeds N] [--first-seed N] [--strategy uniform|guided] \
              [--san full|none|partial[:ratio[:salt]]] [--threads N] [--stall-ms MS]"
         );
@@ -79,6 +87,15 @@ pub fn worker_main(args: &[String]) -> i32 {
     if shard == 0 {
         return misuse("--shard ID is required (nonzero; 0 is the primary log)");
     }
+    let span_flags = ["--seed-start", "--seed-end", "--base", "--span-end", "--groups"]
+        .map(|f| flag_value(args, f).and_then(|v| v.parse::<usize>().ok()));
+    let [Some(seed_start), Some(seed_end), Some(base), Some(span_end), Some(groups)] = span_flags
+    else {
+        return misuse(
+            "the lease's seed span is required: --seed-start S --seed-end E --base G \
+             --span-end H --groups M",
+        );
+    };
     let (Some(threads), Some(stall_ms)) =
         (flag_num(args, "--threads", 2_usize), flag_num(args, "--stall-ms", 0_u64))
     else {
@@ -107,7 +124,15 @@ pub fn worker_main(args: &[String]) -> i32 {
     // records), warming every sibling and the daemon's merge pass.
     let backend = SimBackend::with_store_capacity(&store, cfg.prefix_key_bound());
     cfg.backend = Some(Arc::new(backend));
-    let stats = run_group_range(&cfg, threads.max(1), &store, shard, start..end);
+    let span = SeedSpan { seeds: seed_start..seed_end, groups: base..span_end };
+    let stats = match run_group_range(&cfg, threads.max(1), &store, shard, start..end, &span, groups)
+    {
+        Ok(stats) => stats,
+        Err(reason) => {
+            eprintln!("ubfuzz-serve worker: shard {shard}: {reason}");
+            return 1;
+        }
+    };
     println!("computed={} replayed={}", stats.computed, stats.replayed);
     print!("{}", sink.snapshot().encode_lines());
     0

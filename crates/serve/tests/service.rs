@@ -17,6 +17,10 @@
 //! * submissions beyond the queue bound answer `err busy`;
 //! * a worker binary that cannot be spawned fails its campaign within the
 //!   re-issue cap instead of wedging the scheduler;
+//! * a worker that exits 0 with no receipt, or with a garbage one, still
+//!   ends in a byte-identical report (the merge judges what no shard
+//!   holds), and a worker sent a seed span its seeds do not plan exits
+//!   nonzero and records nothing;
 //! * two worker processes hammering the same store directory concurrently
 //!   — plus one killed mid-run — corrupt no table.
 
@@ -135,23 +139,29 @@ fn daemon_report_is_bit_identical_and_resubmission_replays() {
     let merged = client::report(&socket, id).expect("report");
     assert_eq!(merged, reference, "daemon merge must be byte-identical to single-process");
 
-    // Plan once: the daemon generates every seed once, each worker once
-    // more (workers are separate processes), and the merge not at all.
-    let leases: u64 = status
+    // Plan once, slice per worker: the daemon generates every seed once,
+    // each worker only its lease's seed span (workers are separate
+    // processes), and the merge nothing.
+    let spans: Vec<(u64, u64)> = status
         .lines()
-        .find(|l| l.starts_with("daemon "))
-        .and_then(|l| {
-            l.split_whitespace()
-                .find_map(|t| t.strip_prefix("leases_issued=").and_then(|v| v.parse().ok()))
+        .filter(|l| l.starts_with("lease id="))
+        .map(|l| {
+            let seeds = l.split_whitespace().find_map(|t| t.strip_prefix("seeds="));
+            let (s, e) = seeds.and_then(|v| v.split_once("..")).expect("seeds=S..E");
+            (s.parse().expect("S"), e.parse().expect("E"))
         })
-        .unwrap_or_else(|| panic!("no leases_issued= in status:\n{status}"));
+        .collect();
+    assert!(spans.len() >= 2, "one line per lease, each with its seed span:\n{status}");
     let metrics = client::metrics(&socket).expect("metrics");
     let generated: u64 = metrics
         .lines()
         .find_map(|l| l.strip_prefix("metrics campaign=1 stage=generate count="))
         .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
         .unwrap_or_else(|| panic!("no generate stage in metrics:\n{metrics}"));
-    assert_eq!(generated, 3 * (1 + leases), "seeds × (1 + leases):\n{metrics}");
+    let spanned: u64 = spans.iter().map(|(s, e)| e - s).sum();
+    assert_eq!(generated, 3 + spanned, "seeds + each lease's span:\n{metrics}\n{status}");
+    let overlap = spans.len() as u64 - 1;
+    assert!(generated <= 3 + 3 + overlap, "one overlap seed per lease boundary:\n{status}");
 
     // Same campaign again: every unit replays out of the checkpoint
     // shards, so the workers compile nothing and the report is unchanged.
@@ -415,8 +425,8 @@ fn unspawnable_worker_binary_fails_the_campaign_instead_of_wedging() {
 /// Satellite: concurrent opens of one store directory must not corrupt any
 /// table — including when one of the processes is SIGKILLed mid-run.
 ///
-/// Two worker processes each judge the *full* group range into their own
-/// checkpoint shard while racing appends to the shared `prefix.bin`; a
+/// Two worker processes each judge the *full* group range (whose seed span
+/// is every seed) into their own checkpoint shard while racing appends to the shared `prefix.bin`; a
 /// third is killed shortly after starting. Afterwards every table must
 /// open clean, the shard union must replay every group, and a merge over
 /// the store must render the same report as a fresh single-process run.
@@ -430,12 +440,15 @@ fn concurrent_store_opens_survive_racing_and_killed_workers() {
     let (fingerprint, groups) = (plan.fingerprint(), plan.groups());
     assert!(groups > 0);
 
+    let (groups_arg, seeds_arg) = (groups.to_string(), seeds.to_string());
     let worker = |shard: u64, stall_ms: u64| {
         std::process::Command::new(WORKER_BIN)
             .args(["worker", "--store"])
             .arg(&dir)
-            .args(["--seeds", &seeds.to_string(), "--shard", &shard.to_string()])
-            .args(["--start", "0", "--end", &groups.to_string()])
+            .args(["--seeds", &seeds_arg, "--shard", &shard.to_string()])
+            .args(["--start", "0", "--end", &groups_arg])
+            .args(["--seed-start", "0", "--seed-end", &seeds_arg])
+            .args(["--base", "0", "--span-end", &groups_arg, "--groups", &groups_arg])
             .args(["--threads", "2", "--stall-ms", &stall_ms.to_string()])
             .stdout(std::process::Stdio::piped())
             .spawn()
@@ -472,4 +485,68 @@ fn concurrent_store_opens_survive_racing_and_killed_workers() {
         .run();
     let rendered = format!("{}{}", report::table3(&merged), report::oracle_stats(&merged));
     assert_eq!(rendered, single_process_report());
+}
+
+/// Runs one 3-seed campaign on a daemon whose worker binary is the shell
+/// script `body`, and requires a done campaign whose report is the
+/// single-process one.
+fn campaign_over_fake_worker(tag: &str, body: &str) {
+    use std::os::unix::fs::PermissionsExt as _;
+    let scratch = Scratch::new(tag);
+    let script = scratch.dir.join("fake-worker.sh");
+    std::fs::write(&script, format!("#!/bin/sh\n{body}\n")).expect("write worker script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    let mut config = scratch.daemon_config();
+    config.worker_bin = Some(script);
+    let (socket, daemon) = start_daemon(config);
+
+    let id = client::submit(&socket, 3, 0, Some(2), ubfuzz::Strategy::Uniform, ubfuzz::SanPolicy::Full)
+        .expect("submit");
+    let status = await_done(&socket, id, Duration::from_secs(120));
+    assert_eq!(campaign_field(&status, id, "computed"), "0", "{tag}: no receipt counts:\n{status}");
+    let merged = client::report(&socket, id).expect("report");
+    assert_eq!(merged, single_process_report(), "{tag}: the merge judges the missing groups");
+
+    client::shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+}
+
+/// Fault injection: every worker exits 0 without writing a receipt or a
+/// shard. Each lease completes, and the merge judges every group itself.
+#[test]
+fn workers_that_exit_zero_with_no_receipt_still_merge_identically() {
+    campaign_over_fake_worker("noreceipt", "exit 0");
+}
+
+/// Fault injection: every worker prints junk where the receipt belongs and
+/// exits 0. The receipt parses as zeros, and the report is unchanged.
+#[test]
+fn workers_with_a_garbage_receipt_still_merge_identically() {
+    campaign_over_fake_worker("garbage", "echo 'computed=x replayed metric stage=?? \\377'; exit 0");
+}
+
+/// The real worker binary, sent a base its seeds do not plan, exits 1 with
+/// the disagreement on stderr and writes no shard.
+#[test]
+fn worker_binary_refuses_a_span_its_seeds_do_not_plan() {
+    let scratch = Scratch::new("badspan");
+    let cfg = CampaignConfig::builder().seeds(3).build();
+    let plan = CampaignPlan::new(&cfg, Some(&scratch.dir));
+    let groups = plan.groups();
+    let span = plan.seed_span(groups / 2..groups);
+    let arg = |n: usize| n.to_string();
+    let out = std::process::Command::new(WORKER_BIN)
+        .args(["worker", "--store"])
+        .arg(&scratch.dir)
+        .args(["--seeds", "3", "--shard", "1", "--start", &arg(groups / 2), "--end", &arg(groups)])
+        .args(["--seed-start", &arg(span.seeds.start), "--seed-end", &arg(span.seeds.end)])
+        .args(["--base", &arg(span.groups.start + 1), "--span-end", &arg(span.groups.end)])
+        .args(["--groups", &arg(groups), "--threads", "1"])
+        .output()
+        .expect("run worker");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "no receipt: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("but the lease sent span"), "{stderr}");
+    assert!(!scratch.dir.join(ubfuzz::store::checkpoint::shard_file(1)).exists(), "no shard");
 }
